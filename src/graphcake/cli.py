@@ -38,6 +38,13 @@ ALGORITHMS = (
 PATH_SOLVERS = ("iterative-divide", "identical-4ef", "identical-2eps")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Malformed arguments are malformed input: one line on stderr, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _read(path: str) -> bytes:
     return Path(path).read_bytes()
 
@@ -199,7 +206,7 @@ def _oracle(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="graphcake")
+    parser = _Parser(prog="graphcake")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run one algorithm on an instance file")

@@ -145,20 +145,6 @@ def prop1_check(report: FairnessReport, n: int) -> Prop1Check:
 # Brute-force egalitarian oracle (two agents, tiny cakes)
 
 ORACLE_EDGE_CAP = 4
-ORACLE_REFINE = 16
-
-
-def _edge_grid(instance: Instance, edge_id: str, refine: int) -> list[Rational]:
-    """Density breakpoints of both agents plus uniform refinements per piece."""
-    points = set()
-    for agent in instance.agents:
-        points.update(instance.density(agent, edge_id).breakpoints)
-    base = sorted(points)
-    grid = set(base)
-    for a, b in zip(base, base[1:]):
-        for k in range(1, refine):
-            grid.add(a + (b - a) * rational(k, refine))
-    return sorted(grid)
 
 
 def _breakpoint_grid(instance: Instance, edge_id: str) -> list[Rational]:

@@ -29,7 +29,10 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 def parse_rational(text: str) -> Rational:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational p/q string: {text!r}")
-    return rational(text)
+    try:
+        return rational(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value: Rational) -> str:
@@ -131,11 +134,16 @@ def allocation_from_dict(instance: Instance, data: dict) -> tuple[Allocation, di
     try:
         shares = {}
         for entry in data["agents"]:
+            agent = entry["id"]
+            if agent not in instance.agents:
+                raise ValueError(f"allocation names agent {agent!r}, which the instance lacks")
+            if agent in shares:
+                raise ValueError(f"allocation lists agent {agent!r} twice")
             intervals = [
                 EdgeInterval(t["edge"], parse_rational(t["from"]), parse_rational(t["to"]))
                 for t in entry["share"]
             ]
-            shares[entry["id"]] = canonical_share(instance.graph, intervals)
+            shares[agent] = canonical_share(instance.graph, intervals)
         metrics = data.get("metrics", {})
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed allocation JSON: {exc}") from exc

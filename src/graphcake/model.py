@@ -242,10 +242,6 @@ def contact_nodes(graph: Graph, a: Share, b: Share) -> list[tuple]:
     return sorted(hits, key=node_sort_key)
 
 
-def shares_touch(graph: Graph, a: Share, b: Share) -> bool:
-    return bool(contact_nodes(graph, a, b))
-
-
 def _component_labels(graph: Graph, ivs: Sequence[EdgeInterval]) -> list[int]:
     """Union-find roots of the interval contact relation.
 

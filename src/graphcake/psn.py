@@ -10,12 +10,10 @@ edges hang as pendant leaves.
 
 from __future__ import annotations
 
-import os
-
 from .rational import Rational, rational
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
+from typing import ClassVar
 
 from .model import (
     Allocation,
@@ -34,11 +32,7 @@ from .model import (
     validate_allocation,
 )
 
-ENUMERATION_VERTEX_CAP = 8
-ENUMERATION_TREE_CAP = 250_000
 EXACT_CHECK_EDGE_CAP = 20
-
-THREADS_ENV = "GRAPHCAKE_THREADS"
 
 
 @dataclass(frozen=True)
@@ -57,17 +51,6 @@ class EdgeBijection:
     def m(self) -> int:
         return len(self.entries)
 
-    def slot_of(self, edge_id: str) -> int:
-        for i, entry in enumerate(self.entries):
-            if entry.edge == edge_id:
-                return i
-        raise ValueError(f"edge {edge_id!r} not in bijection")
-
-    def to_path(self, edge_id: str, pos: Rational) -> Rational:
-        i = self.slot_of(edge_id)
-        entry = self.entries[i]
-        return i + (ONE - pos if entry.reversed else pos)
-
     def slot_interval(self, slot: int, lo: Rational, hi: Rational) -> EdgeInterval:
         """Edge interval corresponding to path range [slot+lo, slot+hi]."""
         entry = self.entries[slot]
@@ -84,7 +67,8 @@ class PsnCertificate:
     height: int
     diameter: int | None = None
     tree_edges: tuple[str, ...] | None = None
-    heuristic: bool = False
+    # Every certificate rests on an exact minimum-diameter spanning tree.
+    heuristic: ClassVar[bool] = False
 
     def as_dict(self) -> dict:
         out = {
@@ -151,40 +135,37 @@ def tree_dfs_bijection(graph: Graph, root: str) -> EdgeBijection:
     return EdgeBijection(tuple(entries))
 
 
+def _bfs(adj, sources) -> tuple[dict[str, int], dict[str, str]]:
+    """Hop distance of each reached vertex from the nearest source, and the
+    edge it was first reached by (sources and adjacency taken in order)."""
+    depth = {s: 0 for s in sources}
+    parent_edge: dict[str, str] = {}
+    frontier = list(sources)
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for other, edge_id in adj[node]:
+                if other not in depth:
+                    depth[other] = depth[node] + 1
+                    parent_edge[other] = edge_id
+                    nxt.append(other)
+        frontier = nxt
+    return depth, parent_edge
+
+
 def tree_height(vertices, edges, root: str) -> int:
-    adj = _tree_adjacency(vertices, edges)
-    depth = {root: 0}
-    stack = [root]
-    best = 0
-    while stack:
-        node = stack.pop()
-        for child, _ in adj[node]:
-            if child not in depth:
-                depth[child] = depth[node] + 1
-                best = max(best, depth[child])
-                stack.append(child)
-    return best
+    depth, _ = _bfs(_tree_adjacency(vertices, edges), [root])
+    return max(depth.values())
 
 
 def _eccentricities(vertices, edges) -> dict[str, int]:
     adj = _tree_adjacency(vertices, edges)
     out = {}
     for v in vertices:
-        depth = {v: 0}
-        frontier = [v]
-        far = 0
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for other, _ in adj[node]:
-                    if other not in depth:
-                        depth[other] = depth[node] + 1
-                        far = max(far, depth[other])
-                        nxt.append(other)
-            frontier = nxt
+        depth, _ = _bfs(adj, [v])
         if len(depth) != len(set(vertices)):
             return {}
-        out[v] = far
+        out[v] = max(depth.values())
     return out
 
 
@@ -192,75 +173,46 @@ def _eccentricities(vertices, edges) -> dict[str, int]:
 # Minimum-diameter spanning trees (unit edge lengths)
 
 
-def _spanning_tree_stats(vertices, edge_subset) -> tuple[int, str, int] | None:
-    ecc = _eccentricities(vertices, edge_subset)
-    if not ecc:
-        return None
+def _spanning_tree_stats(vertices, tree_edges) -> tuple[int, str, int]:
+    ecc = _eccentricities(vertices, tree_edges)
+    check(bool(ecc), "tree edges do not span the vertices")
     diameter = max(ecc.values())
     root = min(v for v, e in ecc.items() if e == min(ecc.values()))
     return diameter, root, ecc[root]
 
 
-def min_diameter_spanning_tree(graph: Graph) -> tuple[tuple[str, ...], str, int, int, bool]:
-    """(tree edge ids, root, diameter, height, exhaustive?).
+def min_diameter_spanning_tree(graph: Graph) -> tuple[tuple[str, ...], str, int, int]:
+    """(tree edge ids, root, diameter, height) of a minimum-diameter spanning tree.
 
-    Exhaustive over all spanning trees for small graphs; above the caps, the
-    best breadth-first search tree over all start vertices is used instead
-    and the certificate is flagged heuristic.  The root is a tree vertex of
-    minimum eccentricity, so the rooted height is ceil(diameter/2) at most.
+    With unit edge lengths the absolute 1-center of the graph lies at a
+    vertex or at an edge midpoint, and a shortest-path tree grown from it is
+    a minimum-diameter spanning tree whose diameter is twice the absolute
+    radius (Hassin & Tamir, IPL 1995).  Radii are doubled to stay integral:
+    2 ecc(v) at vertex v, 1 + 2 max_x min(d(u, x), d(w, x)) at the midpoint
+    of edge (u, w).  Ties go to a vertex before an edge, then to the smaller
+    id.  The root is a tree vertex of minimum eccentricity (smallest id), so
+    the rooted height is ceil(diameter/2) at most.  O(V E) time.
     """
     vertices = tuple(sorted(graph.vertices))
-    nv = len(vertices)
     candidates = [e for e in graph.edges if e.endpoints[0] != e.endpoints[1]]
-
-    exhaustive = nv <= ENUMERATION_VERTEX_CAP
-    best = None
-    if exhaustive:
-        need = nv - 1
-        total = 1
-        for i in range(need):
-            total = total * max(len(candidates) - i, 1) // (i + 1)
-        if total > ENUMERATION_TREE_CAP:
-            exhaustive = False
-    if exhaustive:
-        for subset in combinations(sorted(candidates, key=lambda e: e.id), nv - 1):
-            stats = _spanning_tree_stats(vertices, subset)
-            if stats is None:
-                continue
-            d, root, h = stats
-            key = (d, tuple(e.id for e in subset))
-            if best is None or key < best[0]:
-                best = (key, subset, root, d, h)
-    if best is None:
-        exhaustive = False
-        for start in vertices:
-            adj = _tree_adjacency(vertices, candidates)
-            parent_edge = {}
-            seen = {start}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for node in frontier:
-                    for other, edge_id in adj[node]:
-                        if other not in seen:
-                            seen.add(other)
-                            parent_edge[other] = edge_id
-                            nxt.append(other)
-                frontier = nxt
-            subset = tuple(
-                e for e in candidates if e.id in set(parent_edge.values())
-            )
-            stats = _spanning_tree_stats(vertices, subset)
-            if stats is None:
-                continue
-            d, root, h = stats
-            key = (d, tuple(e.id for e in subset))
-            if best is None or key < best[0]:
-                best = (key, subset, root, d, h)
-    check(best is not None, "connected graphs always have a spanning tree")
-    _, subset, root, d, h = best
+    adj = _tree_adjacency(vertices, candidates)
+    dist = {v: _bfs(adj, [v])[0] for v in vertices}
+    centers = [(2 * max(dist[v].values()), 0, v) for v in vertices]
+    for e in candidates:
+        du, dw = dist[e.endpoints[0]], dist[e.endpoints[1]]
+        centers.append((1 + 2 * max(min(du[x], dw[x]) for x in vertices), 1, e.id))
+    doubled_radius, kind, center = min(centers)
+    if kind == 0:
+        _, parent_edge = _bfs(adj, [center])
+        tree_edges = set(parent_edge.values())
+    else:
+        _, parent_edge = _bfs(adj, sorted(graph.edge(center).endpoints))
+        tree_edges = set(parent_edge.values()) | {center}
+    tree_ids = tuple(sorted(tree_edges))
+    d, root, h = _spanning_tree_stats(vertices, [graph.edge(e) for e in tree_ids])
+    check(d == doubled_radius, f"tree diameter {d} differs from the doubled radius {doubled_radius}")
     check(2 * h <= d + 1, f"rooted height {h} above ceil({d}/2)")
-    return tuple(sorted(e.id for e in subset)), root, d, h, exhaustive
+    return tree_ids, root, d, h
 
 
 def augment_and_bijection(
@@ -339,26 +291,18 @@ def augment_and_bijection(
 
 def psn_certificate(graph: Graph) -> tuple[EdgeBijection, PsnCertificate]:
     """Best available layout with its piece-count bound."""
-    if graph_is_acyclic(graph):
-        tree_edges, root, d, h, _ = min_diameter_spanning_tree(graph)
-        bijection = tree_dfs_bijection(graph, root)
-        cert = PsnCertificate(
-            bound=h + 1,
-            construction="tree-dfs",
-            root=root,
-            height=h,
-            diameter=d,
-            tree_edges=tree_edges,
-        )
-        return bijection, cert
-    tree_edges, root, d, h, exhaustive = min_diameter_spanning_tree(graph)
-    bijection, cert = augment_and_bijection(graph, tree_edges, root)
-    if not exhaustive:
-        cert = PsnCertificate(
-            cert.bound, cert.construction, cert.root, cert.height,
-            cert.diameter, cert.tree_edges, heuristic=True,
-        )
-    return bijection, cert
+    tree_edges, root, d, h = min_diameter_spanning_tree(graph)
+    if not graph_is_acyclic(graph):
+        return augment_and_bijection(graph, tree_edges, root)
+    cert = PsnCertificate(
+        bound=h + 1,
+        construction="tree-dfs",
+        root=root,
+        height=h,
+        diameter=d,
+        tree_edges=tree_edges,
+    )
+    return tree_dfs_bijection(graph, root), cert
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +329,7 @@ def lift_segment(graph: Graph, bijection: EdgeBijection, lo: Rational, hi: Ratio
     return share_components(graph, whole)
 
 
-def psn_exact_check(graph: Graph, bijection: EdgeBijection, threads: int | None = None) -> int:
+def psn_exact_check(graph: Graph, bijection: EdgeBijection) -> int:
     """Exact path similarity number of a layout by segment enumeration.
 
     Piece counts only change when a segment endpoint crosses a slot
@@ -400,18 +344,7 @@ def psn_exact_check(graph: Graph, bijection: EdgeBijection, threads: int | None 
         points.append(rational(slot))
         points.append(rational(slot) + rational(1, 2))
     points.append(rational(m))
-    pairs = [(a, b) for a, b in combinations(points, 2)]
-
-    def count(pair) -> int:
-        return len(lift_segment(graph, bijection, pair[0], pair[1]))
-
-    if threads is None:
-        env = os.environ.get(THREADS_ENV)
-        threads = int(env) if env else 0
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return max(pool.map(count, pairs))
-    return max(count(p) for p in pairs)
+    return max(len(lift_segment(graph, bijection, a, b)) for a, b in combinations(points, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from conftest import F
 def test_parse_rational_strict():
     assert parse_rational("3/4") == F(3, 4)
     assert parse_rational("-2") == -2
-    for bad in ("0.5", "1e3", "a/b", "", "1/0x"):
+    for bad in ("0.5", "1e3", "a/b", "", "1/0x", "1/0", "-3/0"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
@@ -146,6 +146,59 @@ def test_cli_rejects_algorithm_graph_mismatch(tmp_path, capsys):
                        "--instance", str(tree_file), "--output", str(tmp_path / "x.json"))
         assert code == 2
         assert "star" in capsys.readouterr().err
+
+
+def test_cli_zero_denominator_in_instance_exits_2(tmp_path, capsys):
+    inst_file = tmp_path / "fig1.json"
+    run_cli("gen", "--family", "fig1", "--output", str(inst_file))
+    data = json.loads(inst_file.read_text())
+    data["agents"][0]["valuation"]["e1"]["densities"] = ["1/0"]
+    inst_file.write_text(json.dumps(data))
+    code = run_cli("solve", "--algorithm", "identical-4ef", "--instance", str(inst_file),
+                   "--output", str(tmp_path / "out.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "zero denominator" in err
+
+
+def test_cli_zero_denominator_epsilon_exits_2(tmp_path, capsys):
+    inst_file = tmp_path / "fig1.json"
+    run_cli("gen", "--family", "fig1", "--output", str(inst_file))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", "--algorithm", "star-3eps", "--epsilon", "1/0",
+                "--instance", str(inst_file), "--output", str(tmp_path / "out.json"))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--epsilon" in err
+
+
+def _verify_edited_allocation(tmp_path, edit):
+    inst_file = tmp_path / "fig1.json"
+    out_file = tmp_path / "alloc.json"
+    run_cli("gen", "--family", "fig1", "--output", str(inst_file))
+    run_cli("solve", "--algorithm", "identical-4ef", "--instance", str(inst_file),
+            "--output", str(out_file))
+    payload = json.loads(out_file.read_text())
+    edit(payload["agents"])
+    out_file.write_text(json.dumps(payload))
+    return run_cli("verify", "--instance", str(inst_file), "--allocation", str(out_file))
+
+
+def test_cli_verify_rejects_unknown_agent(tmp_path, capsys):
+    whole_e1 = {"edge": "e1", "from": "0", "to": "1"}
+    code = _verify_edited_allocation(
+        tmp_path, lambda agents: agents.append({"id": 7, "share": [whole_e1]})
+    )
+    assert code == 2
+    assert "agent 7" in capsys.readouterr().err
+
+
+def test_cli_verify_rejects_duplicate_agent(tmp_path, capsys):
+    code = _verify_edited_allocation(
+        tmp_path, lambda agents: agents.append({"id": 1, "share": agents[0]["share"]})
+    )
+    assert code == 2
+    assert "agent 1 twice" in capsys.readouterr().err
 
 
 def test_cli_psn_certificate(tmp_path):

@@ -145,32 +145,40 @@ def square_graph():
     )
 
 
-def k4_graph():
-    vertices = ("a", "b", "c", "d")
+def complete_graph(nv):
+    vertices = tuple(f"v{k}" for k in range(nv))
     edges = tuple(
-        Edge(f"e{i}", pair)
+        Edge(f"e{i:02d}", pair)
         for i, pair in enumerate(itertools.combinations(vertices, 2), start=1)
     )
     return Graph(vertices, edges)
 
 
 def test_tree_input_is_its_own_spanning_tree(fig1):
-    tree_edges, root, d, h, exhaustive = min_diameter_spanning_tree(fig1.graph)
+    tree_edges, root, d, h = min_diameter_spanning_tree(fig1.graph)
     assert set(tree_edges) == {"e1", "e2", "e3"}
     assert root == "c" and d == 2 and h == 1
-    assert exhaustive
 
 
 def test_square_spanning_tree():
-    tree_edges, root, d, h, exhaustive = min_diameter_spanning_tree(square_graph())
+    tree_edges, root, d, h = min_diameter_spanning_tree(square_graph())
     assert len(tree_edges) == 3
     assert d == 3 and h == 2
-    assert exhaustive
 
 
 def test_k4_spanning_tree_is_a_star():
-    tree_edges, root, d, h, _ = min_diameter_spanning_tree(k4_graph())
+    tree_edges, root, d, h = min_diameter_spanning_tree(complete_graph(4))
     assert d == 2 and h == 1
+
+
+def test_k8_spanning_tree_is_a_star():
+    graph = complete_graph(8)
+    assert len(graph.edges) == 28
+    tree_edges, root, d, h = min_diameter_spanning_tree(graph)
+    assert len(tree_edges) == 7
+    assert d == 2 and h == 1
+    _, cert = psn_certificate(graph)
+    assert cert.bound == 3 and not cert.heuristic
 
 
 def test_square_certificate_bound():
@@ -181,9 +189,9 @@ def test_square_certificate_bound():
 
 
 def test_k4_certificate_bound():
-    bijection, cert = psn_certificate(k4_graph())
+    bijection, cert = psn_certificate(complete_graph(4))
     assert cert.bound == 3
-    assert psn_exact_check(k4_graph(), bijection) <= 3
+    assert psn_exact_check(complete_graph(4), bijection) <= 3
 
 
 def test_tree_certificate_uses_height(fig1):
@@ -200,20 +208,62 @@ def _as_nx(graph):
     return g
 
 
+def _doubled_absolute_radius(graph):
+    """Twice the smallest, over all points of the graph, farthest distance to
+    a vertex, from networkx all-pairs distances.
+
+    At position t of edge (u, w) vertex x lies at min(t + d(u, x), 1 - t +
+    d(w, x)).  The largest of these tents is minimized at t = 0, t = 1 or
+    where a rising side meets a falling one, so those points are scanned
+    exactly; no center location is assumed.
+    """
+    dist = dict(nx.all_pairs_shortest_path_length(nx.Graph(_as_nx(graph))))
+    best = None
+    for e in graph.edges:
+        u, w = e.endpoints
+        ts = {F(0), F(1)}
+        ts.update(F(1 + dist[w][y] - dist[u][x], 2) for x in graph.vertices for y in graph.vertices)
+        for t in ts:
+            if 0 <= t <= 1:
+                far = max(min(t + dist[u][x], 1 - t + dist[w][x]) for x in graph.vertices)
+                best = far if best is None else min(best, far)
+    return 2 * best
+
+
+def _mdst_oracle_graphs():
+    """Seeded graphs small enough to enumerate every spanning tree: three on
+    at most 7 vertices, and eight cyclic ones on 9-10 vertices."""
+    graphs = [
+        generate(GeneratorSpec("random-connected", m=3 + seed % 8, n=1, seed=seed)).graph
+        for seed in (3, 7, 21)
+    ]
+    for seed in (9, 11, 12, 17, 29, 30, 34, 35):
+        graph = generate(GeneratorSpec("random-connected", m=14, n=1, seed=seed)).graph
+        assert 9 <= len(graph.vertices) <= 10 and not graph_is_acyclic(graph)
+        graphs.append(graph)
+    return graphs
+
+
 def test_spanning_tree_diameter_is_minimal_against_networkx():
-    for seed in (3, 7, 21):
-        inst = generate(GeneratorSpec("random-connected", m=3 + seed % 8, n=1, seed=seed))
-        graph = inst.graph
-        if len(graph.vertices) > 8:
-            continue
-        _, _, d, _, exhaustive = min_diameter_spanning_tree(graph)
-        assert exhaustive
+    for graph in _mdst_oracle_graphs():
+        _, _, d, _ = min_diameter_spanning_tree(graph)
         g = _as_nx(graph)
         best = min(
             nx.diameter(nx.Graph(tree))
             for tree in nx.SpanningTreeIterator(nx.Graph(g))
         )
         assert d == best
+
+
+def test_spanning_tree_diameter_is_twice_the_absolute_radius():
+    graphs = _mdst_oracle_graphs() + [square_graph(), complete_graph(4), complete_graph(8)]
+    graphs += [
+        generate(GeneratorSpec("random-connected", m=m, n=1, seed=500 + m)).graph
+        for m in range(1, 41)
+    ]
+    for graph in graphs:
+        _, _, d, _ = min_diameter_spanning_tree(graph)
+        assert d == _doubled_absolute_radius(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +316,6 @@ def test_psn_allocate_non_identical_uses_additive_solver():
     report = fairness_report(inst, allocation)
     assert report.additive_envy <= F(1, 2)
     assert all(p <= cert.bound for p in pieces)
-
-
-def test_exact_check_threads_match_serial():
-    g = star_graph(4)
-    bijection = tree_dfs_bijection(g, "c")
-    assert psn_exact_check(g, bijection, threads=3) == psn_exact_check(g, bijection)
 
 
 def test_exact_check_enforces_size_cap():
