@@ -27,6 +27,7 @@ from .model import (
     cut,
     eval_interval,
     eval_share,
+    eval_share_each,
     node_sort_key,
     point_node,
 )
@@ -246,27 +247,35 @@ def divide(
     agents = tuple(sorted(agents))
     if not agents:
         raise ValueError("agent set must be nonempty")
-    totals = {a: eval_share(instance, a, subcake, ledger) for a in agents}
+    totals = eval_share_each(instance, agents, subcake, ledger)
     if not (0 < beta <= max(totals.values())):
         raise ValueError(f"beta {beta} outside (0, max subcake value]")
+
+    # Agents sharing a valuation value everything alike, so the geometry below
+    # runs on the first agent of each group (the smallest id, since ``agents``
+    # is sorted); the ledger still counts every agent's queries.
+    groups = instance.valuation_groups(agents)
+    leads = tuple(groups)
 
     tree = decycle(instance, subcake, root)
 
     edge_values: dict[int, dict[int, Rational]] = {}
     subtree: dict[tuple, dict[int, Rational]] = {}
 
-    def edge_value(se: _SubEdge, agent: int) -> Rational:
-        key = id(se)
-        vals = edge_values.setdefault(key, {})
-        if agent not in vals:
-            vals[agent] = eval_interval(instance, agent, se.interval, ledger)
-        return vals[agent]
+    def edge_value(se: _SubEdge) -> dict[int, Rational]:
+        vals = edge_values.get(id(se))
+        if vals is None:
+            vals = edge_values[id(se)] = {a: eval_interval(instance, a, se.interval) for a in leads}
+            if ledger is not None:
+                ledger.record_eval(len(agents))
+        return vals
 
     for node in reversed(tree.nodes):
-        acc = {a: ZERO for a in agents}
+        acc = {a: ZERO for a in leads}
         for child, se in tree.children[node]:
-            for a in agents:
-                acc[a] += subtree[child][a] + edge_value(se, a)
+            below, along = subtree[child], edge_value(se)
+            for a in leads:
+                acc[a] += below[a] + along[a]
         subtree[node] = acc
 
     # Walk from the root towards any child subtree still worth >= beta.
@@ -274,7 +283,7 @@ def divide(
     while True:
         descend = None
         for child, _se in tree.children[v]:
-            if any(subtree[child][a] >= beta for a in agents):
+            if any(subtree[child][a] >= beta for a in leads):
                 descend = child
                 break
         if descend is None:
@@ -282,13 +291,13 @@ def divide(
         v = descend
 
     branch_value = {
-        child: {a: subtree[child][a] + edge_value(se, a) for a in agents}
+        child: {a: subtree[child][a] + edge_value(se)[a] for a in leads}
         for child, se in tree.children[v]
     }
 
     case1 = None
     for child, se in tree.children[v]:
-        if any(branch_value[child][a] >= beta for a in agents):
+        if any(branch_value[child][a] >= beta for a in leads):
             case1 = (child, se)
             break
 
@@ -298,11 +307,13 @@ def divide(
         w, se = case1
         anchor = "lo" if se.lo_node == w else "hi"
         best_pos = best_dist = witness = None
-        for a in agents:
+        for a in leads:
             if branch_value[w][a] < beta:
                 continue
+            if ledger is not None:
+                ledger.record_cut(len(groups[a]))
             target = beta - subtree[w][a]
-            pos = cut(instance, a, se.interval, anchor, target, ledger).position
+            pos = cut(instance, a, se.interval, anchor, target).position
             distance = pos - se.interval.lo if anchor == "lo" else se.interval.hi - pos
             if best_pos is None or distance < best_dist:
                 best_pos, best_dist, witness = pos, distance, a
@@ -320,13 +331,13 @@ def divide(
             trace.append({"at": v, "case": 1, "cut": (iv.edge, best_pos), "witness": witness})
     else:
         taken_children: list[tuple] = []
-        acc = {a: ZERO for a in agents}
+        acc = {a: ZERO for a in leads}
         witness = None
         for child, se in tree.children[v]:
             taken_children.append(child)
-            for a in agents:
+            for a in leads:
                 acc[a] += branch_value[child][a]
-            qualifiers = [a for a in agents if acc[a] >= beta]
+            qualifiers = [a for a in leads if acc[a] >= beta]
             if qualifiers:
                 witness = min(qualifiers)
                 break
@@ -351,7 +362,7 @@ def divide(
     remainder = canonical_share(graph, remainder_intervals)
 
     reached = False
-    for a in agents:
+    for a in leads:
         fv = eval_share(instance, a, first)
         reached = reached or fv >= beta
         check(fv < 2 * beta, f"first share worth {fv} >= 2*beta to agent {a}")

@@ -16,6 +16,7 @@ from .model import (
     ONE,
     canonical_share,
     eval_share,
+    eval_share_each,
     is_connected,
 )
 
@@ -53,11 +54,11 @@ class FairnessReport:
         }
 
 
-def fairness_report(instance: Instance, allocation: Allocation, ledger=None) -> FairnessReport:
-    matrix = tuple(
-        tuple(eval_share(instance, i, allocation.shares[j], ledger) for j in range(instance.n))
-        for i in instance.agents
-    )
+def fairness_report(instance: Instance, allocation: Allocation) -> FairnessReport:
+    """Exact metrics of an allocation; agents sharing a valuation are
+    evaluated once."""
+    columns = [eval_share_each(instance, instance.agents, share) for share in allocation.shares]
+    matrix = tuple(tuple(column[i] for column in columns) for i in instance.agents)
     envy_factor: Rational | None = rational(1)
     additive = rational(0)
     prop_unbounded = False

@@ -29,8 +29,11 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 def parse_rational(text: str) -> Rational:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational p/q string: {text!r}")
+    # The regex has vetted both parts, so int() parses them without a second
+    # pass through the rational type's own string parser.
+    numerator, _, denominator = text.partition("/")
     try:
-        return rational(text)
+        return Rational(int(numerator), int(denominator or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 
@@ -81,19 +84,23 @@ def instance_from_dict(data: dict) -> Instance:
         )
         valuations = {}
         agents = []
+        densities: dict[tuple, StepDensity] = {}  # equal texts parse once
         for entry in data["agents"]:
             agent = entry["id"]
             if not isinstance(agent, int):
                 raise ValueError(f"agent id must be an integer, got {agent!r}")
             agents.append(agent)
-            valuations[agent] = {
-                edge_id: StepDensity(
-                    tuple(parse_rational(b) for b in dens["breakpoints"]),
-                    tuple(parse_rational(v) for v in dens["densities"]),
-                )
-                for edge_id, dens in entry["valuation"].items()
-            }
-    except (KeyError, TypeError) as exc:
+            valuation = {}
+            for edge_id, dens in entry["valuation"].items():
+                key = (tuple(dens["breakpoints"]), tuple(dens["densities"]))
+                if key not in densities:
+                    densities[key] = StepDensity(
+                        tuple(parse_rational(b) for b in key[0]),
+                        tuple(parse_rational(v) for v in key[1]),
+                    )
+                valuation[edge_id] = densities[key]
+            valuations[agent] = valuation
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance JSON: {exc}") from exc
     return Instance(graph, tuple(sorted(agents)), valuations)
 
@@ -145,8 +152,10 @@ def allocation_from_dict(instance: Instance, data: dict) -> tuple[Allocation, di
             ]
             shares[agent] = canonical_share(instance.graph, intervals)
         metrics = data.get("metrics", {})
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed allocation JSON: {exc}") from exc
+    if not isinstance(metrics, dict):
+        raise ValueError(f"allocation metrics must be a JSON object, got {metrics!r}")
     missing = [a for a in instance.agents if a not in shares]
     if missing:
         raise ValueError(f"allocation missing agents {missing}")

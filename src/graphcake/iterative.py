@@ -21,6 +21,7 @@ from .model import (
     Share,
     check,
     eval_share,
+    eval_share_each,
     full_cake,
 )
 
@@ -87,16 +88,16 @@ def iterative_divide(
 
     for i in range(1, n):
         beta = threshold(schedule, i, n, allocated_values)
-        qualified = [a for a in remaining if eval_share(instance, a, remainder, ledger) >= beta]
+        worth = eval_share_each(instance, remaining, remainder, ledger)
+        qualified = [a for a in remaining if worth[a] >= beta]
         if adaptive:
             # Round 1 starts exactly at 1/(2n-1); later rounds stay above it.
             check(beta == xi if i == 1 else beta > xi, f"adaptive threshold {beta} too small")
             check(qualified, "adaptive schedule must always find a qualified agent")
         if qualified:
             first, remainder = divide(instance, remainder, tuple(remaining), beta, root, ledger)
-            recipient = min(
-                a for a in remaining if eval_share(instance, a, first, ledger) >= beta
-            )
+            worth = eval_share_each(instance, remaining, first, ledger)
+            recipient = min(a for a in remaining if worth[a] >= beta)
         else:
             first = Share.empty()
             recipient = min(remaining)

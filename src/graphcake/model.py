@@ -363,7 +363,8 @@ class StepDensity:
     nonnegative density per piece.  Cumulative integrals are precomputed, and
     on first use so is each piece's line ``prefix(x) = values[i] * x +
     _offset[i]``: evaluation is a bisect, one exact multiplication and one
-    addition.
+    addition.  An integral from 0 is one prefix, and the whole edge [0, 1]
+    is the stored total, with no arithmetic at all.
     """
 
     breakpoints: tuple[Rational, ...]
@@ -405,6 +406,8 @@ class StepDensity:
         return self.values[i] * x + self._offset[i]
 
     def integral(self, lo: Rational, hi: Rational) -> Rational:
+        if not lo:
+            return self._cum[-1] if hi == 1 else self.prefix(hi)
         return self.prefix(hi) - self.prefix(lo)
 
     def cut_position(self, lo: Rational, hi: Rational, anchor: str, target: Rational) -> Rational:
@@ -447,7 +450,13 @@ class StepDensity:
 
 @dataclass(frozen=True)
 class Instance:
-    """A cake, agents 1..n, and one normalized valuation per agent."""
+    """A cake, agents 1..n, and one normalized valuation per agent.
+
+    Agents with equal valuations share one valuation mapping object, however
+    the mappings were passed in, so ``valuations[a] is valuations[b]`` tells
+    whether agents a and b value the cake identically.  Evaluations that
+    loop over agents use this to compute once per distinct valuation.
+    """
 
     graph: Graph
     agents: tuple[int, ...]
@@ -458,15 +467,23 @@ class Instance:
         if n < 1 or self.agents != tuple(range(1, n + 1)):
             raise ValueError("agents must be exactly 1..n")
         edge_ids = set(self.graph.edge_ids())
+        distinct: list[Mapping[str, StepDensity]] = []
+        shared: dict[int, Mapping[str, StepDensity]] = {}
         for agent in self.agents:
             val = self.valuations.get(agent)
             if val is None:
                 raise ValueError(f"agent {agent} has no valuation")
-            if set(val) != edge_ids:
-                raise ValueError(f"agent {agent} must value every edge exactly once")
-            total = sum((d.total for d in val.values()), ZERO)
-            if total != 1:
-                raise ValueError(f"agent {agent} valuation sums to {total}, not 1")
+            same = next((d for d in distinct if d is val or d == val), None)
+            if same is None:
+                if set(val) != edge_ids:
+                    raise ValueError(f"agent {agent} must value every edge exactly once")
+                total = sum((d.total for d in val.values()), ZERO)
+                if total != 1:
+                    raise ValueError(f"agent {agent} valuation sums to {total}, not 1")
+                distinct.append(val)
+                same = val
+            shared[agent] = same
+        object.__setattr__(self, "valuations", shared)
 
     @property
     def n(self) -> int:
@@ -480,7 +497,17 @@ class Instance:
 
     def identical_valuations(self) -> bool:
         first = self.valuations[self.agents[0]]
-        return all(self.valuations[a] == first for a in self.agents[1:])
+        return all(self.valuations[a] is first for a in self.agents[1:])
+
+    def valuation_groups(self, agents: Iterable[int]) -> dict[int, list[int]]:
+        """Agents grouped by shared valuation, keyed by each group's first
+        agent in the order given."""
+        first: dict[int, int] = {}
+        groups: dict[int, list[int]] = {}
+        for agent in agents:
+            lead = first.setdefault(id(self.valuations[agent]), agent)
+            groups.setdefault(lead, []).append(agent)
+        return groups
 
 
 @dataclass(frozen=True)
@@ -509,6 +536,19 @@ def eval_share(instance: Instance, agent: int, share: Share, ledger=None) -> Rat
     for iv in share.intervals:
         total += eval_interval(instance, agent, iv, ledger)
     return total
+
+
+def eval_share_each(instance: Instance, agents: Iterable[int], share: Share, ledger=None) -> dict[int, Rational]:
+    """Value of a share to each of ``agents``, evaluated once per distinct
+    valuation; the ledger still records one Eval per agent and interval."""
+    values: dict[int, Rational] = {}
+    for lead, group in instance.valuation_groups(agents).items():
+        value = eval_share(instance, lead, share)
+        for agent in group:
+            values[agent] = value
+    if ledger is not None:
+        ledger.record_eval(len(values) * len(share.intervals))
+    return values
 
 
 def cut(

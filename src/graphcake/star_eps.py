@@ -24,6 +24,7 @@ from .model import (
     canonical_share,
     check,
     cut,
+    eval_interval,
     eval_share,
     full_cake,
     uncovered_share,
@@ -129,7 +130,7 @@ def prepare_layout(instance: Instance, epsilon: Rational, ledger=None) -> StarLa
         anchor = "hi" if leaf_is_lo[edge_id] else "lo"
         best = None
         for agent in instance.agents:
-            total = instance.density(agent, edge_id).total
+            total = eval_interval(instance, agent, whole, ledger)
             target = min(cap, total)
             pos = cut(instance, agent, whole, anchor, target, ledger).position
             toward_center = pos if not leaf_is_lo[edge_id] else -pos
@@ -556,7 +557,6 @@ def star_three_eps(
     epsilon: Rational,
     ledger=None,
     trace: list | None = None,
-    debug: bool = False,
 ) -> Allocation:
     """Allocation of a star cake with envy factor at most 3 + epsilon."""
     if instance.n == 1:
@@ -591,7 +591,7 @@ def star_three_eps(
                     "value": str(cache.own[state.last_trader - 1]),
                 }
             )
-        if debug or state.iteration % 64 == 0:
+        if state.iteration % 64 == 0:
             report = validate_partial(instance, state.shares)
             check(report.disjoint_ok and report.connectivity_ok, "invalid partial allocation")
     report = validate_partial(instance, state.shares)

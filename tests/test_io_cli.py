@@ -1,7 +1,9 @@
+import copy
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from graphcake.cli import main
 from graphcake.generate import GeneratorSpec, generate
@@ -12,7 +14,7 @@ from graphcake.io import (
     save_allocation,
     save_instance,
 )
-from graphcake.iterative import identical_four_ef
+from graphcake.iterative import identical_four_ef, iterative_divide
 from graphcake.model import eval_share
 
 from conftest import F
@@ -24,6 +26,107 @@ def test_parse_rational_strict():
     for bad in ("0.5", "1e3", "a/b", "", "1/0x", "1/0", "-3/0"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+@given(
+    st.text()
+    | st.from_regex(r"^-?\d+(/\d+)?$")
+    | st.builds("{}/{}".format, st.integers(-99, 99), st.integers(0, 20))
+)
+@example("007/014")
+@example("-0")
+@example("1/2\n")  # the regex's $ admits one trailing newline
+@example("1/0")
+@example("1/-2")
+@settings(max_examples=300, deadline=None)
+def test_parse_rational_agrees_with_fraction(text):
+    try:
+        value = parse_rational(text)
+    except ValueError:
+        return
+    assert value == Fraction(text)
+
+
+# ---------------------------------------------------------------------------
+# Loader fuzzing: mutated valid JSON is either accepted or rejected with
+# ValueError, never another exception.
+
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["1/0", "-1/2", "3/2", "0", "1", "e1", "zz", "c", "v1"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated(draw, document):
+    """``document`` with one to three mutations: a dropped key or item, a
+    junk or foreign value, or a reversed list or interval."""
+    doc = copy.deepcopy(document)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        path = draw(st.sampled_from(paths))
+        if not path:
+            doc = draw(JUNK)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        kind = draw(st.sampled_from(["drop", "replace", "reverse"]))
+        if kind == "drop":
+            del parent[key]
+        elif kind == "replace":
+            parent[key] = draw(JUNK)
+        elif isinstance(parent[key], list):
+            parent[key].reverse()
+        elif isinstance(parent[key], dict) and {"from", "to"} <= parent[key].keys():
+            parent[key]["from"], parent[key]["to"] = parent[key]["to"], parent[key]["from"]
+    return doc
+
+
+FUZZ_INSTANCE = generate(GeneratorSpec("random-connected", m=4, n=3, pieces=2, seed=5))
+FUZZ_ALLOCATION = iterative_divide(FUZZ_INSTANCE)
+
+
+@given(mutated(json.loads(save_instance(FUZZ_INSTANCE))))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_load_instance_rejects_mutations_with_value_error(document):
+    try:
+        load_instance(json.dumps(document))
+    except ValueError:
+        pass
+
+
+@given(mutated(json.loads(save_allocation(FUZZ_INSTANCE, FUZZ_ALLOCATION, {"note": "1/2"}))))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_load_allocation_rejects_mutations_with_value_error(document):
+    try:
+        _, metrics = load_allocation(FUZZ_INSTANCE, json.dumps(document))
+    except ValueError:
+        return
+    assert isinstance(metrics, dict)
+
+
+def test_io_round_trip_shares_equal_valuations():
+    spec = GeneratorSpec("random-connected", m=6, n=4, pieces=3, identical=True, seed=3)
+    identical = load_instance(save_instance(generate(spec)))
+    first = identical.valuations[1]
+    assert all(identical.valuations[a] is first for a in identical.agents)
+    assert identical.identical_valuations()
+
+    spec = GeneratorSpec("random-connected", m=6, n=4, pieces=3, seed=3)
+    distinct = load_instance(save_instance(generate(spec)))
+    assert len({id(v) for v in distinct.valuations.values()}) == distinct.n
+    assert not distinct.identical_valuations()
 
 
 def test_instance_round_trip_is_byte_stable(fig1):

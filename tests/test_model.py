@@ -133,6 +133,9 @@ def test_eval_additive_over_disjoint_pieces(density, a, b, c):
 
 
 @given(densities(), st.integers(0, 16), st.integers(0, 16))
+@example(PLATEAU, 0, 16)     # the whole edge: the stored total
+@example(PLATEAU, 0, 5)      # anchored at 0: one prefix
+@example(PLATEAU, 5, 16)
 @settings(max_examples=80, deadline=None)
 def test_eval_matches_independent_quadrature(density, a, b):
     lo, hi = F(min(a, b), 16), F(max(a, b), 16)

@@ -5,13 +5,14 @@ The envelopes are empirical regression bounds over the seeded family below
 asymptotically chattier.
 """
 
-from fractions import Fraction
+import pytest
 
 from graphcake.balance import identical_two_eps
 from graphcake.generate import GeneratorSpec, generate
+from graphcake.io import load_instance, save_instance
 from graphcake.iterative import identical_four_ef, iterative_divide
 from graphcake.queries import QueryLedger
-from graphcake.star_eps import star_three_eps
+from graphcake.star_eps import prepare_layout, star_three_eps
 from graphcake.star_identical import star_identical_2ef
 
 from conftest import F
@@ -74,3 +75,49 @@ def test_star_solvers_query_envelope():
         star_identical_2ef(ident, ledger=ledger)
         assert ledger.evals <= 8 * n * m + 8 * m * m
         assert ledger.cuts <= n
+
+
+def test_prepare_layout_records_layout_queries(fig1):
+    # One Eval (the agent's edge total) and one Cut (the sliver) per agent and edge.
+    ledger = QueryLedger()
+    prepare_layout(fig1, F(1, 2), ledger)
+    n, m = fig1.n, len(fig1.graph.edges)
+    assert (ledger.evals, ledger.cuts) == (n * m, n * m)
+
+
+def _loaded(family, m, n, seed):
+    """A seeded identical-valuation instance read back from its bytes, so its
+    agents start from separately parsed valuations."""
+    spec = GeneratorSpec(family, m=m, n=n, pieces=3, identical=True, seed=seed)
+    return load_instance(save_instance(generate(spec)))
+
+
+def _counts(solver, instance, *args):
+    ledger = QueryLedger()
+    solver(instance, *args, ledger=ledger)
+    return ledger.evals, ledger.cuts
+
+
+# Exact (evals, cuts) per solve: the ledger counts every agent's queries even
+# where agents sharing a valuation are answered from one evaluation.
+DIVIDE_COUNTS = [
+    # instance, iterative_divide, identical_four_ef, identical_two_eps(1/10)
+    (None, (20, 2), (20, 2), (23, 2)),
+    (1, (979, 0), (1134, 0), (1164, 0)),
+    (2, (1015, 5), (1214, 9), (1468, 9)),
+    (3, (1074, 12), (1116, 0), (1146, 0)),
+]
+
+
+@pytest.mark.parametrize("seed, iterative, identical4, identical2", DIVIDE_COUNTS)
+def test_divide_based_solvers_query_counts_are_pinned(fig1, seed, iterative, identical4, identical2):
+    inst = fig1 if seed is None else _loaded("random-connected", 30, 5, seed)
+    assert _counts(iterative_divide, inst) == iterative
+    assert _counts(identical_four_ef, inst) == identical4
+    assert _counts(identical_two_eps, inst, F(1, 10)) == identical2
+
+
+@pytest.mark.parametrize("seed, counts", [(None, (6, 0)), (1, (18, 4)), (2, (15, 3)), (3, (15, 3))])
+def test_star_identical_query_counts_are_pinned(fig1, seed, counts):
+    inst = fig1 if seed is None else _loaded("star", 3, 5, seed)
+    assert _counts(star_identical_2ef, inst) == counts
