@@ -9,6 +9,9 @@ The subcake is first viewed as a multigraph whose nodes are interval
 endpoints (graph vertices unify incident endpoints).  Cycles are broken by
 detaching one endpoint of a cycle edge onto a fresh leaf node; because only
 node identities change, the produced shares need no translation back.
+``decycle`` interns every node key to an int once, keeps one adjacency of
+int lists that each break updates in place, and maps back to node keys only
+for the returned ``SubcakeTree``.
 """
 
 from __future__ import annotations
@@ -42,10 +45,6 @@ class _SubEdge:
         self.interval = interval
         self.lo_node = lo_node
         self.hi_node = hi_node
-
-    @property
-    def sort_key(self):
-        return (self.interval.edge, self.interval.lo, self.interval.hi)
 
     def other(self, node: tuple) -> tuple:
         return self.hi_node if node == self.lo_node else self.lo_node
@@ -91,6 +90,11 @@ class SubcakeTree:
 
 
 def _build_subedges(instance: Instance, subcake: Share, root_point: PointOnEdge | None) -> list[_SubEdge]:
+    """Sub-edges of the subcake, sorted by (edge, lo, hi).
+
+    ``canonical_share`` returns that order and splitting the root's interval
+    in place keeps it.
+    """
     graph = instance.graph
     intervals = list(canonical_share(graph, subcake.intervals).intervals)
     if root_point is not None:
@@ -108,48 +112,40 @@ def _build_subedges(instance: Instance, subcake: Share, root_point: PointOnEdge 
     ]
 
 
-def _adjacency(subedges: list[_SubEdge]) -> dict[tuple, list[_SubEdge]]:
-    adj: dict[tuple, list[_SubEdge]] = {}
-    for se in subedges:
-        adj.setdefault(se.lo_node, []).append(se)
-        if se.hi_node != se.lo_node:
-            adj.setdefault(se.hi_node, []).append(se)
-    for lst in adj.values():
-        lst.sort(key=lambda se: se.sort_key)
-    return adj
+def _find_cycle(adj: list[list[int]], lo: list[int], hi: list[int], start: int) -> list[int] | None:
+    """Sub-edges of the first cycle met by a depth-first search, or None.
 
-
-def _find_cycle(subedges: list[_SubEdge], start: tuple) -> list[_SubEdge] | None:
-    """Edges of the first cycle met by a depth-first search, or None."""
-    adj = _adjacency(subedges)
-    visited = {start}
-    parent_edge: dict[tuple, _SubEdge] = {}
-    parent_node: dict[tuple, tuple] = {}
-    stack = [(start, iter(adj.get(start, [])))]
+    Nodes and sub-edges are ints: ``adj[node]`` lists the sub-edges at a
+    node in index order, and sub-edge ``s`` joins ``lo[s]`` to ``hi[s]``.
+    """
+    visited = [False] * len(adj)
+    parent_edge = [-1] * len(adj)
+    parent_node = [-1] * len(adj)
+    visited[start] = True
+    stack = [(start, iter(adj[start]))]
     while stack:
         node, it = stack[-1]
-        advanced = False
-        for se in it:
-            if se.lo_node == se.hi_node:
-                return [se]
-            if se is parent_edge.get(node):
+        for s in it:
+            a, b = lo[s], hi[s]
+            if a == b:
+                return [s]
+            if s == parent_edge[node]:
                 continue
-            other = se.other(node)
-            if other in visited:
+            other = b if node == a else a
+            if visited[other]:
                 # Back edge to an ancestor: walk up from `node` to `other`.
-                cycle = [se]
+                cycle = [s]
                 cur = node
                 while cur != other:
                     cycle.append(parent_edge[cur])
                     cur = parent_node[cur]
                 return cycle
-            visited.add(other)
-            parent_edge[other] = se
+            visited[other] = True
+            parent_edge[other] = s
             parent_node[other] = node
-            stack.append((other, iter(adj.get(other, []))))
-            advanced = True
+            stack.append((other, iter(adj[other])))
             break
-        if not advanced:
+        else:
             stack.pop()
     return None
 
@@ -165,58 +161,86 @@ def decycle(instance: Instance, subcake: Share, root) -> SubcakeTree:
     smallest interval onto a fresh leaf; agents' values of every interval are
     untouched, and the returned record suffices to restore the original
     adjacency by replaying it backwards.
+
+    Cycles are found one at a time by a depth-first search from the root,
+    restarted after every break.  The search runs on ints: each node key is
+    interned once, each sub-edge is named by its index in (edge, lo, hi)
+    order, and one adjacency, built in index order, is updated in place by
+    each break.
     """
-    root_node, root_point = _resolve_root(instance, subcake, root)
+    root_key, root_point = _resolve_root(instance, subcake, root)
     subedges = _build_subedges(instance, subcake, root_point)
-    nodes = {se.lo_node for se in subedges} | {se.hi_node for se in subedges}
-    if root_node not in nodes:
+    keys: list[tuple] = []
+    index: dict[tuple, int] = {}
+    adj: list[list[int]] = []
+    lo: list[int] = []
+    hi: list[int] = []
+    for s, se in enumerate(subedges):
+        for key, ends in ((se.lo_node, lo), (se.hi_node, hi)):
+            node = index.get(key)
+            if node is None:
+                node = index[key] = len(keys)
+                keys.append(key)
+                adj.append([])
+            ends.append(node)
+        adj[lo[s]].append(s)
+        if hi[s] != lo[s]:
+            adj[hi[s]].append(s)
+    root_node = index.get(root_key)
+    if root_node is None:
         raise ValueError(f"root {root!r} is not a point of the subcake")
+    node_sort_keys = [node_sort_key(key) for key in keys]
 
     record: list[DecycleEntry] = []
-    serial = 0
     while True:
-        cycle = _find_cycle(subedges, root_node)
+        cycle = _find_cycle(adj, lo, hi, root_node)
         if cycle is None:
             break
-        target = min(cycle, key=lambda se: se.sort_key)
-        if target.lo_node == target.hi_node:
-            split = target.hi_node
-            side = "hi"
+        t = min(cycle)
+        target = subedges[t]
+        self_loop = lo[t] == hi[t]
+        side_hi = self_loop or node_sort_keys[hi[t]] > node_sort_keys[lo[t]]
+        split = hi[t] if side_hi else lo[t]
+        iv = target.interval
+        duplicate_key = ("d", iv.edge, iv.lo, iv.hi, len(record))
+        duplicate = len(keys)
+        keys.append(duplicate_key)
+        node_sort_keys.append(node_sort_key(duplicate_key))
+        adj.append([t])
+        if not self_loop:
+            # A self-loop stays listed under its split node through its other end.
+            adj[split].remove(t)
+        if side_hi:
+            hi[t] = duplicate
+            target.hi_node = duplicate_key
         else:
-            lo_k, hi_k = node_sort_key(target.lo_node), node_sort_key(target.hi_node)
-            side = "hi" if hi_k > lo_k else "lo"
-            split = target.hi_node if side == "hi" else target.lo_node
-        duplicate = ("d", target.interval.edge, target.interval.lo, target.interval.hi, serial)
-        serial += 1
-        if side == "hi":
-            target.hi_node = duplicate
-        else:
-            target.lo_node = duplicate
-        record.append(DecycleEntry(split, duplicate, target.interval))
+            lo[t] = duplicate
+            target.lo_node = duplicate_key
+        record.append(DecycleEntry(keys[split], duplicate_key, iv))
 
-    adj = _adjacency(subedges)
-    parent: dict = {root_node: None}
+    parent: dict = {root_key: None}
     children: dict = {}
     order = [root_node]
     stack = [root_node]
-    seen = {root_node}
+    seen = [False] * len(keys)
+    seen[root_node] = True
     while stack:
         node = stack.pop()
+        node_key = keys[node]
         kids = []
-        for se in adj.get(node, []):
-            other = se.other(node)
-            if other in seen:
+        for s in adj[node]:
+            other = hi[s] if node == lo[s] else lo[s]
+            if seen[other]:
                 continue
-            seen.add(other)
-            kids.append((other, se))
-            parent[other] = (node, se)
+            seen[other] = True
+            kids.append((other, s))
+            parent[keys[other]] = (node_key, subedges[s])
             order.append(other)
             stack.append(other)
-        children[node] = sorted(kids, key=lambda k: (node_sort_key(k[0]), k[1].sort_key))
-    for node in order:
-        children.setdefault(node, [])
-    check(len(order) == len(nodes) + len(record), "decycle produced a disconnected view")
-    return SubcakeTree(root_node, order, parent, children, tuple(record))
+        kids.sort(key=lambda k: (node_sort_keys[k[0]], k[1]))
+        children[node_key] = [(keys[other], subedges[s]) for other, s in kids]
+    check(len(order) == len(index) + len(record), "decycle produced a disconnected view")
+    return SubcakeTree(root_key, [keys[node] for node in order], parent, children, tuple(record))
 
 
 def _resolve_root(instance: Instance, subcake: Share, root) -> tuple[tuple, PointOnEdge | None]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rational import Rational, rational
+from collections.abc import Iterable
 from itertools import product
 
 from .model import (
@@ -79,7 +80,7 @@ def fairness_report(instance: Instance, allocation: Allocation) -> FairnessRepor
             elif envy_factor is not None:
                 envy_factor = max(envy_factor, other / own)
     prop = None if prop_unbounded else prop_value
-    return FairnessReport(matrix, envy_factor, additive, prop, pseudo_ef_factor(instance, allocation))
+    return FairnessReport(matrix, envy_factor, additive, prop, _pseudo_ef(instance, matrix[0]))
 
 
 def pseudo_ef_factor(instance: Instance, allocation: Allocation) -> Rational | None:
@@ -88,10 +89,16 @@ def pseudo_ef_factor(instance: Instance, allocation: Allocation) -> Rational | N
     Defined only for identical valuations with a positive minimum; a single
     remaining share reports 1.
     """
+    mu = instance.agents[0]
+    return _pseudo_ef(instance, (eval_share(instance, mu, s) for s in allocation.shares))
+
+
+def _pseudo_ef(instance: Instance, share_values: Iterable[Rational]) -> Rational | None:
+    """``pseudo_ef_factor`` from the first agent's value of every share;
+    ``share_values`` is consumed only when the factor is defined."""
     if instance.n == 1 or not instance.identical_valuations():
         return None
-    mu = instance.agents[0]
-    values = sorted(eval_share(instance, mu, s) for s in allocation.shares)
+    values = sorted(share_values)
     if values[0] == 0:
         return None
     rest = values[1:]

@@ -3,21 +3,33 @@ from fractions import Fraction
 
 import pytest
 
-from graphcake.divide import decycle, divide
+from graphcake.divide import (
+    DecycleEntry,
+    SubcakeTree,
+    _build_subedges,
+    _resolve_root,
+    decycle,
+    divide,
+)
 from graphcake.model import (
+    Edge,
     EdgeInterval,
+    Graph,
+    Instance,
     PointOnEdge,
     Share,
+    check,
     eval_share,
     full_cake,
     is_connected,
+    node_sort_key,
     point_node,
     share_covers_node,
     uncovered_share,
 )
 from graphcake.generate import GeneratorSpec, generate
 
-from conftest import F, single_edge_instance, star_instance, triangle_instance
+from conftest import F, single_edge_instance, star_instance, triangle_instance, uniform_density
 
 
 def values(instance, share, agents=None):
@@ -57,6 +69,228 @@ def test_decycle_rejects_missing_root():
     inst = triangle_instance()
     with pytest.raises(ValueError):
         decycle(inst, Share((EdgeInterval("e1", F(0), F(1, 2)),)), "c")
+
+
+def test_decycle_self_loop_stays_under_its_vertex():
+    # A loop at "a" plus two parallel a-b edges: breaking the loop moves its
+    # hi end to a fresh leaf, and its lo end must still hang under "a".
+    graph = Graph(
+        ("a", "b"),
+        (Edge("e1", ("a", "a")), Edge("e2", ("a", "b")), Edge("e3", ("a", "b"))),
+    )
+    val = {e.id: uniform_density(F(1, 3)) for e in graph.edges}
+    inst = Instance(graph, (1,), {1: val})
+    tree = decycle(inst, full_cake(graph), "b")
+    loop = EdgeInterval("e1", F(0), F(1))
+    assert tree.record[0] == DecycleEntry(("v", "a"), ("d", "e1", F(0), F(1), 0), loop)
+    assert len(tree.record) == 2
+    assert tree.node_count == 4 and tree.edge_count == 3
+    assert [(child, se.interval) for child, se in tree.children[("v", "a")]] == [
+        (("d", "e1", F(0), F(1), 0), loop),
+        (("d", "e2", F(0), F(1), 1), EdgeInterval("e2", F(0), F(1))),
+    ]
+    assert tree.parent[("d", "e1", F(0), F(1), 0)][0] == ("v", "a")
+
+
+# ---------------------------------------------------------------------------
+# decycle against a restart-from-scratch oracle: the decycle of an earlier
+# version, which rebuilt a node-keyed adjacency before every cycle search.
+# Only ``se.sort_key`` became ``_sort_key(se)``.
+
+
+def _sort_key(se):
+    return (se.interval.edge, se.interval.lo, se.interval.hi)
+
+
+def _adjacency(subedges):
+    adj = {}
+    for se in subedges:
+        adj.setdefault(se.lo_node, []).append(se)
+        if se.hi_node != se.lo_node:
+            adj.setdefault(se.hi_node, []).append(se)
+    for lst in adj.values():
+        lst.sort(key=lambda se: _sort_key(se))
+    return adj
+
+
+def _find_cycle(subedges, start):
+    """Edges of the first cycle met by a depth-first search, or None."""
+    adj = _adjacency(subedges)
+    visited = {start}
+    parent_edge = {}
+    parent_node = {}
+    stack = [(start, iter(adj.get(start, [])))]
+    while stack:
+        node, it = stack[-1]
+        advanced = False
+        for se in it:
+            if se.lo_node == se.hi_node:
+                return [se]
+            if se is parent_edge.get(node):
+                continue
+            other = se.other(node)
+            if other in visited:
+                # Back edge to an ancestor: walk up from `node` to `other`.
+                cycle = [se]
+                cur = node
+                while cur != other:
+                    cycle.append(parent_edge[cur])
+                    cur = parent_node[cur]
+                return cycle
+            visited.add(other)
+            parent_edge[other] = se
+            parent_node[other] = node
+            stack.append((other, iter(adj.get(other, []))))
+            advanced = True
+            break
+        if not advanced:
+            stack.pop()
+    return None
+
+
+def restart_decycle(instance, subcake, root):
+    root_node, root_point = _resolve_root(instance, subcake, root)
+    subedges = _build_subedges(instance, subcake, root_point)
+    nodes = {se.lo_node for se in subedges} | {se.hi_node for se in subedges}
+    if root_node not in nodes:
+        raise ValueError(f"root {root!r} is not a point of the subcake")
+
+    record = []
+    serial = 0
+    while True:
+        cycle = _find_cycle(subedges, root_node)
+        if cycle is None:
+            break
+        target = min(cycle, key=lambda se: _sort_key(se))
+        if target.lo_node == target.hi_node:
+            split = target.hi_node
+            side = "hi"
+        else:
+            lo_k, hi_k = node_sort_key(target.lo_node), node_sort_key(target.hi_node)
+            side = "hi" if hi_k > lo_k else "lo"
+            split = target.hi_node if side == "hi" else target.lo_node
+        duplicate = ("d", target.interval.edge, target.interval.lo, target.interval.hi, serial)
+        serial += 1
+        if side == "hi":
+            target.hi_node = duplicate
+        else:
+            target.lo_node = duplicate
+        record.append(DecycleEntry(split, duplicate, target.interval))
+
+    adj = _adjacency(subedges)
+    parent = {root_node: None}
+    children = {}
+    order = [root_node]
+    stack = [root_node]
+    seen = {root_node}
+    while stack:
+        node = stack.pop()
+        kids = []
+        for se in adj.get(node, []):
+            other = se.other(node)
+            if other in seen:
+                continue
+            seen.add(other)
+            kids.append((other, se))
+            parent[other] = (node, se)
+            order.append(other)
+            stack.append(other)
+        children[node] = sorted(kids, key=lambda k: (node_sort_key(k[0]), _sort_key(k[1])))
+    for node in order:
+        children.setdefault(node, [])
+    check(len(order) == len(nodes) + len(record), "decycle produced a disconnected view")
+    return SubcakeTree(root_node, order, parent, children, tuple(record))
+
+
+def tree_shape(tree):
+    """Everything a SubcakeTree holds, with sub-edges by value and the
+    insertion order of ``parent`` and ``children``."""
+
+    def edge(se):
+        return (se.interval, se.lo_node, se.hi_node)
+
+    return (
+        tree.root,
+        tree.nodes,
+        [(node, None if up is None else (up[0], edge(up[1]))) for node, up in tree.parent.items()],
+        [(node, [(child, edge(se)) for child, se in kids]) for node, kids in tree.children.items()],
+        tree.record,
+    )
+
+
+def random_multigraph_instance(rng):
+    """A connected multigraph with self-loops and parallel edges."""
+    vertices = tuple(f"u{k}" for k in range(rng.randint(1, 4)))
+    pairs = [(vertices[rng.randrange(k)], vertices[k]) for k in range(1, len(vertices))]
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            v = rng.choice(vertices)
+            pairs.append((v, v))
+        elif kind == 1 and pairs:
+            pairs.append(rng.choice(pairs)[::-1] if rng.randrange(2) else rng.choice(pairs))
+        else:
+            pairs.append((rng.choice(vertices), rng.choice(vertices)))
+    graph = Graph(vertices, tuple(Edge(f"e{k:02d}", p) for k, p in enumerate(pairs, start=1)))
+    val = {e.id: uniform_density(F(1, len(pairs))) for e in graph.edges}
+    return Instance(graph, (1,), {1: val})
+
+
+def random_root(rng, instance, subcake):
+    """A covered vertex id, an interval end or an interior point."""
+    iv = rng.choice(subcake.intervals)
+    kind = rng.randrange(3)
+    if kind == 0 and not iv.degenerate:
+        return PointOnEdge(iv.edge, (iv.lo + iv.hi) / 2)
+    pos = rng.choice((iv.lo, iv.hi))
+    node = point_node(instance.graph, iv.edge, pos)
+    if kind == 1 and node[0] == "v":
+        return node[1]
+    return PointOnEdge(iv.edge, pos)
+
+
+def assert_decycle_matches_oracle(instance, subcake, root):
+    try:
+        expected = tree_shape(restart_decycle(instance, subcake, root))
+    except ValueError:
+        with pytest.raises(ValueError):
+            decycle(instance, subcake, root)
+        return
+    assert tree_shape(decycle(instance, subcake, root)) == expected
+
+
+def test_decycle_matches_restart_oracle_on_random_connected():
+    rng = random.Random(5150)
+    broken = 0
+    for seed in range(120):
+        spec = GeneratorSpec("random-connected", m=2 + seed % 14, n=2, pieces=2, seed=seed)
+        instance = generate(spec)
+        for subcake in (full_cake(instance.graph), random_subcake(rng, instance)):
+            root = random_root(rng, instance, subcake)
+            assert_decycle_matches_oracle(instance, subcake, root)
+            broken += len(decycle(instance, subcake, root).record)
+    assert broken > 300  # the cycle-breaking path is exercised
+
+
+def test_decycle_matches_restart_oracle_on_loops_and_parallel_edges():
+    rng = random.Random(8128)
+    loops = 0
+    for _ in range(200):
+        instance = random_multigraph_instance(rng)
+        subcake = full_cake(instance.graph) if rng.randrange(2) else random_subcake(rng, instance)
+        root = random_root(rng, instance, subcake)
+        assert_decycle_matches_oracle(instance, subcake, root)
+        loops += any(e.endpoints[0] == e.endpoints[1] for e in instance.graph.edges)
+    assert loops > 100
+
+
+def test_decycle_matches_restart_oracle_on_points_and_missing_roots(fig1):
+    point = Share((EdgeInterval("e1", F(1, 2), F(1, 2)),))
+    assert_decycle_matches_oracle(fig1, point, PointOnEdge("e1", F(1, 2)))
+    tri = triangle_instance()
+    half = Share((EdgeInterval("e1", F(0), F(1, 2)),))
+    assert_decycle_matches_oracle(tri, half, "c")
+    assert_decycle_matches_oracle(tri, half, PointOnEdge("e2", F(1, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -80,11 +80,15 @@ def test_pseudo_ef_examples():
     uneven = Allocation((Share((seg("e1", 0, F(1, 5)),)), Share((seg("e1", F(1, 5), 1),))))
     assert pseudo_ef_factor(two, uneven) == 1
 
+    for instance, allocation in ((inst, alloc), (inst, with_zero), (two, uneven)):
+        assert fairness_report(instance, allocation).pseudo_ef == pseudo_ef_factor(instance, allocation)
+
 
 def test_pseudo_ef_undefined_for_non_identical():
     inst = generate(GeneratorSpec("star", m=3, n=2, seed=1))
     alloc = Allocation((Share((seg("e01", 0, 1),)), Share((seg("e02", 0, 1), seg("e03", 0, 1)))))
     assert pseudo_ef_factor(inst, alloc) is None
+    assert fairness_report(inst, alloc).pseudo_ef is None
 
 
 class _Stub:

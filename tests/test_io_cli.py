@@ -1,11 +1,15 @@
+import contextlib
 import copy
+import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from graphcake.cli import main
+from graphcake.cli import ALGORITHMS, main
 from graphcake.generate import GeneratorSpec, generate
 from graphcake.io import (
     load_allocation,
@@ -114,6 +118,42 @@ def test_load_allocation_rejects_mutations_with_value_error(document):
     except ValueError:
         return
     assert isinstance(metrics, dict)
+
+
+FUZZ_INSTANCE_DOC = json.loads(save_instance(FUZZ_INSTANCE))
+FUZZ_ALLOCATION_DOC = json.loads(save_allocation(FUZZ_INSTANCE, FUZZ_ALLOCATION, {"note": "1/2"}))
+
+
+@given(
+    st.sampled_from(["solve", "verify", "psn"]),
+    st.sampled_from(ALGORITHMS),
+    st.just(FUZZ_INSTANCE_DOC) | mutated(FUZZ_INSTANCE_DOC),
+    st.just(FUZZ_ALLOCATION_DOC) | mutated(FUZZ_ALLOCATION_DOC),
+)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_mutated_files_exit_cleanly(command, algorithm, instance_doc, allocation_doc):
+    """Malformed files get exit 2 and one stderr line; verify may also
+    report a loadable but invalid allocation with exit 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_file, alloc_file, out_file = (Path(tmp) / name for name in ("i.json", "a.json", "o.json"))
+        inst_file.write_text(json.dumps(instance_doc))
+        alloc_file.write_text(json.dumps(allocation_doc))
+        args = {
+            "solve": ["solve", "--algorithm", algorithm, "--epsilon", "1/2", "--instance", str(inst_file)],
+            "verify": ["verify", "--instance", str(inst_file), "--allocation", str(alloc_file)],
+            "psn": ["psn", "--instance", str(inst_file)],
+        }[command]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(args + ["--output", str(out_file)])
+        err = err.getvalue()
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.count("\n") == 1 and err.endswith("\n")
+        elif code == 1:
+            assert command == "verify" and json.loads(out_file.read_text())["failures"]
+        else:
+            assert code == 0
 
 
 def test_io_round_trip_shares_equal_valuations():
