@@ -3,9 +3,10 @@
 A cake is a connected multigraph whose edges are divisible unit-parameter
 segments.  Agents hold piecewise-constant (step) value densities over each
 edge.  Every position, density, and value in the engine is an exact
-rational (``fractions.Fraction``, or ``gmpy2.mpq`` when that optional
-package is installed; see ``rational.py``); no floating point enters any
-computation, so all fairness checks are exact comparisons.
+rational (a ``fractions.Fraction`` subclass with exact-type fast paths, or
+``gmpy2.mpq`` when that optional package is installed; see ``rational.py``);
+no floating point enters any computation, so all fairness checks are exact
+comparisons.
 
 Positions on an edge run from 0 at the first listed endpoint to 1 at the
 second.  Vertices are shared points: a share containing position 0 of some
