@@ -12,27 +12,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from graphcake.balance import identical_two_eps
 from graphcake.fairness import fairness_report
 from graphcake.generate import GeneratorSpec, generate
-from graphcake.iterative import identical_four_ef, iterative_divide
 from graphcake.queries import QueryLedger
-from graphcake.star_eps import star_three_eps
-from graphcake.star_identical import star_identical_2ef
-
-EPS = Fraction(1, 10)
-
-
-def solve(name, instance, ledger):
-    if name == "iterative-divide":
-        return iterative_divide(instance, ledger=ledger)
-    if name == "identical-4ef":
-        return identical_four_ef(instance, ledger=ledger)
-    if name == "identical-2eps":
-        return identical_two_eps(instance, EPS, ledger=ledger)
-    if name == "star-3eps":
-        return star_three_eps(instance, EPS, ledger=ledger)
-    return star_identical_2ef(instance, ledger=ledger)
+from graphcake.solvers import DEFAULT_EPSILON, SOLVERS
 
 
 def main():
@@ -63,7 +46,7 @@ def main():
             )
             instance = generate(spec)
             ledger = QueryLedger()
-            allocation = solve(name, instance, ledger)
+            allocation = SOLVERS[name].run(instance, DEFAULT_EPSILON, ledger, None)
             report = fairness_report(instance, allocation)
             if report.envy_factor is None:
                 unbounded = True

@@ -280,9 +280,9 @@ def recursive_balance(
     return allocation
 
 
-def identical_two_eps(instance: Instance, epsilon: Rational, max_calls: int | None = None, ledger=None) -> Allocation:
+def identical_two_eps(instance: Instance, epsilon: Rational, ledger=None) -> Allocation:
     """Pipeline: adaptive carving, then balancing down to ratio 2 + epsilon."""
     if instance.n == 1:
         return Allocation((full_cake(instance.graph),))
     seeded = identical_four_ef(instance, ledger)
-    return recursive_balance(instance, seeded, clamp_epsilon(epsilon), max_calls, ledger)
+    return recursive_balance(instance, seeded, clamp_epsilon(epsilon), ledger=ledger)

@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import argparse
 
-from .rational import Rational, rational
+from .rational import Rational
 import json
 import sys
 from pathlib import Path
 
-from .balance import identical_two_eps
 from .fairness import brute_force_egalitarian, fairness_report, prop1_check
 from .generate import FAMILIES, GeneratorSpec, generate
 from .io import (
+    dumps_canonical,
     format_rational,
     load_allocation,
     load_instance,
@@ -20,22 +20,10 @@ from .io import (
     save_allocation,
     save_instance,
 )
-from .iterative import identical_four_ef, iterative_divide
 from .model import ContractViolation, validate_allocation
 from .psn import psn_allocate, psn_certificate
 from .queries import QueryLedger
-from .star_eps import star_three_eps
-from .star_identical import star_identical_2ef
-
-ALGORITHMS = (
-    "iterative-divide",
-    "identical-4ef",
-    "star-3eps",
-    "identical-2eps",
-    "star-identical-2ef",
-)
-
-PATH_SOLVERS = ("iterative-divide", "identical-4ef", "identical-2eps")
+from .solvers import DEFAULT_EPSILON, SOLVERS, Solver, contract
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,72 +51,62 @@ def _epsilon(text: str) -> Rational:
     return eps
 
 
-def _contract(algorithm: str, instance, report, epsilon: Rational | None) -> dict:
-    n = instance.n
-    if algorithm == "iterative-divide":
-        bound = rational(1, 2)
-        ok = report.additive_envy <= bound
-        kind = "additive-envy"
-    elif algorithm == "identical-4ef":
-        bound = rational(4) - rational(2) ** (-(n - 3)) if n >= 2 else rational(1)
-        ok = report.envy_factor is not None and report.envy_factor <= bound
-        kind = "envy-factor"
-    elif algorithm == "star-3eps":
-        bound = rational(3) + epsilon
-        ok = report.envy_factor is not None and report.envy_factor <= bound
-        kind = "envy-factor"
-    elif algorithm == "identical-2eps":
-        bound = rational(2) + epsilon
-        ok = report.envy_factor is not None and report.envy_factor <= bound
-        kind = "envy-factor"
-    else:
-        bound = rational(2)
-        ok = report.envy_factor is not None and report.envy_factor <= bound
-        kind = "envy-factor"
-    return {"kind": kind, "bound": format_rational(bound), "satisfied": bool(ok)}
+def _lift_choices() -> list[str]:
+    return ["auto"] + [name for name, solver in SOLVERS.items() if solver.on_path]
+
+
+def _claims(solver: Solver, instance, epsilon: Rational | None, report, validity) -> dict:
+    """The metrics fields that ``solve`` writes and ``verify`` recomputes."""
+    return {
+        "epsilon": format_rational(epsilon) if solver.needs_epsilon else None,
+        "contract": contract(solver, instance.n, epsilon, report),
+        "valid": validity.ok,
+    }
 
 
 def _solve(args) -> int:
     instance = load_instance(_read(args.instance))
     ledger = QueryLedger()
     trace = [] if args.trace else None
-    epsilon = args.epsilon
-    if args.algorithm == "iterative-divide":
-        allocation = iterative_divide(instance, ledger=ledger)
-    elif args.algorithm == "identical-4ef":
-        allocation = identical_four_ef(instance, ledger=ledger)
-    elif args.algorithm == "star-3eps":
-        allocation = star_three_eps(instance, epsilon, ledger=ledger, trace=trace)
-    elif args.algorithm == "identical-2eps":
-        allocation = identical_two_eps(instance, epsilon, max_calls=args.max_calls, ledger=ledger)
-    elif args.algorithm == "star-identical-2ef":
-        allocation = star_identical_2ef(instance, ledger=ledger)
-    else:
-        raise ValueError(f"unknown algorithm {args.algorithm!r}")
+    solver = SOLVERS[args.algorithm]
+    allocation = solver.run(instance, args.epsilon, ledger, trace)
     if trace:
         for line in trace:
             sys.stderr.write(json.dumps(line, sort_keys=True) + "\n")
     report = fairness_report(instance, allocation)
     validity = validate_allocation(instance, allocation)
-    contract = _contract(args.algorithm, instance, report, epsilon)
-    metrics = {
-        "algorithm": args.algorithm,
-        "epsilon": format_rational(epsilon) if args.algorithm in ("star-3eps", "identical-2eps") else None,
-        "fairness": report.as_dict(),
-        "queries": ledger.as_dict(),
-        "contract": contract,
-        "valid": validity.ok,
-    }
+    claims = _claims(solver, instance, args.epsilon, report, validity)
+    metrics = {"algorithm": args.algorithm, "fairness": report.as_dict(), "queries": ledger.as_dict(), **claims}
     _write(args.output, save_allocation(instance, allocation, metrics))
-    if not (validity.ok and contract["satisfied"]):
+    if not (validity.ok and claims["contract"]["satisfied"]):
         sys.stderr.write("contracted bound violated; this is a bug\n")
         return 1
     return 0
 
 
+def _stored_solver(metrics: dict) -> tuple[Solver | None, Rational | None]:
+    """The table entry and ε a stored metrics block names.  Files without an
+    algorithm and psn-lift outputs give ``(None, None)``; any other name, or
+    a solver's ε that is not a positive rational, is malformed input."""
+    name = metrics.get("algorithm")
+    # A list comparison, not a set lookup: the stored name may be any JSON value.
+    if "algorithm" not in metrics or name in [f"psn-lift/{choice}" for choice in _lift_choices()]:
+        return None, None
+    if not isinstance(name, str) or name not in SOLVERS:
+        raise ValueError(f"metrics name an unknown algorithm {name!r}")
+    solver = SOLVERS[name]
+    if not solver.needs_epsilon:
+        return solver, None
+    try:
+        return solver, _epsilon(metrics.get("epsilon"))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"metrics epsilon {metrics.get('epsilon')!r}: {exc}") from None
+
+
 def _verify(args) -> int:
     instance = load_instance(_read(args.instance))
     allocation, metrics = load_allocation(instance, _read(args.allocation))
+    solver, epsilon = _stored_solver(metrics)
     validity = validate_allocation(instance, allocation)
     report = fairness_report(instance, allocation)
     implications = prop1_check(report, instance.n)
@@ -141,15 +119,19 @@ def _verify(args) -> int:
         failures.append(f"disconnected shares for agents {validity.disconnected}")
     if not implications.ok:
         failures.append("metric implications failed (metric bug)")
-    claimed = (metrics or {}).get("fairness")
+    claimed = metrics.get("fairness")
     if claimed is not None and claimed != report.as_dict():
         failures.append("stored fairness metrics do not match recomputation")
-    payload = {
-        "valid": validity.ok,
-        "fairness": report.as_dict(),
-        "failures": failures,
-    }
-    _write(args.output, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
+    if solver is not None:
+        claims = _claims(solver, instance, epsilon, report, validity)
+        for key, value in claims.items():
+            # Compared as JSON, so that a stored 1 does not pass for true.
+            if json.dumps(metrics.get(key), sort_keys=True) != json.dumps(value, sort_keys=True):
+                failures.append(f"stored {key} does not match recomputation: {value!r}")
+        if not claims["contract"]["satisfied"]:
+            failures.append(f"contracted bound violated: {claims['contract']}")
+    payload = {"valid": validity.ok, "fairness": report.as_dict(), "failures": failures}
+    _write(args.output, dumps_canonical(payload))
     return 1 if failures else 0
 
 
@@ -173,7 +155,7 @@ def _psn(args) -> int:
     payload["edges"] = [
         {"edge": entry.edge, "reversed": entry.reversed} for entry in bijection.entries
     ]
-    _write(args.output, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
+    _write(args.output, dumps_canonical(payload))
     return 0
 
 
@@ -210,11 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run one algorithm on an instance file")
-    p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
+    p.add_argument("--algorithm", required=True, choices=tuple(SOLVERS))
     p.add_argument("--instance", required=True)
     p.add_argument("--output")
-    p.add_argument("--epsilon", type=_epsilon, default=rational(1, 10))
-    p.add_argument("--max-calls", type=int, default=None)
+    p.add_argument("--epsilon", type=_epsilon, default=DEFAULT_EPSILON)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=_solve)
 
@@ -241,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psn-lift", help="solve on the path layout and lift back")
     p.add_argument("--instance", required=True)
-    p.add_argument("--algorithm", default="auto", choices=("auto",) + PATH_SOLVERS)
-    p.add_argument("--epsilon", type=_epsilon, default=rational(1, 10))
+    p.add_argument("--algorithm", default="auto", choices=_lift_choices())
+    p.add_argument("--epsilon", type=_epsilon, default=DEFAULT_EPSILON)
     p.add_argument("--output")
     p.set_defaults(func=_psn_lift)
 

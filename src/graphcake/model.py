@@ -94,11 +94,6 @@ class Graph:
         return tuple(e.id for e in self.edges)
 
 
-def make_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> Graph:
-    """Build a graph from (edge id, endpoint, endpoint) triples."""
-    return Graph(tuple(vertices), tuple(Edge(i, (u, w)) for i, u, w in edges))
-
-
 # ---------------------------------------------------------------------------
 # Points, intervals, shares
 
@@ -124,10 +119,6 @@ class EdgeInterval:
     def __post_init__(self):
         if not (ZERO <= self.lo <= self.hi <= ONE):
             raise ValueError(f"bad interval [{self.lo}, {self.hi}] on {self.edge!r}")
-
-    @property
-    def width(self) -> Rational:
-        return self.hi - self.lo
 
     @property
     def degenerate(self) -> bool:
@@ -628,35 +619,33 @@ def validate_allocation(instance: Instance, allocation: Allocation) -> Validatio
     overlaps or uncovered segments count (shared single points never do).
     """
     partial = validate_partial(instance, allocation.shares)
+    gaps = tuple(_uncovered(instance.graph, allocation.shares))
+    return ValidationReport(partial.overlaps, gaps, partial.disconnected)
+
+
+def complement_spans(spans: Iterable[tuple[Rational, Rational]], lo: Rational, hi: Rational) -> list[tuple]:
+    """The sub-spans of [lo, hi] that no (lo, hi) span in ``spans`` covers,
+    in increasing order; the spans lie within [lo, hi], and a single-point
+    span splits the gap around it."""
     gaps = []
-    for edge in instance.graph.edges:
-        covered = []
-        for share in allocation.shares:
-            covered.extend((iv.lo, iv.hi) for iv in share.on_edge(edge.id))
-        covered.sort()
-        cursor = ZERO
-        for lo, hi in covered:
-            if lo > cursor:
-                gaps.append((edge.id, cursor, lo))
-            cursor = max(cursor, hi)
-        if cursor < ONE:
-            gaps.append((edge.id, cursor, ONE))
-    return ValidationReport(partial.overlaps, tuple(gaps), partial.disconnected)
+    cursor = lo
+    for a, b in sorted(spans):
+        if a > cursor:
+            gaps.append((cursor, a))
+        cursor = max(cursor, b)
+    if cursor < hi:
+        gaps.append((cursor, hi))
+    return gaps
+
+
+def _uncovered(graph: Graph, shares: Sequence[Share]) -> Iterable[tuple[str, Rational, Rational]]:
+    """``(edge, lo, hi)`` for each segment no share covers, edge by edge."""
+    for edge in graph.edges:
+        covered = [(iv.lo, iv.hi) for share in shares for iv in share.on_edge(edge.id)]
+        for lo, hi in complement_spans(covered, ZERO, ONE):
+            yield edge.id, lo, hi
 
 
 def uncovered_share(graph: Graph, shares: Sequence[Share]) -> Share:
     """Everything not covered by the given shares, as a canonical share."""
-    leftovers: list[EdgeInterval] = []
-    for edge in graph.edges:
-        covered = []
-        for share in shares:
-            covered.extend((iv.lo, iv.hi) for iv in share.on_edge(edge.id))
-        covered.sort()
-        cursor = ZERO
-        for lo, hi in covered:
-            if lo > cursor:
-                leftovers.append(EdgeInterval(edge.id, cursor, lo))
-            cursor = max(cursor, hi)
-        if cursor < ONE:
-            leftovers.append(EdgeInterval(edge.id, cursor, ONE))
-    return canonical_share(graph, leftovers)
+    return canonical_share(graph, [EdgeInterval(*gap) for gap in _uncovered(graph, shares)])

@@ -31,6 +31,7 @@ from .model import (
     share_components,
     validate_allocation,
 )
+from .solvers import DEFAULT_EPSILON, SOLVERS
 
 EXACT_CHECK_EDGE_CAP = 20
 
@@ -385,7 +386,7 @@ def _share_to_path_range(share: Share) -> tuple[Rational, Rational]:
 
 def psn_allocate(
     instance: Instance,
-    epsilon: Rational | None = None,
+    epsilon: Rational = DEFAULT_EPSILON,
     algorithm: str = "auto",
     ledger=None,
 ) -> tuple[Allocation, PsnCertificate, tuple[int, ...]]:
@@ -395,21 +396,14 @@ def psn_allocate(
     guarantee transfers verbatim; each agent ends with at most
     certificate-bound many connected pieces.
     """
-    from .balance import identical_two_eps
-    from .iterative import identical_four_ef, iterative_divide
-
     bijection, cert = psn_certificate(instance.graph)
     flat = path_instance(instance, bijection)
     if algorithm == "auto":
         algorithm = "identical-4ef" if flat.identical_valuations() else "iterative-divide"
-    if algorithm == "iterative-divide":
-        flat_allocation = iterative_divide(flat, ledger=ledger)
-    elif algorithm == "identical-4ef":
-        flat_allocation = identical_four_ef(flat, ledger=ledger)
-    elif algorithm == "identical-2eps":
-        flat_allocation = identical_two_eps(flat, epsilon if epsilon is not None else rational(1, 10), ledger=ledger)
-    else:
+    solver = SOLVERS.get(algorithm)
+    if solver is None or not solver.on_path:
         raise ValueError(f"unknown path solver {algorithm!r}")
+    flat_allocation = solver.run(flat, epsilon, ledger, None)
 
     lifted = []
     pieces = []

@@ -22,6 +22,7 @@ from .model import (
     ZERO,
     ONE,
     canonical_share,
+    complement_spans,
     check,
     cut,
     eval_interval,
@@ -69,9 +70,6 @@ class StarLayout:
 
     def leaf_pos(self, edge_id: str) -> Rational:
         return ZERO if self.leaf_is_lo[edge_id] else ONE
-
-    def center_pos(self, edge_id: str) -> Rational:
-        return ONE if self.leaf_is_lo[edge_id] else ZERO
 
     def outer(self, edge_id: str) -> EdgeInterval:
         x = self.boundary[edge_id]
@@ -178,21 +176,9 @@ def _outer_part(layout: StarLayout, iv: EdgeInterval) -> tuple[Rational, Rationa
 def _free_intervals(layout: StarLayout, state: PhaseState, edge_id: str) -> list[EdgeInterval]:
     """Maximal unallocated intervals inside the outer segment of one edge."""
     outer = layout.outer(edge_id)
-    taken = []
-    for share in state.shares:
-        for iv in share.on_edge(edge_id):
-            part = _outer_part(layout, iv)
-            if part is not None:
-                taken.append(part)
-    taken.sort()
-    free = []
-    cursor = outer.lo
-    for lo, hi in taken:
-        if lo > cursor:
-            free.append(EdgeInterval(edge_id, cursor, lo))
-        cursor = max(cursor, hi)
-    if cursor < outer.hi:
-        free.append(EdgeInterval(edge_id, cursor, outer.hi))
+    parts = (_outer_part(layout, iv) for share in state.shares for iv in share.on_edge(edge_id))
+    spans = complement_spans([part for part in parts if part is not None], outer.lo, outer.hi)
+    free = [EdgeInterval(edge_id, lo, hi) for lo, hi in spans]
     if not layout.leaf_is_lo[edge_id]:
         free.reverse()  # scan order is nearest-the-leaf first
     return free

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import tempfile
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from graphcake.cli import ALGORITHMS, main
+from graphcake.cli import main
 from graphcake.generate import GeneratorSpec, generate
 from graphcake.io import (
     load_allocation,
@@ -19,7 +20,9 @@ from graphcake.io import (
     save_instance,
 )
 from graphcake.iterative import identical_four_ef, iterative_divide
-from graphcake.model import eval_share
+from graphcake.fairness import fairness_report
+from graphcake.model import Allocation, Share, eval_share, full_cake
+from graphcake.solvers import SOLVERS
 
 from conftest import F
 
@@ -120,20 +123,44 @@ def test_load_allocation_rejects_mutations_with_value_error(document):
     assert isinstance(metrics, dict)
 
 
+def _cli_document(instance, *args):
+    """The JSON file a CLI command writes for ``instance``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_file, out_file = Path(tmp) / "i.json", Path(tmp) / "o.json"
+        inst_file.write_bytes(save_instance(instance))
+        assert main([*args, "--instance", str(inst_file), "--output", str(out_file)]) == 0
+        return json.loads(out_file.read_text())
+
+
 FUZZ_INSTANCE_DOC = json.loads(save_instance(FUZZ_INSTANCE))
 FUZZ_ALLOCATION_DOC = json.loads(save_allocation(FUZZ_INSTANCE, FUZZ_ALLOCATION, {"note": "1/2"}))
+FUZZ_IDENTICAL = generate(GeneratorSpec("random-connected", m=4, n=3, pieces=2, identical=True, seed=5))
+# (instance, allocation) pairs to mutate: metrics that name no algorithm, a
+# solve output with and without ε, and a psn-lift output.
+FUZZ_FILES = [
+    (FUZZ_INSTANCE_DOC, FUZZ_ALLOCATION_DOC),
+    (FUZZ_INSTANCE_DOC, _cli_document(FUZZ_INSTANCE, "solve", "--algorithm", "iterative-divide")),
+    (FUZZ_INSTANCE_DOC, _cli_document(FUZZ_INSTANCE, "psn-lift")),
+    (
+        json.loads(save_instance(FUZZ_IDENTICAL)),
+        _cli_document(FUZZ_IDENTICAL, "solve", "--algorithm", "identical-2eps", "--epsilon", "1/2"),
+    ),
+]
 
 
 @given(
     st.sampled_from(["solve", "verify", "psn"]),
-    st.sampled_from(ALGORITHMS),
-    st.just(FUZZ_INSTANCE_DOC) | mutated(FUZZ_INSTANCE_DOC),
-    st.just(FUZZ_ALLOCATION_DOC) | mutated(FUZZ_ALLOCATION_DOC),
+    st.sampled_from(tuple(SOLVERS)),
+    st.sampled_from(FUZZ_FILES).flatmap(
+        lambda docs: st.tuples(*(st.just(doc) | mutated(doc) for doc in docs))
+    ),
 )
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_cli_mutated_files_exit_cleanly(command, algorithm, instance_doc, allocation_doc):
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_mutated_files_exit_cleanly(command, algorithm, files):
     """Malformed files get exit 2 and one stderr line; verify may also
-    report a loadable but invalid allocation with exit 1."""
+    report a loadable but invalid allocation, or a stored claim that
+    recomputation contradicts, with exit 1."""
+    instance_doc, allocation_doc = files
     with tempfile.TemporaryDirectory() as tmp:
         inst_file, alloc_file, out_file = (Path(tmp) / name for name in ("i.json", "a.json", "o.json"))
         inst_file.write_text(json.dumps(instance_doc))
@@ -396,3 +423,192 @@ def test_cli_solve_deterministic_bytes(tmp_path):
         assert run_cli("solve", "--algorithm", "iterative-divide",
                        "--instance", str(inst_file), "--output", str(out)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_solve_rejects_max_calls(tmp_path, capsys):
+    inst_file = tmp_path / "ident.json"
+    run_cli("gen", "--family", "random-connected", "--edges", "4", "--agents", "3",
+            "--identical", "--seed", "1", "--output", str(inst_file))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", "--algorithm", "identical-2eps", "--max-calls", "0",
+                "--instance", str(inst_file), "--output", str(tmp_path / "out.json"))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--max-calls" in err
+
+
+# ---------------------------------------------------------------------------
+# Byte pins and verify's contract check for every solver
+
+PIN_INSTANCES = {
+    "star": ["--family", "star", "--edges", "4", "--agents", "3", "--seed", "2"],
+    "star-identical": ["--family", "star", "--edges", "4", "--agents", "3", "--seed", "2", "--identical"],
+    "graph": ["--family", "random-connected", "--edges", "5", "--agents", "3", "--seed", "4"],
+    "graph-identical": ["--family", "random-connected", "--edges", "5", "--agents", "3", "--seed", "4",
+                        "--identical"],
+}
+SOLVE_INSTANCE = {
+    "iterative-divide": "graph",
+    "identical-4ef": "graph-identical",
+    "star-3eps": "star",
+    "identical-2eps": "graph-identical",
+    "star-identical-2ef": "star-identical",
+}
+
+
+@pytest.fixture(scope="module")
+def pin_instances(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pins")
+    files = {}
+    for name, args in PIN_INSTANCES.items():
+        files[name] = root / f"{name}.json"
+        assert run_cli("gen", *args, "--output", str(files[name])) == 0
+    return files
+
+
+@pytest.mark.parametrize("command, algorithm, instance, digest", [
+    ("solve", "iterative-divide", "graph", "46e783cdf0602d3310371811b8c34d64ceb9b003ca00f7b686aeac7ad2c3203a"),
+    ("solve", "identical-4ef", "graph-identical", "ee770a107f0c537464237942fafb1e53aae6c4b3b6dc146e54a7e76fa4cb1507"),
+    ("solve", "star-3eps", "star", "0e04f4badd04e6a9fc61743fd2cdab436844ad9ca4922e749824a441c527929f"),
+    ("solve", "identical-2eps", "graph-identical", "55db748f04d3d9ac27977603d5848ee31c0cb5dc55278fb58757df4f386b00ad"),
+    ("solve", "star-identical-2ef", "star-identical", "ab3c52e50c3a33ebe4cc7549af90c20ddfabb4361c1c6750c844c0201bc3b0ee"),
+    ("psn-lift", "iterative-divide", "graph", "71b3decf37adc2139fe64639d08f14eab278e9d644622e1413bba82fae5a9141"),
+    ("psn-lift", "identical-4ef", "graph-identical", "5f6ad58aec44406172ede5826670e0f11d1f4fd86130285c4f239dae3d46a04d"),
+    ("psn-lift", "identical-2eps", "graph-identical", "f8dccc0a44c74dd9e060da22cfb31fcf9618ef4b506ffa43073e8d68113f5cdc"),
+    ("psn-lift", "auto", "graph", "5ca60510aa667969adc7498118d0e4ff4085b4bcb3812467bfb04abf7890670e"),
+    ("psn-lift", "auto", "graph-identical", "d39e8f7a53f08202580c85e39bd0caf42b6cafe19f407050dc6a5e4eb9f45334"),
+])
+def test_cli_output_bytes_pinned(pin_instances, tmp_path, command, algorithm, instance, digest):
+    """The sha256 of each solver's allocation file, metrics block included,
+    at ε = 1/2 where ε applies."""
+    out = tmp_path / "out.json"
+    assert run_cli(command, "--algorithm", algorithm, "--epsilon", "1/2",
+                   "--instance", str(pin_instances[instance]), "--output", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _verify_file(inst_file, alloc_file, tmp_path):
+    report = tmp_path / "report.json"
+    code = run_cli("verify", "--instance", str(inst_file), "--allocation", str(alloc_file),
+                   "--output", str(report))
+    return code, json.loads(report.read_text())["failures"] if report.exists() else None
+
+
+def test_cli_verify_rejects_tampered_contract(tmp_path):
+    inst_file, alloc_file = tmp_path / "inst.json", tmp_path / "alloc.json"
+    run_cli("gen", "--family", "random-connected", "--edges", "6", "--agents", "3",
+            "--seed", "5", "--output", str(inst_file))
+    assert run_cli("solve", "--algorithm", "iterative-divide", "--instance", str(inst_file),
+                   "--output", str(alloc_file)) == 0
+    payload = json.loads(alloc_file.read_text())
+    assert payload["metrics"]["fairness"]["additive_envy"] == "489/1024"
+    payload["metrics"]["contract"] = {"kind": "additive-envy", "bound": "0", "satisfied": True}
+    alloc_file.write_text(json.dumps(payload))
+    code, failures = _verify_file(inst_file, alloc_file, tmp_path)
+    assert code == 1
+    assert any(f.startswith("stored contract does not match") for f in failures)
+
+
+def _flip_satisfied(metrics):
+    metrics["contract"]["satisfied"] = not metrics["contract"]["satisfied"]
+
+
+def _lower_bound(metrics):
+    bound = parse_rational(metrics["contract"]["bound"])
+    metrics["contract"]["bound"] = str(bound - Fraction(1, 100))
+
+
+SWAPPED = {
+    "iterative-divide": "identical-4ef",
+    "identical-4ef": "iterative-divide",
+    "star-3eps": "identical-2eps",
+    "identical-2eps": "star-3eps",
+    "star-identical-2ef": "identical-4ef",
+}
+
+
+def _swap_algorithm(metrics):
+    metrics["algorithm"] = SWAPPED[metrics["algorithm"]]
+
+
+@pytest.mark.parametrize("tamper", [_flip_satisfied, _lower_bound, _swap_algorithm])
+@pytest.mark.parametrize("algorithm", sorted(SOLVE_INSTANCE))
+def test_cli_verify_rejects_tampered_claims(pin_instances, tmp_path, algorithm, tamper):
+    inst_file, alloc_file = pin_instances[SOLVE_INSTANCE[algorithm]], tmp_path / "alloc.json"
+    assert run_cli("solve", "--algorithm", algorithm, "--epsilon", "1/2",
+                   "--instance", str(inst_file), "--output", str(alloc_file)) == 0
+    assert _verify_file(inst_file, alloc_file, tmp_path) == (0, [])
+    payload = json.loads(alloc_file.read_text())
+    tamper(payload["metrics"])
+    alloc_file.write_text(json.dumps(payload))
+    code, failures = _verify_file(inst_file, alloc_file, tmp_path)
+    assert code == 1
+    assert any(f.startswith("stored contract does not match") for f in failures)
+
+
+def test_cli_verify_rejects_stored_valid_and_epsilon(pin_instances, tmp_path):
+    inst_file, alloc_file = pin_instances["star"], tmp_path / "alloc.json"
+    run_cli("solve", "--algorithm", "star-3eps", "--epsilon", "1/2",
+            "--instance", str(inst_file), "--output", str(alloc_file))
+    original = json.loads(alloc_file.read_text())
+    for key, value in (("valid", False), ("valid", 1), ("epsilon", "2/4")):
+        payload = copy.deepcopy(original)
+        payload["metrics"][key] = value
+        alloc_file.write_text(json.dumps(payload))
+        code, failures = _verify_file(inst_file, alloc_file, tmp_path)
+        assert code == 1
+        assert any(f.startswith(f"stored {key} does not match") for f in failures)
+
+
+def test_cli_verify_rejects_a_bound_that_fails(pin_instances, tmp_path):
+    """Stored claims that match recomputation still fail when the recomputed
+    bound does not hold: one agent takes the whole cake."""
+    inst_file, alloc_file = pin_instances["graph"], tmp_path / "alloc.json"
+    instance = load_instance(inst_file.read_bytes())
+    allocation = Allocation((full_cake(instance.graph),) + (Share.empty(),) * (instance.n - 1))
+    metrics = {
+        "algorithm": "iterative-divide",
+        "epsilon": None,
+        "fairness": fairness_report(instance, allocation).as_dict(),
+        "queries": {"evals": 0, "cuts": 0},
+        "contract": {"kind": "additive-envy", "bound": "1/2", "satisfied": False},
+        "valid": True,
+    }
+    alloc_file.write_bytes(save_allocation(instance, allocation, metrics))
+    code, failures = _verify_file(inst_file, alloc_file, tmp_path)
+    assert code == 1
+    assert len(failures) == 1 and failures[0].startswith("contracted bound violated")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("algorithm", "no-such-solver"),
+    ("algorithm", ["star-3eps"]),
+    ("algorithm", None),
+    ("algorithm", "psn-lift/star-3eps"),
+    ("epsilon", None),
+    ("epsilon", "0"),
+    ("epsilon", "-1/2"),
+    ("epsilon", "0.5"),
+    ("epsilon", ["1/2"]),
+])
+def test_cli_verify_malformed_metrics_exit_2(pin_instances, tmp_path, capsys, field, value):
+    inst_file, alloc_file = pin_instances["star"], tmp_path / "alloc.json"
+    run_cli("solve", "--algorithm", "star-3eps", "--epsilon", "1/2",
+            "--instance", str(inst_file), "--output", str(alloc_file))
+    payload = json.loads(alloc_file.read_text())
+    payload["metrics"][field] = value
+    alloc_file.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli("verify", "--instance", str(inst_file), "--allocation", str(alloc_file)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "metrics" in err
+
+
+@pytest.mark.parametrize("algorithm", ["auto", "iterative-divide"])
+def test_cli_verify_accepts_psn_lift_partition(tmp_path, algorithm):
+    inst_file, alloc_file = tmp_path / "fig1.json", tmp_path / "lift.json"
+    run_cli("gen", "--family", "fig1", "--output", str(inst_file))
+    assert run_cli("psn-lift", "--algorithm", algorithm, "--instance", str(inst_file),
+                   "--output", str(alloc_file)) == 0
+    assert _verify_file(inst_file, alloc_file, tmp_path) == (0, [])

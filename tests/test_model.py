@@ -12,6 +12,7 @@ from graphcake.model import (
     Share,
     StepDensity,
     canonical_share,
+    complement_spans,
     cut,
     eval_share,
     is_connected,
@@ -279,6 +280,28 @@ def test_uncovered_share(fig1):
     taken = Share((iv("e1", 0, F(1, 2)),))
     rest = uncovered_share(fig1.graph, [taken])
     assert eval_share(fig1, 1, rest) == F(1) - F(1, 6)
+
+
+def test_complement_spans_examples():
+    assert complement_spans([], F(0), F(1)) == [(0, 1)]
+    assert complement_spans([(F(3, 4), F(1)), (F(0), F(1, 2))], F(0), F(1)) == [(F(1, 2), F(3, 4))]
+    spans = [(F(1, 4), F(1, 2)), (F(1, 4), F(1, 4)), (F(3, 8), F(3, 4))]
+    assert complement_spans(spans, F(1, 8), F(7, 8)) == [(F(1, 8), F(1, 4)), (F(3, 4), F(7, 8))]
+    # a single point still splits the gap around it
+    assert complement_spans([(F(1, 2), F(1, 2))], F(0), F(1)) == [(0, F(1, 2)), (F(1, 2), 1)]
+
+
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)).map(sorted), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_complement_spans_is_the_ordered_rest(ends):
+    spans = [(F(a, 8), F(b, 8)) for a, b in ends]
+    gaps = complement_spans(spans, F(0), F(1))
+    for k in range(8):
+        mid = F(2 * k + 1, 16)
+        covered = any(lo < mid < hi for lo, hi in spans)
+        assert covered != any(lo < mid < hi for lo, hi in gaps)
+    assert all(lo < hi for lo, hi in gaps)
+    assert all(a[1] <= b[0] for a, b in zip(gaps, gaps[1:]))
 
 
 # ---------------------------------------------------------------------------
