@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Census of path-layout certificates: how tight is the bound in practice?
 
-Enumerates all small trees (every root) and a batch of small connected
-graphs, comparing the exact path similarity number of the constructed layout
+Enumerates all small trees (every root) and a batch of connected graphs with
+3-14 edges, comparing the exact path similarity number of the constructed layout
 against its certificate bound.
 
 Usage: python scripts/psn_census.py [--max-tree-vertices 9] [--graphs 30]
@@ -42,7 +42,7 @@ def graph_census(count):
     gaps = Counter()
     for seed in range(1, count + 1):
         instance = generate(
-            GeneratorSpec("random-connected", m=3 + seed % 5, n=1, seed=seed)
+            GeneratorSpec("random-connected", m=3 + seed % 12, n=1, seed=seed)
         )
         bijection, cert = psn_certificate(instance.graph)
         exact = psn_exact_check(instance.graph, bijection)

@@ -30,7 +30,6 @@ from .star_identical import star_identical_2ef
 from .psn import (
     EdgeBijection,
     PsnCertificate,
-    augment_and_bijection,
     lift_segment,
     min_diameter_spanning_tree,
     psn_allocate,

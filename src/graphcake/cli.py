@@ -20,7 +20,7 @@ from .io import (
     save_allocation,
     save_instance,
 )
-from .model import ContractViolation, validate_allocation
+from .model import ContractViolation, share_components, validate_allocation
 from .psn import psn_allocate, psn_certificate
 from .queries import QueryLedger
 from .solvers import DEFAULT_EPSILON, SOLVERS, Solver, contract
@@ -55,6 +55,10 @@ def _lift_choices() -> list[str]:
     return ["auto"] + [name for name, solver in SOLVERS.items() if solver.on_path]
 
 
+def _lift_names() -> list[str]:
+    return [f"psn-lift/{choice}" for choice in _lift_choices()]
+
+
 def _claims(solver: Solver, instance, epsilon: Rational | None, report, validity) -> dict:
     """The metrics fields that ``solve`` writes and ``verify`` recomputes."""
     return {
@@ -62,6 +66,29 @@ def _claims(solver: Solver, instance, epsilon: Rational | None, report, validity
         "contract": contract(solver, instance.n, epsilon, report),
         "valid": validity.ok,
     }
+
+
+def _lift_claims(instance, allocation) -> dict:
+    """The metrics fields of a ``psn-lift`` output that ``verify``
+    recomputes: the layout certificate, and each share's connected pieces
+    counted on the graph, independently of the lift."""
+    _, cert = psn_certificate(instance.graph)
+    return {
+        "certificate": cert.as_dict(),
+        "pieces": {
+            str(agent): len(share_components(instance.graph, share))
+            for agent, share in zip(instance.agents, allocation.shares)
+        },
+    }
+
+
+def _mismatches(metrics: dict, claims: dict) -> list[str]:
+    # Compared as JSON, so that a stored 1 does not pass for true.
+    return [
+        f"stored {key} does not match recomputation: {value!r}"
+        for key, value in claims.items()
+        if json.dumps(metrics.get(key), sort_keys=True) != json.dumps(value, sort_keys=True)
+    ]
 
 
 def _solve(args) -> int:
@@ -90,7 +117,7 @@ def _stored_solver(metrics: dict) -> tuple[Solver | None, Rational | None]:
     a solver's ε that is not a positive rational, is malformed input."""
     name = metrics.get("algorithm")
     # A list comparison, not a set lookup: the stored name may be any JSON value.
-    if "algorithm" not in metrics or name in [f"psn-lift/{choice}" for choice in _lift_choices()]:
+    if "algorithm" not in metrics or name in _lift_names():
         return None, None
     if not isinstance(name, str) or name not in SOLVERS:
         raise ValueError(f"metrics name an unknown algorithm {name!r}")
@@ -107,6 +134,7 @@ def _verify(args) -> int:
     instance = load_instance(_read(args.instance))
     allocation, metrics = load_allocation(instance, _read(args.allocation))
     solver, epsilon = _stored_solver(metrics)
+    lifted = metrics.get("algorithm") in _lift_names()
     validity = validate_allocation(instance, allocation)
     report = fairness_report(instance, allocation)
     implications = prop1_check(report, instance.n)
@@ -115,7 +143,10 @@ def _verify(args) -> int:
         failures.append(f"overlapping shares: {validity.overlaps[:3]}")
     if not validity.complete_ok:
         failures.append(f"uncovered segments: {validity.gaps[:3]}")
-    if not validity.connectivity_ok:
+    # A lifted share may fall into several pieces; their count is checked
+    # against the certificate instead.
+    connected = validity.connectivity_ok or lifted
+    if not connected:
         failures.append(f"disconnected shares for agents {validity.disconnected}")
     if not implications.ok:
         failures.append("metric implications failed (metric bug)")
@@ -124,13 +155,18 @@ def _verify(args) -> int:
         failures.append("stored fairness metrics do not match recomputation")
     if solver is not None:
         claims = _claims(solver, instance, epsilon, report, validity)
-        for key, value in claims.items():
-            # Compared as JSON, so that a stored 1 does not pass for true.
-            if json.dumps(metrics.get(key), sort_keys=True) != json.dumps(value, sort_keys=True):
-                failures.append(f"stored {key} does not match recomputation: {value!r}")
+        failures += _mismatches(metrics, claims)
         if not claims["contract"]["satisfied"]:
             failures.append(f"contracted bound violated: {claims['contract']}")
-    payload = {"valid": validity.ok, "fairness": report.as_dict(), "failures": failures}
+    if lifted:
+        claims = _lift_claims(instance, allocation)
+        failures += _mismatches(metrics, claims)
+        bound = claims["certificate"]["bound"]
+        over = {agent: count for agent, count in claims["pieces"].items() if count > bound}
+        if over:
+            failures.append(f"pieces {over} above the certified bound {bound}")
+    valid = validity.disjoint_ok and validity.complete_ok and connected
+    payload = {"valid": valid, "fairness": report.as_dict(), "failures": failures}
     _write(args.output, dumps_canonical(payload))
     return 1 if failures else 0
 
@@ -174,9 +210,6 @@ def _psn_lift(args) -> int:
         "queries": ledger.as_dict(),
     }
     _write(args.output, save_allocation(instance, allocation, metrics))
-    if any(p > cert.bound for p in pieces):
-        sys.stderr.write("piece count exceeded the certificate bound; this is a bug\n")
-        return 1
     return 0
 
 

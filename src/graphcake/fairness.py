@@ -162,7 +162,7 @@ def _breakpoint_grid(instance: Instance, edge_id: str) -> list[Rational]:
     return sorted(points)
 
 
-def brute_force_egalitarian(instance: Instance, grid: dict[str, list[Rational]] | None = None) -> Rational:
+def brute_force_egalitarian(instance: Instance) -> Rational:
     """Best achievable min(agent-1 value of piece 1, agent-2 value of piece 2)
     over all connected two-way partitions of the cake.
 
@@ -180,7 +180,7 @@ def brute_force_egalitarian(instance: Instance, grid: dict[str, list[Rational]] 
     edge_ids = sorted(e.id for e in graph.edges)
     a1, a2 = instance.agents
 
-    base_grid = grid or {e: _breakpoint_grid(instance, e) for e in edge_ids}
+    base_grid = {e: _breakpoint_grid(instance, e) for e in edge_ids}
 
     best = ZERO
 

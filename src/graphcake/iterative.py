@@ -61,7 +61,6 @@ def _pow2(exponent: int) -> Rational:
 def iterative_divide(
     instance: Instance,
     schedule: ThresholdSchedule = FIXED_QUARTER,
-    root_choice: str | None = None,
     ledger=None,
 ) -> Allocation:
     """Allocate by repeatedly splitting the unallocated remainder.
@@ -79,7 +78,7 @@ def iterative_divide(
     if n == 1:
         return Allocation((full_cake(instance.graph),))
 
-    root = root_choice if root_choice is not None else min(instance.graph.vertices)
+    root = min(instance.graph.vertices)
     remainder = full_cake(instance.graph)
     remaining = list(instance.agents)
     shares: dict[int, Share] = {}

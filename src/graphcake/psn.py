@@ -66,24 +66,21 @@ class PsnCertificate:
     construction: str            # "tree-dfs" | "min-diameter-spanning-tree"
     root: str
     height: int
-    diameter: int | None = None
-    tree_edges: tuple[str, ...] | None = None
+    diameter: int
+    tree_edges: tuple[str, ...]
     # Every certificate rests on an exact minimum-diameter spanning tree.
     heuristic: ClassVar[bool] = False
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "bound": self.bound,
             "construction": self.construction,
             "root": self.root,
             "height": self.height,
             "heuristic": self.heuristic,
+            "diameter": self.diameter,
+            "tree_edges": list(self.tree_edges),
         }
-        if self.diameter is not None:
-            out["diameter"] = self.diameter
-        if self.tree_edges is not None:
-            out["tree_edges"] = list(self.tree_edges)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -105,35 +102,74 @@ def _tree_adjacency(vertices, edges) -> dict[str, list[tuple[str, str]]]:
     return adj
 
 
-def tree_dfs_bijection(graph: Graph, root: str) -> EdgeBijection:
-    """Depth-first edge layout of a tree, children in vertex-id order.
+def _preorder(adj, root: str):
+    """Depth-first preorder from ``root`` over a tree adjacency, children in
+    list order: (vertex, edge id it was reached by, depth) after the root."""
+    seen = {root}
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        for child, edge_id in stack[-1][1]:
+            if child not in seen:
+                seen.add(child)
+                yield child, edge_id, len(stack)
+                stack.append((child, iter(adj[child])))
+                break
+        else:
+            stack.pop()
 
-    Each edge's endpoint farther from the root lands on the right end of its
+
+def _layout(graph: Graph, tree_edges, root: str) -> tuple[EdgeBijection, int]:
+    """Depth-first layout of a spanning tree with every non-tree edge hung as
+    a pendant leaf, and the height of that tree.
+
+    A pendant attaches at the endpoint discovered earlier by the tree's
+    preorder (the first endpoint on a tie, so always for a self-loop).  Each
+    edge's endpoint farther from the root lands on the right end of its
     slot, so any slot prefix touching the left end reaches back toward the
-    root side.
+    root side; a pendant's far end is the endpoint it does not attach at.
     """
+    adj = _tree_adjacency(graph.vertices, [graph.edge(e) for e in tree_edges])
+    discovery = {root: 0}
+    for order, (vertex, _, _) in enumerate(_preorder(adj, root), start=1):
+        discovery[vertex] = order
+    tree_set = set(tree_edges)
+    names = set(graph.vertices)
+    pendant_reversed: dict[str, bool] = {}
+    for e in sorted(graph.edges, key=lambda e: e.id):
+        if e.id in tree_set:
+            continue
+        u, w = e.endpoints
+        at_second = discovery[w] < discovery[u]
+        # The leaf name is the sort key that places the pendant among its
+        # attach vertex's children, so it is part of the layout's bytes.
+        leaf = f"pendant {e.id}"
+        while leaf in names:
+            leaf += "'"
+        names.add(leaf)
+        adj[w if at_second else u].append((leaf, e.id))
+        adj[leaf] = []
+        pendant_reversed[e.id] = at_second
+    for lst in adj.values():
+        lst.sort()
+    entries: list[OrientedEdge] = []
+    height = 0
+    for vertex, edge_id, depth in _preorder(adj, root):
+        if edge_id in pendant_reversed:
+            entries.append(OrientedEdge(edge_id, reversed=pendant_reversed[edge_id]))
+        else:
+            entries.append(OrientedEdge(edge_id, reversed=graph.edge(edge_id).endpoints[0] == vertex))
+        height = max(height, depth)
+    check(len(entries) == len(graph.edges), "depth-first layout missed edges")
+    return EdgeBijection(tuple(entries)), height
+
+
+def tree_dfs_bijection(graph: Graph, root: str) -> EdgeBijection:
+    """Depth-first edge layout of a tree, children in vertex-id order."""
     if not graph_is_acyclic(graph):
         raise ValueError("depth-first layout needs an acyclic graph")
     if root not in graph.vertices:
         raise ValueError(f"unknown root {root!r}")
-    adj = _tree_adjacency(graph.vertices, graph.edges)
-    entries: list[OrientedEdge] = []
-    seen = {root}
-    stack = [(root, iter(adj[root]))]
-    while stack:
-        node, it = stack[-1]
-        for child, edge_id in it:
-            if child in seen:
-                continue
-            seen.add(child)
-            far_is_second = graph.edge(edge_id).endpoints[1] == child
-            entries.append(OrientedEdge(edge_id, reversed=not far_is_second))
-            stack.append((child, iter(adj[child])))
-            break
-        else:
-            stack.pop()
-    check(len(entries) == len(graph.edges), "depth-first layout missed edges")
-    return EdgeBijection(tuple(entries))
+    return _layout(graph, [e.id for e in graph.edges], root)[0]
 
 
 def _bfs(adj, sources) -> tuple[dict[str, int], dict[str, str]]:
@@ -152,11 +188,6 @@ def _bfs(adj, sources) -> tuple[dict[str, int], dict[str, str]]:
                     nxt.append(other)
         frontier = nxt
     return depth, parent_edge
-
-
-def tree_height(vertices, edges, root: str) -> int:
-    depth, _ = _bfs(_tree_adjacency(vertices, edges), [root])
-    return max(depth.values())
 
 
 def _eccentricities(vertices, edges) -> dict[str, int]:
@@ -216,94 +247,16 @@ def min_diameter_spanning_tree(graph: Graph) -> tuple[tuple[str, ...], str, int,
     return tree_ids, root, d, h
 
 
-def augment_and_bijection(
-    graph: Graph, tree_edges: tuple[str, ...], root: str
-) -> tuple[EdgeBijection, PsnCertificate]:
-    """Hang every non-tree edge as a pendant leaf, then lay out depth-first.
-
-    The pendant attaches at the endpoint discovered earlier by the tree's
-    depth-first order; the pendant leaf stands in for the far endpoint, so
-    the slot orientation of a non-tree edge puts its far endpoint right.
-    """
-    tree_set = set(tree_edges)
-    tree_edge_objs = [graph.edge(e) for e in tree_edges]
-    discovery: dict[str, int] = {root: 0}
-    adj = _tree_adjacency(graph.vertices, tree_edge_objs)
-    order = 0
-    seen = {root}
-    # Iterative preorder with sorted children mirrors tree_dfs_bijection.
-    stack = [(root, iter(adj[root]))]
-    while stack:
-        node, it = stack[-1]
-        for child, _eid in it:
-            if child in seen:
-                continue
-            seen.add(child)
-            order += 1
-            discovery[child] = order
-            stack.append((child, iter(adj[child])))
-            break
-        else:
-            stack.pop()
-
-    aug_vertices = list(graph.vertices)
-    aug_edges = list(tree_edge_objs)
-    pendant_far_is_second: dict[str, bool] = {}
-    for e in sorted(graph.edges, key=lambda e: e.id):
-        if e.id in tree_set:
-            continue
-        u, w = e.endpoints
-        if u == w:
-            attach, far_second = u, True
-        elif discovery[u] <= discovery[w]:
-            attach, far_second = u, e.endpoints[1] == w
-        else:
-            attach, far_second = w, e.endpoints[1] == u
-        leaf = f"pendant {e.id}"
-        while leaf in aug_vertices:
-            leaf += "'"
-        aug_vertices.append(leaf)
-        aug_edges.append(Edge(e.id, (attach, leaf)))
-        pendant_far_is_second[e.id] = far_second
-
-    augmented = Graph(tuple(aug_vertices), tuple(aug_edges))
-    layout = tree_dfs_bijection(augmented, root)
-    entries = []
-    for entry in layout.entries:
-        if entry.edge in pendant_far_is_second:
-            # In the augmented tree the pendant leaf (slot right end) stands
-            # for the original far endpoint.
-            entries.append(OrientedEdge(entry.edge, reversed=not pendant_far_is_second[entry.edge]))
-        else:
-            entries.append(entry)
-    ecc = _eccentricities(tuple(sorted(graph.vertices)), tree_edge_objs)
-    d = max(ecc.values())
-    bound = (d + 1) // 2 + 2
-    cert = PsnCertificate(
-        bound=bound,
-        construction="min-diameter-spanning-tree",
-        root=root,
-        height=tree_height(augmented.vertices, aug_edges, root),
-        diameter=d,
-        tree_edges=tuple(tree_edges),
-    )
-    return EdgeBijection(tuple(entries)), cert
-
-
 def psn_certificate(graph: Graph) -> tuple[EdgeBijection, PsnCertificate]:
-    """Best available layout with its piece-count bound."""
-    tree_edges, root, d, h = min_diameter_spanning_tree(graph)
-    if not graph_is_acyclic(graph):
-        return augment_and_bijection(graph, tree_edges, root)
-    cert = PsnCertificate(
-        bound=h + 1,
-        construction="tree-dfs",
-        root=root,
-        height=h,
-        diameter=d,
-        tree_edges=tree_edges,
-    )
-    return tree_dfs_bijection(graph, root), cert
+    """Depth-first layout of a minimum-diameter spanning tree with its
+    piece-count bound: height + 1 for a tree, ceil(d/2) + 2 otherwise."""
+    tree_edges, root, d, _ = min_diameter_spanning_tree(graph)
+    bijection, height = _layout(graph, tree_edges, root)
+    if graph_is_acyclic(graph):
+        bound, construction = height + 1, "tree-dfs"
+    else:
+        bound, construction = (d + 1) // 2 + 2, "min-diameter-spanning-tree"
+    return bijection, PsnCertificate(bound, construction, root, height, d, tree_edges)
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,7 @@ def phase2_step(
 
     def finish(trader: int, piece_intervals, tag: str, new_value: Rational) -> PhaseState:
         idx = trader - 1
+        check(new_value >= targets[idx], "trade must gain at least eps'")
         old_share = state.shares[idx]
         shares = list(state.shares)
         shares[idx] = canonical_share(instance.graph, piece_intervals)
@@ -554,18 +555,9 @@ def star_three_eps(
     state = initial_state(instance)
     cache = TradeCache()
     while True:
-        old_own = list(cache.own) if cache.iteration == state.iteration else None
         nxt = phase2_step(instance, layout, state, ledger, cache)
         if nxt is None:
             break
-        trader = nxt.last_trader
-        before = (
-            old_own[trader - 1]
-            if old_own is not None
-            else eval_share(instance, trader, state.shares[trader - 1])
-        )
-        gained = cache.own[trader - 1] - before
-        check(gained >= layout.eps_prime, "trade must gain at least eps'")
         state = nxt
         check(state.iteration <= iteration_cap, "trading loop exceeded its bound")
         if trace is not None:

@@ -21,7 +21,8 @@ from graphcake.io import (
 )
 from graphcake.iterative import identical_four_ef, iterative_divide
 from graphcake.fairness import fairness_report
-from graphcake.model import Allocation, Share, eval_share, full_cake
+from graphcake.model import Allocation, EdgeInterval, Share, eval_share, full_cake
+from graphcake.psn import psn_certificate
 from graphcake.solvers import SOLVERS
 
 from conftest import F
@@ -612,3 +613,77 @@ def test_cli_verify_accepts_psn_lift_partition(tmp_path, algorithm):
     assert run_cli("psn-lift", "--algorithm", algorithm, "--instance", str(inst_file),
                    "--output", str(alloc_file)) == 0
     assert _verify_file(inst_file, alloc_file, tmp_path) == (0, [])
+
+
+# ---------------------------------------------------------------------------
+# verify's piece-count check for psn-lift outputs
+
+def _lift_file(tmp_path, seed):
+    inst_file, alloc_file = tmp_path / "inst.json", tmp_path / "lift.json"
+    run_cli("gen", "--family", "random-connected", "--edges", "12", "--agents", "4",
+            "--seed", str(seed), "--output", str(inst_file))
+    assert run_cli("psn-lift", "--algorithm", "iterative-divide", "--instance", str(inst_file),
+                   "--output", str(alloc_file)) == 0
+    return inst_file, alloc_file
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7, 8])
+def test_cli_verify_accepts_multi_piece_lifts(tmp_path, seed):
+    inst_file, alloc_file = _lift_file(tmp_path, seed)
+    metrics = json.loads(alloc_file.read_text())["metrics"]
+    assert max(metrics["pieces"].values()) > 1
+    assert _verify_file(inst_file, alloc_file, tmp_path) == (0, [])
+
+
+def test_cli_verify_rejects_a_swapped_lift_interval(tmp_path):
+    """Agents 1 and 4 trade one interval; the stored fairness is recomputed
+    so that only the piece counts can tell."""
+    inst_file, alloc_file = _lift_file(tmp_path, 5)
+    payload = json.loads(alloc_file.read_text())
+    first, last = payload["agents"][0]["share"], payload["agents"][3]["share"]
+    first[-1], last[0] = last[0], first[-1]
+    instance = load_instance(inst_file.read_bytes())
+    allocation, _ = load_allocation(instance, json.dumps(payload))
+    payload["metrics"]["fairness"] = fairness_report(instance, allocation).as_dict()
+    alloc_file.write_text(json.dumps(payload))
+    code, failures = _verify_file(inst_file, alloc_file, tmp_path)
+    assert code == 1
+    assert failures and all(f.startswith("stored pieces does not match") for f in failures)
+
+
+@pytest.mark.parametrize("field", ["pieces", "certificate"])
+def test_cli_verify_rejects_lowered_lift_claims(tmp_path, field):
+    inst_file, alloc_file = _lift_file(tmp_path, 5)
+    payload = json.loads(alloc_file.read_text())
+    if field == "pieces":
+        payload["metrics"]["pieces"]["1"] -= 1
+    else:
+        payload["metrics"]["certificate"]["bound"] -= 1
+    alloc_file.write_text(json.dumps(payload))
+    code, failures = _verify_file(inst_file, alloc_file, tmp_path)
+    assert code == 1
+    assert failures and all(f.startswith(f"stored {field} does not match") for f in failures)
+
+
+def test_cli_verify_rejects_pieces_above_the_bound(tmp_path):
+    """Stored claims that match recomputation still fail when a share has
+    more pieces than the certificate allows: on fig1 (bound 2) agent 1 takes
+    the leaf half of all three edges."""
+    inst_file, alloc_file = tmp_path / "fig1.json", tmp_path / "lift.json"
+    run_cli("gen", "--family", "fig1", "--output", str(inst_file))
+    instance = load_instance(inst_file.read_bytes())
+    allocation = Allocation((
+        Share(tuple(EdgeInterval(e, F(0), F(1, 2)) for e in ("e1", "e2", "e3"))),
+        Share(tuple(EdgeInterval(e, F(1, 2), F(1)) for e in ("e1", "e2", "e3"))),
+    ))
+    metrics = {
+        "algorithm": "psn-lift/auto",
+        "certificate": psn_certificate(instance.graph)[1].as_dict(),
+        "pieces": {"1": 3, "2": 1},
+        "fairness": fairness_report(instance, allocation).as_dict(),
+    }
+    assert metrics["certificate"]["bound"] == 2
+    alloc_file.write_bytes(save_allocation(instance, allocation, metrics))
+    code, failures = _verify_file(inst_file, alloc_file, tmp_path)
+    assert code == 1
+    assert failures == ["pieces {'1': 3} above the certified bound 2"]

@@ -1,15 +1,18 @@
+import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import networkx as nx
 import pytest
 
+from graphcake.cli import main
 from graphcake.fairness import fairness_report
 from graphcake.generate import GeneratorSpec, generate
+from graphcake.io import save_instance
 from graphcake.model import Edge, EdgeInterval, Graph, Instance, eval_share
 from graphcake.psn import (
     EdgeBijection,
-    augment_and_bijection,
     graph_is_acyclic,
     lift_segment,
     min_diameter_spanning_tree,
@@ -323,3 +326,57 @@ def test_exact_check_enforces_size_cap():
     bijection = tree_dfs_bijection(inst.graph, "c")
     with pytest.raises(ValueError, match="capped"):
         psn_exact_check(inst.graph, bijection)
+
+
+# ---------------------------------------------------------------------------
+# pinned layout bytes
+
+# Vertex ids on both sides of "pendant", and two that a pendant leaf name
+# would clash with.
+MULTIGRAPH_NAMES = ("0", "a", "m", "pendant", "pendant e1", "pendant e2'", "pf", "q", "v00", "z")
+
+
+def _multigraph(seed):
+    """A connected multigraph on 1-6 of the names above with up to 8 edges,
+    self-loops and parallel edges included."""
+    rng = random.Random(seed)
+    vertices = rng.sample(MULTIGRAPH_NAMES, rng.randint(1, 6))
+    pairs = [(vertices[rng.randrange(k)], vertices[k]) for k in range(1, len(vertices))]
+    while not pairs or len(pairs) < rng.randint(len(vertices), 8):
+        pairs.append((rng.choice(vertices), rng.choice(vertices)))
+    rng.shuffle(pairs)
+    ids = rng.sample(range(1, 10), len(pairs))
+    return Graph(tuple(vertices), tuple(Edge(f"e{k}", pair) for k, pair in zip(ids, pairs)))
+
+
+def _uniform_instance(graph):
+    density = {e.id: uniform_density(F(1, len(graph.edges))) for e in graph.edges}
+    return Instance(graph, (1,), {1: density})
+
+
+LAYOUT_PIN_GRAPHS = {
+    "tree": lambda: [generate(GeneratorSpec("tree", m=m, n=1, seed=s)).graph
+                     for m in range(1, 17) for s in range(3)],
+    "star": lambda: [star_graph(m) for m in range(1, 13)],
+    "random-connected": lambda: [generate(GeneratorSpec("random-connected", m=m, n=1, seed=s)).graph
+                                 for m in range(1, 31) for s in range(4)],
+    "multigraph": lambda: [_multigraph(seed) for seed in range(150)],
+}
+
+
+@pytest.mark.parametrize("family, digest", [
+    ("tree", "39032b3426c9884e7f953c2a2369477af6ae80287b5314f61389164e1bdf19fd"),
+    ("star", "4d0145ec9795d5b064e23305d20d8ccacccf49e89b6aff2db53df82ed3b777f5"),
+    ("random-connected", "1d8559562b71b9d1384e97a5839c45d2962106c078cbfca0c332d1dcb00f0b59"),
+    ("multigraph", "db703d56d3dceb8e0bac9f300fb971c3a7cd9f73248c12985d0b6e27d90d52b0"),
+])
+def test_psn_layout_bytes_pinned(tmp_path, family, digest):
+    """The sha256 over ``graphcake psn`` output (certificate and oriented
+    edges) for each graph of a seeded family, in order."""
+    inst_file, out_file = tmp_path / "inst.json", tmp_path / "psn.json"
+    sha = hashlib.sha256()
+    for graph in LAYOUT_PIN_GRAPHS[family]():
+        inst_file.write_bytes(save_instance(_uniform_instance(graph)))
+        assert main(["psn", "--instance", str(inst_file), "--output", str(out_file)]) == 0
+        sha.update(out_file.read_bytes())
+    assert sha.hexdigest() == digest
