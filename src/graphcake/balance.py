@@ -26,7 +26,6 @@ from .model import (
     contact_nodes,
     eval_share,
     full_cake,
-    node_as_point,
     node_sort_key,
     share_boundary_nodes,
     validate_allocation,
@@ -101,17 +100,21 @@ def min_max_path(instance: Instance, allocation: Allocation, ledger=None) -> Min
     )
 
 
-def _root_point(graph, share: Share) -> PointOnEdge:
+def _as_root(node: tuple) -> str | PointOnEdge:
+    """The ``divide`` root naming a point key: a vertex id, else a PointOnEdge."""
+    return node[1] if node[0] == "v" else PointOnEdge(node[1], node[2])
+
+
+def _root_point(graph, share: Share) -> str | PointOnEdge:
     """Deterministic anchor inside a share: smallest covered vertex, else the
     smallest interval endpoint."""
-    nodes = sorted(share_boundary_nodes(graph, share), key=node_sort_key)
-    return node_as_point(graph, nodes[0])
+    return _as_root(min(share_boundary_nodes(graph, share), key=node_sort_key))
 
 
-def _contact_point(graph, a: Share, b: Share) -> PointOnEdge:
+def _contact_point(graph, a: Share, b: Share) -> str | PointOnEdge:
     nodes = contact_nodes(graph, a, b)
     check(bool(nodes), "consecutive chain shares must touch")
-    return node_as_point(graph, nodes[0])
+    return _as_root(nodes[0])
 
 
 @dataclass(frozen=True)

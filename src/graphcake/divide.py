@@ -10,15 +10,16 @@ endpoints (graph vertices unify incident endpoints).  Cycles are broken by
 detaching one endpoint of a cycle edge onto a fresh leaf node; because only
 node identities change, the produced shares need no translation back.
 ``decycle`` interns every node key to an int once, keeps one adjacency of
-int lists that each break updates in place, and maps back to node keys only
-for the returned ``SubcakeTree``.
+int lists that each break updates in place, and returns that int tree;
+``divide`` indexes plain lists by node and sub-edge number, and reads a
+node's key only for its trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rational import Rational, rational
+from .rational import Rational
 from .model import (
     EdgeInterval,
     Instance,
@@ -36,23 +37,6 @@ from .model import (
 )
 
 
-class _SubEdge:
-    """One interval of the subcake with (mutable) endpoint node keys."""
-
-    __slots__ = ("interval", "lo_node", "hi_node")
-
-    def __init__(self, interval: EdgeInterval, lo_node: tuple, hi_node: tuple):
-        self.interval = interval
-        self.lo_node = lo_node
-        self.hi_node = hi_node
-
-    def other(self, node: tuple) -> tuple:
-        return self.hi_node if node == self.lo_node else self.lo_node
-
-    def node_position(self, node: tuple) -> Rational:
-        return self.interval.lo if node == self.lo_node else self.interval.hi
-
-
 @dataclass(frozen=True)
 class DecycleEntry:
     split_node: tuple
@@ -62,41 +46,32 @@ class DecycleEntry:
 
 @dataclass
 class SubcakeTree:
-    """Rooted, acyclic view of a subcake after cycle removal."""
+    """Rooted, acyclic view of a subcake after cycle removal.
 
-    root: tuple
-    nodes: list[tuple]
-    parent: dict = field(repr=False)          # node -> (parent node, _SubEdge) | None
-    children: dict = field(repr=False)        # node -> [(child node, _SubEdge), ...]
+    Nodes and sub-edges are ints: node ``v`` is the point ``keys[v]``, and
+    sub-edge ``s`` is ``intervals[s]``, joining ``lo[s]`` (its lo end) to
+    ``hi[s]``.  ``order`` starts at ``root`` and lists each node after its
+    parent; ``children[v]`` holds the (child, sub-edge) pairs below ``v``,
+    sorted by the child's ``node_sort_key``.
+    """
+
+    keys: list[tuple]
+    intervals: list[EdgeInterval]
+    lo: list[int]
+    hi: list[int]
+    root: int
+    order: list[int]
+    children: list[list[tuple[int, int]]] = field(repr=False)
     record: tuple[DecycleEntry, ...] = ()
 
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.children.values())
-
-    def subtree_intervals(self, node: tuple) -> list[EdgeInterval]:
-        out = []
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            for child, se in self.children[cur]:
-                out.append(se.interval)
-                stack.append(child)
-        return out
-
-
-def _build_subedges(instance: Instance, subcake: Share, root_point: PointOnEdge | None) -> list[_SubEdge]:
-    """Sub-edges of the subcake, sorted by (edge, lo, hi).
+def _build_intervals(instance: Instance, subcake: Share, root_point: PointOnEdge | None) -> list[EdgeInterval]:
+    """Intervals of the subcake, sorted by (edge, lo, hi).
 
     ``canonical_share`` returns that order and splitting the root's interval
     in place keeps it.
     """
-    graph = instance.graph
-    intervals = list(canonical_share(graph, subcake.intervals).intervals)
+    intervals = list(canonical_share(instance.graph, subcake.intervals).intervals)
     if root_point is not None:
         # Promote an interior root to a node by splitting its interval.
         for i, iv in enumerate(intervals):
@@ -106,10 +81,7 @@ def _build_subedges(instance: Instance, subcake: Share, root_point: PointOnEdge 
                     EdgeInterval(iv.edge, root_point.position, iv.hi),
                 ]
                 break
-    return [
-        _SubEdge(iv, point_node(graph, iv.edge, iv.lo), point_node(graph, iv.edge, iv.hi))
-        for iv in intervals
-    ]
+    return intervals
 
 
 def _find_cycle(adj: list[list[int]], lo: list[int], hi: list[int], start: int) -> list[int] | None:
@@ -150,10 +122,6 @@ def _find_cycle(adj: list[list[int]], lo: list[int], hi: list[int], start: int) 
     return None
 
 
-def _node_point(se: _SubEdge, node: tuple) -> PointOnEdge:
-    return PointOnEdge(se.interval.edge, se.node_position(node))
-
-
 def decycle(instance: Instance, subcake: Share, root) -> SubcakeTree:
     """Rooted tree view of a connected subcake.
 
@@ -166,17 +134,19 @@ def decycle(instance: Instance, subcake: Share, root) -> SubcakeTree:
     restarted after every break.  The search runs on ints: each node key is
     interned once, each sub-edge is named by its index in (edge, lo, hi)
     order, and one adjacency, built in index order, is updated in place by
-    each break.
+    each break.  The returned tree keeps those ints.
     """
     root_key, root_point = _resolve_root(instance, subcake, root)
-    subedges = _build_subedges(instance, subcake, root_point)
+    graph = instance.graph
+    intervals = _build_intervals(instance, subcake, root_point)
     keys: list[tuple] = []
     index: dict[tuple, int] = {}
     adj: list[list[int]] = []
     lo: list[int] = []
     hi: list[int] = []
-    for s, se in enumerate(subedges):
-        for key, ends in ((se.lo_node, lo), (se.hi_node, hi)):
+    for s, iv in enumerate(intervals):
+        for pos, ends in ((iv.lo, lo), (iv.hi, hi)):
+            key = point_node(graph, iv.edge, pos)
             node = index.get(key)
             if node is None:
                 node = index[key] = len(keys)
@@ -197,11 +167,10 @@ def decycle(instance: Instance, subcake: Share, root) -> SubcakeTree:
         if cycle is None:
             break
         t = min(cycle)
-        target = subedges[t]
         self_loop = lo[t] == hi[t]
         side_hi = self_loop or node_sort_keys[hi[t]] > node_sort_keys[lo[t]]
         split = hi[t] if side_hi else lo[t]
-        iv = target.interval
+        iv = intervals[t]
         duplicate_key = ("d", iv.edge, iv.lo, iv.hi, len(record))
         duplicate = len(keys)
         keys.append(duplicate_key)
@@ -212,35 +181,28 @@ def decycle(instance: Instance, subcake: Share, root) -> SubcakeTree:
             adj[split].remove(t)
         if side_hi:
             hi[t] = duplicate
-            target.hi_node = duplicate_key
         else:
             lo[t] = duplicate
-            target.lo_node = duplicate_key
         record.append(DecycleEntry(keys[split], duplicate_key, iv))
 
-    parent: dict = {root_key: None}
-    children: dict = {}
+    children: list[list[tuple[int, int]]] = [[] for _ in keys]
     order = [root_node]
-    stack = [root_node]
     seen = [False] * len(keys)
     seen[root_node] = True
+    stack = [root_node]
     while stack:
         node = stack.pop()
-        node_key = keys[node]
-        kids = []
+        kids = children[node]
         for s in adj[node]:
             other = hi[s] if node == lo[s] else lo[s]
-            if seen[other]:
-                continue
-            seen[other] = True
-            kids.append((other, s))
-            parent[keys[other]] = (node_key, subedges[s])
-            order.append(other)
-            stack.append(other)
+            if not seen[other]:
+                seen[other] = True
+                kids.append((other, s))
+                order.append(other)
+                stack.append(other)
         kids.sort(key=lambda k: (node_sort_keys[k[0]], k[1]))
-        children[node_key] = [(keys[other], subedges[s]) for other, s in kids]
-    check(len(order) == len(index) + len(record), "decycle produced a disconnected view")
-    return SubcakeTree(root_key, [keys[node] for node in order], parent, children, tuple(record))
+    check(len(order) == len(keys), "decycle produced a disconnected view")
+    return SubcakeTree(keys, intervals, lo, hi, root_node, order, children, tuple(record))
 
 
 def _resolve_root(instance: Instance, subcake: Share, root) -> tuple[tuple, PointOnEdge | None]:
@@ -251,6 +213,17 @@ def _resolve_root(instance: Instance, subcake: Share, root) -> tuple[tuple, Poin
         node = point_node(graph, root.edge, root.position)
         return node, (root if node[0] == "p" else None)
     raise ValueError(f"root must be a vertex id or PointOnEdge, got {root!r}")
+
+
+def _subtree_edges(tree: SubcakeTree, node: int) -> list[int]:
+    """Sub-edges below ``node``."""
+    out = []
+    stack = [node]
+    while stack:
+        for child, s in tree.children[stack.pop()]:
+            out.append(s)
+            stack.append(child)
+    return out
 
 
 def divide(
@@ -282,22 +255,16 @@ def divide(
     leads = tuple(groups)
 
     tree = decycle(instance, subcake, root)
+    intervals = tree.intervals
+    edge_value = [{a: eval_interval(instance, a, iv) for a in leads} for iv in intervals]
+    if ledger is not None:
+        ledger.record_eval(len(agents) * len(intervals))
 
-    edge_values: dict[int, dict[int, Rational]] = {}
-    subtree: dict[tuple, dict[int, Rational]] = {}
-
-    def edge_value(se: _SubEdge) -> dict[int, Rational]:
-        vals = edge_values.get(id(se))
-        if vals is None:
-            vals = edge_values[id(se)] = {a: eval_interval(instance, a, se.interval) for a in leads}
-            if ledger is not None:
-                ledger.record_eval(len(agents))
-        return vals
-
-    for node in reversed(tree.nodes):
+    subtree: list = [None] * len(tree.keys)
+    for node in reversed(tree.order):
         acc = {a: ZERO for a in leads}
-        for child, se in tree.children[node]:
-            below, along = subtree[child], edge_value(se)
+        for child, s in tree.children[node]:
+            below, along = subtree[child], edge_value[s]
             for a in leads:
                 acc[a] += below[a] + along[a]
         subtree[node] = acc
@@ -306,7 +273,7 @@ def divide(
     v = tree.root
     while True:
         descend = None
-        for child, _se in tree.children[v]:
+        for child, _s in tree.children[v]:
             if any(subtree[child][a] >= beta for a in leads):
                 descend = child
                 break
@@ -314,72 +281,64 @@ def divide(
             break
         v = descend
 
-    branch_value = {
-        child: {a: subtree[child][a] + edge_value(se)[a] for a in leads}
-        for child, se in tree.children[v]
-    }
+    branches = [
+        (child, s, {a: subtree[child][a] + edge_value[s][a] for a in leads})
+        for child, s in tree.children[v]
+    ]
 
-    case1 = None
-    for child, se in tree.children[v]:
-        if any(branch_value[child][a] >= beta for a in leads):
-            case1 = (child, se)
-            break
-
-    all_intervals = [se.interval for _, kids in tree.children.items() for _, se in kids]
+    case1 = next((b for b in branches if any(b[2][a] >= beta for a in leads)), None)
 
     if case1 is not None:
-        w, se = case1
-        anchor = "lo" if se.lo_node == w else "hi"
+        w, s, branch = case1
+        iv = intervals[s]
+        anchor = "lo" if tree.lo[s] == w else "hi"
         best_pos = best_dist = witness = None
         for a in leads:
-            if branch_value[w][a] < beta:
+            if branch[a] < beta:
                 continue
             if ledger is not None:
                 ledger.record_cut(len(groups[a]))
             target = beta - subtree[w][a]
-            pos = cut(instance, a, se.interval, anchor, target).position
-            distance = pos - se.interval.lo if anchor == "lo" else se.interval.hi - pos
+            pos = cut(instance, a, iv, anchor, target).position
+            distance = pos - iv.lo if anchor == "lo" else iv.hi - pos
             if best_pos is None or distance < best_dist:
                 best_pos, best_dist, witness = pos, distance, a
-        iv = se.interval
         if anchor == "lo":
             taken = EdgeInterval(iv.edge, iv.lo, best_pos)
             rest = EdgeInterval(iv.edge, best_pos, iv.hi)
         else:
             taken = EdgeInterval(iv.edge, best_pos, iv.hi)
             rest = EdgeInterval(iv.edge, iv.lo, best_pos)
-        first_intervals = tree.subtree_intervals(w) + [taken]
-        remainder_intervals = [x for x in all_intervals if x is not iv and x not in first_intervals]
-        remainder_intervals.append(rest)
+        first_edges = set(_subtree_edges(tree, w))
+        first_intervals = [x for i, x in enumerate(intervals) if i in first_edges] + [taken]
+        remainder_intervals = [
+            x for i, x in enumerate(intervals) if i != s and i not in first_edges
+        ] + [rest]
         if trace is not None:
-            trace.append({"at": v, "case": 1, "cut": (iv.edge, best_pos), "witness": witness})
+            trace.append({"at": tree.keys[v], "case": 1, "cut": (iv.edge, best_pos), "witness": witness})
     else:
-        taken_children: list[tuple] = []
         acc = {a: ZERO for a in leads}
         witness = None
-        for child, se in tree.children[v]:
-            taken_children.append(child)
+        first_edges = set()
+        for taken_children, (child, s, branch) in enumerate(branches, start=1):
+            first_edges.add(s)
+            first_edges.update(_subtree_edges(tree, child))
             for a in leads:
-                acc[a] += branch_value[child][a]
+                acc[a] += branch[a]
             qualifiers = [a for a in leads if acc[a] >= beta]
             if qualifiers:
                 witness = min(qualifiers)
                 break
         check(witness is not None, "subtree walk must reach the threshold")
-        first_intervals = []
-        for child, se in tree.children[v]:
-            if child in taken_children:
-                first_intervals.append(se.interval)
-                first_intervals.extend(tree.subtree_intervals(child))
-        first_set = {id(x) for x in first_intervals}
-        remainder_intervals = [x for x in all_intervals if id(x) not in first_set]
+        first_intervals = [x for i, x in enumerate(intervals) if i in first_edges]
+        remainder_intervals = [x for i, x in enumerate(intervals) if i not in first_edges]
         if not remainder_intervals:
             # Remainder degenerates to the split node itself.
-            anchor_se = tree.children[v][0][1]
-            p = _node_point(anchor_se, v)
-            remainder_intervals = [EdgeInterval(p.edge, p.position, p.position)]
+            s = tree.children[v][0][1]
+            pos = intervals[s].lo if tree.lo[s] == v else intervals[s].hi
+            remainder_intervals = [EdgeInterval(intervals[s].edge, pos, pos)]
         if trace is not None:
-            trace.append({"at": v, "case": 2, "children": len(taken_children), "witness": witness})
+            trace.append({"at": tree.keys[v], "case": 2, "children": taken_children, "witness": witness})
 
     graph = instance.graph
     first = canonical_share(graph, first_intervals)

@@ -42,6 +42,15 @@ def format_rational(value: Rational) -> str:
     return str(rational(value))
 
 
+def _json_id(value: Any, expected: type, what: str) -> Any:
+    """``value`` if its type is exactly ``expected``: JSON ``true`` is a bool,
+    and must not pass for agent 1."""
+    if type(value) is not expected:
+        noun = "a string" if expected is str else "an integer"
+        raise ValueError(f"{what} must be {noun}, got {value!r}")
+    return value
+
+
 def dumps_canonical(payload: Any) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
@@ -79,16 +88,20 @@ def instance_from_dict(data: dict) -> Instance:
     try:
         gdata = data["graph"]
         graph = Graph(
-            tuple(gdata["vertices"]),
-            tuple(Edge(e["id"], (e["endpoints"][0], e["endpoints"][1])) for e in gdata["edges"]),
+            tuple(_json_id(v, str, "vertex id") for v in gdata["vertices"]),
+            tuple(
+                Edge(
+                    _json_id(e["id"], str, "edge id"),
+                    tuple(_json_id(e["endpoints"][k], str, "edge endpoint") for k in (0, 1)),
+                )
+                for e in gdata["edges"]
+            ),
         )
         valuations = {}
         agents = []
         densities: dict[tuple, StepDensity] = {}  # equal texts parse once
         for entry in data["agents"]:
-            agent = entry["id"]
-            if not isinstance(agent, int):
-                raise ValueError(f"agent id must be an integer, got {agent!r}")
+            agent = _json_id(entry["id"], int, "agent id")
             agents.append(agent)
             valuation = {}
             for edge_id, dens in entry["valuation"].items():
@@ -141,7 +154,7 @@ def allocation_from_dict(instance: Instance, data: dict) -> tuple[Allocation, di
     try:
         shares = {}
         for entry in data["agents"]:
-            agent = entry["id"]
+            agent = _json_id(entry["id"], int, "allocation agent id")
             if agent not in instance.agents:
                 raise ValueError(f"allocation names agent {agent!r}, which the instance lacks")
             if agent in shares:

@@ -179,26 +179,6 @@ def node_sort_key(node: tuple) -> tuple:
     return (1, node[1], node[2])
 
 
-def node_as_point(graph: Graph, node: tuple) -> PointOnEdge:
-    """Some PointOnEdge representation of a node (smallest incident edge)."""
-    if node[0] == "p":
-        return PointOnEdge(node[1], node[2])
-    vid = node[1]
-    best = None
-    for e in graph.edges:
-        if e.endpoints[0] == vid:
-            cand = PointOnEdge(e.id, ZERO)
-        elif e.endpoints[1] == vid:
-            cand = PointOnEdge(e.id, ONE)
-        else:
-            continue
-        if best is None or (cand.edge, cand.position) < (best.edge, best.position):
-            best = cand
-    if best is None:
-        raise ValueError(f"vertex {vid!r} has no incident edge")
-    return best
-
-
 def share_covers_node(graph: Graph, share: Share, node: tuple) -> bool:
     if node[0] == "p":
         _, edge_id, pos = node

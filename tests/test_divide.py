@@ -5,9 +5,9 @@ import pytest
 
 from graphcake.divide import (
     DecycleEntry,
-    SubcakeTree,
-    _build_subedges,
+    _build_intervals,
     _resolve_root,
+    _subtree_edges,
     decycle,
     divide,
 )
@@ -44,15 +44,15 @@ def values(instance, share, agents=None):
 def test_decycle_triangle_breaks_one_cycle():
     inst = triangle_instance()
     tree = decycle(inst, full_cake(inst.graph), "a")
-    assert tree.node_count == 4
-    assert tree.edge_count == 3
+    assert len(tree.order) == 4
+    assert len(tree.intervals) == 3
     assert len(tree.record) == 1
 
 
 def test_decycle_tree_is_identity():
     inst = star_instance(3)
     tree = decycle(inst, full_cake(inst.graph), "c")
-    assert tree.node_count == 4
+    assert len(tree.order) == 4
     assert tree.record == ()
 
 
@@ -60,7 +60,7 @@ def test_decycle_preserves_values():
     inst = triangle_instance()
     whole = full_cake(inst.graph)
     tree = decycle(inst, whole, "b")
-    collected = Share(tuple(tree.subtree_intervals(tree.root)))
+    collected = Share(tuple(tree.intervals[s] for s in _subtree_edges(tree, tree.root)))
     for agent in inst.agents:
         assert eval_share(inst, agent, collected) == eval_share(inst, agent, whole)
 
@@ -84,18 +84,35 @@ def test_decycle_self_loop_stays_under_its_vertex():
     loop = EdgeInterval("e1", F(0), F(1))
     assert tree.record[0] == DecycleEntry(("v", "a"), ("d", "e1", F(0), F(1), 0), loop)
     assert len(tree.record) == 2
-    assert tree.node_count == 4 and tree.edge_count == 3
-    assert [(child, se.interval) for child, se in tree.children[("v", "a")]] == [
+    assert len(tree.order) == 4 and len(tree.intervals) == 3
+    a = tree.keys.index(("v", "a"))
+    assert [(tree.keys[child], tree.intervals[s]) for child, s in tree.children[a]] == [
         (("d", "e1", F(0), F(1), 0), loop),
         (("d", "e2", F(0), F(1), 1), EdgeInterval("e2", F(0), F(1))),
     ]
-    assert tree.parent[("d", "e1", F(0), F(1), 0)][0] == ("v", "a")
+    duplicate = tree.keys.index(("d", "e1", F(0), F(1), 0))
+    assert [node for node in tree.order if (duplicate, 0) in tree.children[node]] == [a]
 
 
 # ---------------------------------------------------------------------------
 # decycle against a restart-from-scratch oracle: the decycle of an earlier
-# version, which rebuilt a node-keyed adjacency before every cycle search.
-# Only ``se.sort_key`` became ``_sort_key(se)``.
+# version, which kept tuple-keyed sub-edges and rebuilt a node-keyed
+# adjacency before every cycle search.  Only ``se.sort_key`` became
+# ``_sort_key(se)``, and the tree comes back as ``tree_shape`` tuples.
+
+
+class _SubEdge:
+    """One interval of the subcake with (mutable) endpoint node keys."""
+
+    __slots__ = ("interval", "lo_node", "hi_node")
+
+    def __init__(self, interval, lo_node, hi_node):
+        self.interval = interval
+        self.lo_node = lo_node
+        self.hi_node = hi_node
+
+    def other(self, node):
+        return self.hi_node if node == self.lo_node else self.lo_node
 
 
 def _sort_key(se):
@@ -148,9 +165,17 @@ def _find_cycle(subedges, start):
     return None
 
 
+def _edge(se):
+    return (se.interval, se.lo_node, se.hi_node)
+
+
 def restart_decycle(instance, subcake, root):
     root_node, root_point = _resolve_root(instance, subcake, root)
-    subedges = _build_subedges(instance, subcake, root_point)
+    graph = instance.graph
+    subedges = [
+        _SubEdge(iv, point_node(graph, iv.edge, iv.lo), point_node(graph, iv.edge, iv.hi))
+        for iv in _build_intervals(instance, subcake, root_point)
+    ]
     nodes = {se.lo_node for se in subedges} | {se.hi_node for se in subedges}
     if root_node not in nodes:
         raise ValueError(f"root {root!r} is not a point of the subcake")
@@ -199,23 +224,31 @@ def restart_decycle(instance, subcake, root):
     for node in order:
         children.setdefault(node, [])
     check(len(order) == len(nodes) + len(record), "decycle produced a disconnected view")
-    return SubcakeTree(root_node, order, parent, children, tuple(record))
+    return (
+        root_node,
+        order,
+        {node: None if up is None else (up[0], _edge(up[1])) for node, up in parent.items()},
+        {node: [(child, _edge(se)) for child, se in kids] for node, kids in children.items()},
+        tuple(record),
+    )
 
 
 def tree_shape(tree):
-    """Everything a SubcakeTree holds, with sub-edges by value and the
-    insertion order of ``parent`` and ``children``."""
+    """A SubcakeTree read through its point keys: the root, the node order,
+    each node's parent and its children in order, with sub-edges by value,
+    and the record."""
+    keys = tree.keys
 
-    def edge(se):
-        return (se.interval, se.lo_node, se.hi_node)
+    def edge(s):
+        return (tree.intervals[s], keys[tree.lo[s]], keys[tree.hi[s]])
 
-    return (
-        tree.root,
-        tree.nodes,
-        [(node, None if up is None else (up[0], edge(up[1]))) for node, up in tree.parent.items()],
-        [(node, [(child, edge(se)) for child, se in kids]) for node, kids in tree.children.items()],
-        tree.record,
-    )
+    parent = {keys[tree.root]: None}
+    children = {}
+    for node in tree.order:
+        children[keys[node]] = [(keys[child], edge(s)) for child, s in tree.children[node]]
+        for child, s in tree.children[node]:
+            parent[keys[child]] = (keys[node], edge(s))
+    return (keys[tree.root], [keys[node] for node in tree.order], parent, children, tree.record)
 
 
 def random_multigraph_instance(rng):
@@ -251,7 +284,7 @@ def random_root(rng, instance, subcake):
 
 def assert_decycle_matches_oracle(instance, subcake, root):
     try:
-        expected = tree_shape(restart_decycle(instance, subcake, root))
+        expected = restart_decycle(instance, subcake, root)
     except ValueError:
         with pytest.raises(ValueError):
             decycle(instance, subcake, root)
@@ -335,6 +368,35 @@ def test_divide_rejects_bad_beta():
         divide(inst, full_cake(inst.graph), (1, 2), F(2), "a")
     with pytest.raises(ValueError):
         divide(inst, full_cake(inst.graph), (), F(1, 4), "a")
+
+
+def test_divide_trace_case1_names_cut_and_split_point():
+    inst = single_edge_instance()
+    trace = []
+    divide(inst, full_cake(inst.graph), (1, 2), F(1, 4), "b", trace=trace)
+    assert trace == [{"at": ("v", "b"), "case": 1, "cut": ("e1", F(1, 4)), "witness": 1}]
+    trace = []
+    divide(inst, full_cake(inst.graph), (1, 2), F(1, 8), PointOnEdge("e1", F(1, 2)), trace=trace)
+    assert trace == [{"at": ("p", "e1", F(1, 2)), "case": 1, "cut": ("e1", F(1, 8)), "witness": 1}]
+
+
+def test_divide_trace_case2_counts_taken_children(fig1):
+    trace = []
+    first, rest = divide(fig1, full_cake(fig1.graph), (1, 2), F(2, 3), "c", trace=trace)
+    assert trace == [{"at": ("v", "c"), "case": 2, "children": 2, "witness": 1}]
+    assert rest.intervals == (EdgeInterval("e3", F(0), F(1)),)
+    # Two legs c-x-y of two edges each: both legs go, and "c" stays behind.
+    graph = Graph(
+        ("c", "x1", "x2", "y1", "y2"),
+        (Edge("e1", ("c", "x1")), Edge("e2", ("x1", "y1")), Edge("e3", ("c", "x2")), Edge("e4", ("x2", "y2"))),
+    )
+    val = {e.id: uniform_density(F(1, 4)) for e in graph.edges}
+    spider = Instance(graph, (1, 2), {1: val, 2: val})
+    trace = []
+    first, rest = divide(spider, full_cake(graph), (1, 2), F(3, 4), "c", trace=trace)
+    assert trace == [{"at": ("v", "c"), "case": 2, "children": 2, "witness": 1}]
+    assert first == full_cake(graph)
+    assert rest.intervals == (EdgeInterval("e1", F(0), F(0)),)
 
 
 def test_divide_determinism(fig1):

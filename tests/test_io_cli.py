@@ -25,7 +25,7 @@ from graphcake.model import Allocation, EdgeInterval, Share, eval_share, full_ca
 from graphcake.psn import psn_certificate
 from graphcake.solvers import SOLVERS
 
-from conftest import F
+from conftest import F, path_instance, star_instance, triangle_instance
 
 
 def test_parse_rational_strict():
@@ -59,9 +59,12 @@ def test_parse_rational_agrees_with_fraction(text):
 # Loader fuzzing: mutated valid JSON is either accepted or rejected with
 # ValueError, never another exception.
 
-JUNK = st.recursive(
+SCALAR_JUNK = (
     st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=4)
-    | st.sampled_from(["1/0", "-1/2", "3/2", "0", "1", "e1", "zz", "c", "v1"]),
+    | st.sampled_from(["1/0", "-1/2", "3/2", "0", "1", "e1", "zz", "c", "v1"])
+)
+JUNK = st.recursive(
+    SCALAR_JUNK,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=4,
 )
@@ -74,10 +77,37 @@ def _paths(node, path=()):
         yield from _paths(child, path + (key,))
 
 
+def _id_kind(path):
+    """The kind of id at ``path``: "vertex" for a graph vertex or an edge
+    endpoint, "agent" for an agent id, else None."""
+    if len(path) >= 2 and path[-2] in ("vertices", "endpoints"):
+        return "vertex"
+    if len(path) >= 3 and path[-3] == "agents" and path[-1] == "id":
+        return "agent"
+    return None
+
+
+def _parent_of(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def rename_id(doc, kind, old, new):
+    """Rename, in place, every ``kind`` id of ``doc`` equal to ``old``."""
+    for path in list(_paths(doc)):
+        if _id_kind(path) == kind:
+            parent = _parent_of(doc, path)
+            if parent[path[-1]] == old:
+                parent[path[-1]] = new
+    return doc
+
+
 @st.composite
 def mutated(draw, document):
     """``document`` with one to three mutations: a dropped key or item, a
-    junk or foreign value, or a reversed list or interval."""
+    junk or foreign value, a reversed list or interval, or one vertex or
+    agent id renamed to scalar junk wherever it is named."""
     doc = copy.deepcopy(document)
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_paths(doc))
@@ -85,12 +115,14 @@ def mutated(draw, document):
         if not path:
             doc = draw(JUNK)
             continue
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
+        parent = _parent_of(doc, path)
         key = path[-1]
-        kind = draw(st.sampled_from(["drop", "replace", "reverse"]))
-        if kind == "drop":
+        kind = draw(st.sampled_from(["drop", "replace", "reverse", "rename"]))
+        if kind == "rename":
+            ids = [(_id_kind(p), _parent_of(doc, p)[p[-1]]) for p in paths if _id_kind(p)]
+            if ids:
+                rename_id(doc, *draw(st.sampled_from(ids)), draw(SCALAR_JUNK))
+        elif kind == "drop":
             del parent[key]
         elif kind == "replace":
             parent[key] = draw(JUNK)
@@ -109,9 +141,11 @@ FUZZ_ALLOCATION = iterative_divide(FUZZ_INSTANCE)
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_load_instance_rejects_mutations_with_value_error(document):
     try:
-        load_instance(json.dumps(document))
+        instance = load_instance(json.dumps(document))
     except ValueError:
-        pass
+        return
+    assert all(type(v) is str for v in instance.graph.vertices)
+    assert all(type(a) is int for a in instance.agents)
 
 
 @given(mutated(json.loads(save_allocation(FUZZ_INSTANCE, FUZZ_ALLOCATION, {"note": "1/2"}))))
@@ -370,6 +404,84 @@ def test_cli_verify_rejects_duplicate_agent(tmp_path, capsys):
     )
     assert code == 2
     assert "agent 1 twice" in capsys.readouterr().err
+
+
+def _exit_and_stderr(capsys, *args):
+    code = run_cli(*args)
+    return code, capsys.readouterr().err
+
+
+SOLVE_COMMANDS = {
+    "iterative-divide": ("solve", "--algorithm", "iterative-divide"),
+    "identical-2eps": ("solve", "--algorithm", "identical-2eps"),
+    "star-identical-2ef": ("solve", "--algorithm", "star-identical-2ef"),
+    "psn": ("psn",),
+    "psn-lift": ("psn-lift",),
+}
+
+
+@pytest.mark.parametrize(
+    "instance, renames, command",
+    [
+        (instance, renames, command)
+        for instance, renames, commands in [
+            (path_instance(2), {"u0": 0}, ("iterative-divide", "identical-2eps", "psn", "psn-lift")),
+            (triangle_instance(), {"a": 0}, ("iterative-divide", "identical-2eps", "psn", "psn-lift")),
+            (path_instance(2), {"u0": None}, ("iterative-divide", "identical-2eps", "psn", "psn-lift")),
+            (triangle_instance(), {"a": 1.5}, ("iterative-divide", "psn")),
+            (star_instance(2), {"c": None}, ("star-identical-2ef",)),
+            (star_instance(2), {"c": 1.5}, ("star-identical-2ef",)),
+            (triangle_instance(), {"a": 0, "b": 1, "c": 2}, ("psn", "psn-lift")),
+        ]
+        for command in commands
+    ],
+)
+def test_cli_non_string_vertex_ids_exit_2(tmp_path, capsys, instance, renames, command):
+    doc = json.loads(save_instance(instance))
+    for old, new in renames.items():
+        rename_id(doc, "vertex", old, new)
+    inst_file = tmp_path / "i.json"
+    inst_file.write_text(json.dumps(doc))
+    code, err = _exit_and_stderr(
+        capsys, *SOLVE_COMMANDS[command], "--instance", str(inst_file), "--output", str(tmp_path / "o.json")
+    )
+    assert code == 2
+    assert err.count("\n") == 1 and "vertex id must be a string" in err
+
+
+def test_cli_non_string_edge_ids_exit_2(tmp_path, capsys):
+    doc = json.loads(save_instance(path_instance(2)))
+    doc["graph"]["edges"][0]["id"] = 1
+    doc["agents"][0]["valuation"]["1"] = doc["agents"][0]["valuation"].pop("e1")
+    inst_file = tmp_path / "i.json"
+    inst_file.write_text(json.dumps(doc))
+    code, err = _exit_and_stderr(capsys, "psn", "--instance", str(inst_file))
+    assert code == 2
+    assert err.count("\n") == 1 and "edge id must be a string" in err
+
+
+def test_cli_boolean_agent_id_exits_2(tmp_path, capsys):
+    doc = json.loads(save_instance(path_instance(2)))
+    rename_id(doc, "agent", 1, True)
+    inst_file = tmp_path / "i.json"
+    inst_file.write_text(json.dumps(doc))
+    code, err = _exit_and_stderr(
+        capsys, "solve", "--algorithm", "iterative-divide", "--instance", str(inst_file),
+        "--output", str(tmp_path / "o.json"),
+    )
+    assert code == 2
+    assert err.count("\n") == 1 and "agent id must be an integer" in err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("agent", [True, 1.0])
+def test_cli_verify_rejects_non_integer_agent_id(tmp_path, capsys, agent):
+    def edit(agents):
+        agents[0]["id"] = agent
+
+    assert _verify_edited_allocation(tmp_path, edit) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "agent id must be an integer" in err
 
 
 def test_cli_psn_certificate(tmp_path):
