@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .rational import Rational, rational
 
 from .divide import divide
+from .fairness import pseudo_ratio
 from .iterative import identical_four_ef
 from .model import (
     Allocation,
@@ -33,41 +34,28 @@ from .model import (
 from .star_eps import clamp_epsilon
 
 
-@dataclass(frozen=True)
-class MinMaxPath:
-    """Repeat-free chain of touching shares from a minimum to a maximum."""
-
-    agents: tuple[int, ...]
-    shares: tuple[Share, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.shares)
-
-
 def _share_values(instance: Instance, allocation: Allocation, ledger=None) -> list[Rational]:
     mu = instance.agents[0]
     return [eval_share(instance, mu, s, ledger) for s in allocation.shares]
 
 
-def min_max_path(instance: Instance, allocation: Allocation, ledger=None) -> MinMaxPath:
-    """Shortest contact-graph path from a minimum share to a maximum share.
+def min_max_path(instance: Instance, allocation: Allocation, ledger=None) -> list[int]:
+    """Share indices of a shortest contact-graph path from a minimum share to
+    a maximum share, e.g. ``[1, 0]``; ``[start]`` when they coincide.
 
     A shortest path never repeats a share, so the four chain conditions hold
-    by construction.  Ties on the endpoints go to the smallest agent id, and
-    the breadth-first search expands neighbors in agent order.
+    by construction.  Ties on the endpoints go to the smallest index, and
+    the breadth-first search expands neighbors in index order.
     """
     values = _share_values(instance, allocation, ledger)
-    lo = min(values)
-    hi = max(values)
-    start = values.index(lo)
-    goal = values.index(hi)
+    start = values.index(min(values))
+    goal = values.index(max(values))
     if start == goal:
-        return MinMaxPath((instance.agents[start],), (allocation.shares[start],))
+        return [start]
 
     graph = instance.graph
     n = instance.n
-    touch: dict[int, list[int]] = {i: [] for i in range(n)}
+    touch: list[list[int]] = [[] for _ in range(n)]  # ascending by construction
     for i in range(n):
         if allocation.shares[i].is_empty:
             continue
@@ -83,7 +71,7 @@ def min_max_path(instance: Instance, allocation: Allocation, ledger=None) -> Min
     while frontier and goal not in prev:
         nxt = []
         for i in frontier:
-            for j in sorted(touch[i]):
+            for j in touch[i]:
                 if j not in prev:
                     prev[j] = i
                     nxt.append(j)
@@ -94,10 +82,7 @@ def min_max_path(instance: Instance, allocation: Allocation, ledger=None) -> Min
     while chain[-1] != start:
         chain.append(prev[chain[-1]])
     chain.reverse()
-    return MinMaxPath(
-        tuple(instance.agents[i] for i in chain),
-        tuple(allocation.shares[i] for i in chain),
-    )
+    return chain
 
 
 def _as_root(node: tuple) -> str | PointOnEdge:
@@ -137,9 +122,12 @@ def balance_path(
     """One balancing pass along a min-to-max chain of shares.
 
     Walks the chain absorbing under-filled shares into their successors and
-    re-cutting, stopping early when a share already meets gamma/(2+epsilon)
-    or when an absorbed pair stays small enough to be refilled from the
-    maximum share instead.
+    re-cutting.  The walk exits once, with the outcome's kind and 1-based
+    index: "noop" when the first share already meets gamma/(2+epsilon),
+    "case1" (index i) when share i is the first later one to meet it,
+    "case2" (index i) when shares i and i + 1 together stay small enough to
+    be refilled from the maximum share instead, and "case3" when the walk
+    reaches the maximum share.
     """
     graph = instance.graph
     mu = instance.agents[0]
@@ -149,18 +137,12 @@ def balance_path(
     gamma = old_values[-1]
     agents = tuple(instance.agents)
 
-    def value(i: int) -> Rational:
-        return eval_share(instance, mu, work[i], ledger)
-
     low = gamma / (2 + epsilon)
+    kind, index = "case3", None
     for i in range(d - 1):
-        if value(i) >= low:
-            kind = "case1" if i > 0 else "noop"
-            outcome = BalanceOutcome(
-                kind, i + 1 if i > 0 else None, gamma, old_values,
-                tuple(eval_share(instance, mu, s) for s in work),
-            )
-            return tuple(work), outcome
+        if eval_share(instance, mu, work[i], ledger) >= low:
+            kind, index = ("case1", i + 1) if i > 0 else ("noop", None)
+            break
         union = canonical_share(graph, work[i].intervals + work[i + 1].intervals)
         if eval_share(instance, mu, union, ledger) < 2 * low:
             # Impossible at the last step: that union contains the maximum share.
@@ -170,21 +152,15 @@ def balance_path(
             work[i + 1], work[d - 1] = divide(
                 instance, work[d - 1], agents, gamma / 3, root, ledger
             )
-            outcome = BalanceOutcome(
-                "case2", i + 1, gamma, old_values,
-                tuple(eval_share(instance, mu, s) for s in work),
-            )
-            return tuple(work), outcome
+            kind, index = "case2", i + 1
+            break
         if i == d - 2:
             root = _root_point(graph, work[d - 1])
         else:
             root = _contact_point(graph, work[i + 1], work[i + 2])
         work[i], work[i + 1] = divide(instance, union, agents, low, root, ledger)
-    outcome = BalanceOutcome(
-        "case3", None, gamma, old_values,
-        tuple(eval_share(instance, mu, s) for s in work),
-    )
-    return tuple(work), outcome
+    new_values = tuple(eval_share(instance, mu, s) for s in work)
+    return tuple(work), BalanceOutcome(kind, index, gamma, old_values, new_values)
 
 
 def verify_balance_outcome(outcome: BalanceOutcome, epsilon: Rational) -> None:
@@ -221,27 +197,10 @@ def verify_balance_outcome(outcome: BalanceOutcome, epsilon: Rational) -> None:
         raise ContractViolation(f"unclassifiable balancing pass: {outcome.kind}")
 
 
-def balance(
-    instance: Instance, allocation: Allocation, epsilon: Rational, ledger=None
-) -> tuple[Allocation, BalanceOutcome]:
-    """Replace the shares along one min-to-max chain by their balanced version."""
-    path = min_max_path(instance, allocation, ledger)
-    check(path.length >= 2, "balancing requires distinct min and max shares")
-    new_shares, outcome = balance_path(instance, path.shares, epsilon, ledger)
-    shares = list(allocation.shares)
-    for agent, share in zip(path.agents, new_shares):
-        shares[agent - 1] = share
-    return Allocation(tuple(shares)), outcome
-
-
 def is_pseudo_four_ef(values: list[Rational]) -> bool:
     """Max/min ratio at most 4 after ignoring one minimum-value share."""
-    if min(values) <= 0:
-        return False
-    rest = sorted(values)[1:]
-    if not rest:
-        return True
-    return max(rest) <= 4 * min(rest)
+    ratio = pseudo_ratio(values)
+    return ratio is not None and ratio <= 4
 
 
 def recursive_balance(
@@ -270,7 +229,15 @@ def recursive_balance(
     while max(values) > (2 + epsilon) * min(values):
         check(calls < max_calls, f"balancing exceeded {max_calls} passes")
         previous_max = max(values)
-        allocation, outcome = balance(instance, allocation, epsilon, ledger)
+        chain = min_max_path(instance, allocation, ledger)
+        check(len(chain) >= 2, "balancing requires distinct min and max shares")
+        new_shares, outcome = balance_path(
+            instance, tuple(allocation.shares[i] for i in chain), epsilon, ledger
+        )
+        shares = list(allocation.shares)
+        for i, share in zip(chain, new_shares):
+            shares[i] = share
+        allocation = Allocation(tuple(shares))
         calls += 1
         if log is not None:
             log.append(outcome)

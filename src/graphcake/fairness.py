@@ -38,10 +38,6 @@ class FairnessReport:
     proportionality_factor: Rational | None
     pseudo_ef: Rational | None
 
-    @property
-    def n(self) -> int:
-        return len(self.matrix)
-
     def as_dict(self) -> dict:
         def enc(x, missing):
             return str(x) if x is not None else missing
@@ -94,15 +90,21 @@ def pseudo_ef_factor(instance: Instance, allocation: Allocation) -> Rational | N
 
 
 def _pseudo_ef(instance: Instance, share_values: Iterable[Rational]) -> Rational | None:
-    """``pseudo_ef_factor`` from the first agent's value of every share;
+    """``pseudo_ef_factor`` from the first agent's value of every share: their
+    ``pseudo_ratio`` under identical valuations and n > 1, else None.
     ``share_values`` is consumed only when the factor is defined."""
     if instance.n == 1 or not instance.identical_valuations():
         return None
-    values = sorted(share_values)
-    if values[0] == 0:
+    return pseudo_ratio(share_values)
+
+
+def pseudo_ratio(values: Iterable[Rational]) -> Rational | None:
+    """Max/min ratio of share values after ignoring one minimum-value share:
+    None when that minimum is worthless, 1 when no other share remains."""
+    values = sorted(values)
+    if values[0] <= 0:
         return None
-    rest = values[1:]
-    return max(rest) / min(rest) if rest else rational(1)
+    return values[-1] / values[1] if len(values) > 1 else rational(1)
 
 
 @dataclass(frozen=True)

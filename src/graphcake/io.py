@@ -51,6 +51,21 @@ def _json_id(value: Any, expected: type, what: str) -> Any:
     return value
 
 
+def _json_list(value: Any, what: str) -> list:
+    """``value`` if it is a JSON list: a string or object would otherwise
+    iterate as its characters or keys."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _endpoints(edge: dict) -> tuple[str, str]:
+    ends = _json_list(edge["endpoints"], "edge endpoints")
+    if len(ends) != 2:
+        raise ValueError(f"an edge has exactly two endpoints, got {ends!r}")
+    return tuple(_json_id(v, str, "edge endpoint") for v in ends)
+
+
 def dumps_canonical(payload: Any) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
@@ -88,24 +103,24 @@ def instance_from_dict(data: dict) -> Instance:
     try:
         gdata = data["graph"]
         graph = Graph(
-            tuple(_json_id(v, str, "vertex id") for v in gdata["vertices"]),
+            tuple(_json_id(v, str, "vertex id") for v in _json_list(gdata["vertices"], "vertices")),
             tuple(
-                Edge(
-                    _json_id(e["id"], str, "edge id"),
-                    tuple(_json_id(e["endpoints"][k], str, "edge endpoint") for k in (0, 1)),
-                )
-                for e in gdata["edges"]
+                Edge(_json_id(e["id"], str, "edge id"), _endpoints(e))
+                for e in _json_list(gdata["edges"], "edges")
             ),
         )
         valuations = {}
         agents = []
         densities: dict[tuple, StepDensity] = {}  # equal texts parse once
-        for entry in data["agents"]:
+        for entry in _json_list(data["agents"], "agents"):
             agent = _json_id(entry["id"], int, "agent id")
             agents.append(agent)
             valuation = {}
             for edge_id, dens in entry["valuation"].items():
-                key = (tuple(dens["breakpoints"]), tuple(dens["densities"]))
+                key = (
+                    tuple(_json_list(dens["breakpoints"], "breakpoints")),
+                    tuple(_json_list(dens["densities"], "densities")),
+                )
                 if key not in densities:
                     densities[key] = StepDensity(
                         tuple(parse_rational(b) for b in key[0]),
@@ -153,7 +168,7 @@ def allocation_to_dict(instance: Instance, allocation: Allocation, metrics: dict
 def allocation_from_dict(instance: Instance, data: dict) -> tuple[Allocation, dict]:
     try:
         shares = {}
-        for entry in data["agents"]:
+        for entry in _json_list(data["agents"], "allocation agents"):
             agent = _json_id(entry["id"], int, "allocation agent id")
             if agent not in instance.agents:
                 raise ValueError(f"allocation names agent {agent!r}, which the instance lacks")
@@ -161,7 +176,7 @@ def allocation_from_dict(instance: Instance, data: dict) -> tuple[Allocation, di
                 raise ValueError(f"allocation lists agent {agent!r} twice")
             intervals = [
                 EdgeInterval(t["edge"], parse_rational(t["from"]), parse_rational(t["to"]))
-                for t in entry["share"]
+                for t in _json_list(entry["share"], "share")
             ]
             shares[agent] = canonical_share(instance.graph, intervals)
         metrics = data.get("metrics", {})

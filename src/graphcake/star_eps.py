@@ -453,6 +453,15 @@ def _assert_trading_invariants(instance: Instance, layout: StarLayout, state: Ph
     check(all(tag != "unserved" for tag in state.tags), "every agent must hold a share")
 
 
+def _holder(shares: tuple[Share, ...] | list[Share], edge_id: str, pos: Rational) -> int | None:
+    """Index of the first share with an interval on ``edge_id`` holding ``pos``."""
+    for idx, share in enumerate(shares):
+        for iv in share.on_edge(edge_id):
+            if iv.lo <= pos <= iv.hi:
+                return idx
+    return None
+
+
 def finalize(instance: Instance, layout: StarLayout, state: PhaseState, ledger=None) -> Allocation:
     """Hand out the leftovers once no trade can improve anyone.
 
@@ -466,27 +475,16 @@ def finalize(instance: Instance, layout: StarLayout, state: PhaseState, ledger=N
     shares = [list(s.intervals) for s in state.shares]
     appended = [0] * instance.n
 
-    def holder_of(edge_id: str, pos: Rational) -> int | None:
-        for idx, share in enumerate(state.shares):
-            for iv in share.on_edge(edge_id):
-                if iv.lo <= pos <= iv.hi:
-                    return idx
-        return None
-
     for edge_id in layout.order:
-        segment_holders = {
-            idx
-            for idx, share in enumerate(state.shares)
-            if state.tags[idx] == "N1" and share.on_edge(edge_id)
-        }
-        if not segment_holders:
+        if not any(
+            tag == "N1" and share.on_edge(edge_id)
+            for share, tag in zip(state.shares, state.tags)
+        ):
             continue
         for gap in _free_intervals(layout, state, edge_id):
             leaf_side, center_side = layout.leafward(edge_id, gap.lo, gap.hi)
-            if leaf_side == layout.leaf_pos(edge_id):
-                recipient = holder_of(edge_id, center_side)
-            else:
-                recipient = holder_of(edge_id, leaf_side)
+            pos = center_side if leaf_side == layout.leaf_pos(edge_id) else leaf_side
+            recipient = _holder(state.shares, edge_id, pos)
             check(recipient is not None, "gap must border an allocated interval")
             shares[recipient].append(gap)
             appended[recipient] += 1
@@ -499,26 +497,13 @@ def finalize(instance: Instance, layout: StarLayout, state: PhaseState, ledger=N
     elif any(tag == "N2" for tag in state.tags):
         recipient = min(i for i, tag in enumerate(state.tags) if tag == "N2")
     else:
-        contested = None
-        for edge_id in layout.order:
-            holders = {
-                idx
-                for idx, share in enumerate(state.shares)
-                if share.on_edge(edge_id)
-            }
-            if len(holders) >= 2:
-                contested = edge_id
-                break
+        contested = next(
+            (e for e in layout.order if sum(1 for s in state.shares if s.on_edge(e)) >= 2),
+            None,
+        )
         if contested is not None:
             # After the gap appends the boundary point is always covered.
-            recipient = None
-            for idx, share in enumerate(mid_shares):
-                for iv in share.on_edge(contested):
-                    if iv.lo <= layout.boundary[contested] <= iv.hi:
-                        recipient = idx
-                        break
-                if recipient is not None:
-                    break
+            recipient = _holder(mid_shares, contested, layout.boundary[contested])
             check(recipient is not None, "contested boundary point must be held")
         else:
             check(state.last_segment_trader is not None, "no trades ever happened")

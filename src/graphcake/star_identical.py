@@ -101,19 +101,14 @@ def star_identical_2ef(instance: Instance, ledger=None) -> Allocation:
             last = peels[-1][0]
             shares[last] = canonical_share(graph, shares[last].intervals + stub_star.intervals)
     else:
-        stubs = [residual(e.id) for e in graph.edges]
-        for iv in stubs:
+        groups = []
+        for e in graph.edges:
+            iv = residual(e.id)
             v = eval_share(instance, mu, Share((iv,)), ledger)
             check(v < quota, f"stub on {iv.edge} still worth {v} >= 1/n")
-        total = sum(
-            (eval_share(instance, mu, Share((iv,))) for iv in stubs), rational(0)
-        )
+            groups.append(StubGroup((iv,), v))
+        total = sum((g.value for g in groups), rational(0))
         check(total == rational(k, n), f"stub total {total} != k/n")
-
-        groups = [
-            StubGroup((iv,), eval_share(instance, mu, Share((iv,))))
-            for iv in stubs
-        ]
         check(len(groups) > k, "stub total k/n forces more stubs than agents")
         merge_log: list[Rational] = []
         while len(groups) > k:

@@ -45,9 +45,9 @@ def test_min_max_path_on_chain():
         Share((EdgeInterval("e3", F(1, 10), F(1)),)),
     ))
     assert share_values(inst, alloc.shares) == [F(1, 2), F(1, 5), F(3, 10)]
-    path = min_max_path(inst, alloc)
-    assert path.agents == (2, 1)
-    assert path.length == 2
+    chain = min_max_path(inst, alloc)
+    assert chain == [1, 0]
+    assert len(chain) == 2
 
 
 def test_min_max_path_all_equal_is_single():
@@ -56,16 +56,16 @@ def test_min_max_path_all_equal_is_single():
         Share((EdgeInterval("e1", F(0), F(1)),)),
         Share((EdgeInterval("e2", F(0), F(1)),)),
     ))
-    path = min_max_path(inst, alloc)
-    assert path.length == 1
-    assert path.agents == (1,)
+    chain = min_max_path(inst, alloc)
+    assert len(chain) == 1
+    assert chain == [0]
 
 
 def test_min_max_path_through_cut_point(fig1):
     alloc = identical_four_ef(fig1)
-    path = min_max_path(fig1, alloc)
-    assert path.length == 2
-    assert share_values(fig1, path.shares) == [F(1, 3), F(2, 3)]
+    chain = min_max_path(fig1, alloc)
+    assert len(chain) == 2
+    assert share_values(fig1, [alloc.shares[i] for i in chain]) == [F(1, 3), F(2, 3)]
 
 
 # ---------------------------------------------------------------------------

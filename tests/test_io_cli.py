@@ -25,7 +25,7 @@ from graphcake.model import Allocation, EdgeInterval, Share, eval_share, full_ca
 from graphcake.psn import psn_certificate
 from graphcake.solvers import SOLVERS
 
-from conftest import F, path_instance, star_instance, triangle_instance
+from conftest import F, path_instance, single_edge_instance, star_instance, triangle_instance
 
 
 def test_parse_rational_strict():
@@ -106,8 +106,10 @@ def rename_id(doc, kind, old, new):
 @st.composite
 def mutated(draw, document):
     """``document`` with one to three mutations: a dropped key or item, a
-    junk or foreign value, a reversed list or interval, or one vertex or
-    agent id renamed to scalar junk wherever it is named."""
+    junk or foreign value, a reversed list or interval, one vertex or agent
+    id renamed to scalar junk wherever it is named, or a list retyped as a
+    string of its items or an object keyed by them (an edge's endpoints may
+    instead gain an item)."""
     doc = copy.deepcopy(document)
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_paths(doc))
@@ -117,11 +119,24 @@ def mutated(draw, document):
             continue
         parent = _parent_of(doc, path)
         key = path[-1]
-        kind = draw(st.sampled_from(["drop", "replace", "reverse", "rename"]))
+        kind = draw(st.sampled_from(["drop", "replace", "reverse", "rename", "retype"]))
         if kind == "rename":
             ids = [(_id_kind(p), _parent_of(doc, p)[p[-1]]) for p in paths if _id_kind(p)]
             if ids:
                 rename_id(doc, *draw(st.sampled_from(ids)), draw(SCALAR_JUNK))
+        elif kind == "retype":
+            lists = [p for p in paths if p and isinstance(_parent_of(doc, p)[p[-1]], list)]
+            if lists:
+                path = draw(st.sampled_from(lists))
+                parent, key = _parent_of(doc, path), path[-1]
+                forms = ["string", "object"] + (["extra"] if key == "endpoints" else [])
+                form = draw(st.sampled_from(forms))
+                if form == "string":
+                    parent[key] = "".join(map(str, parent[key]))
+                elif form == "object":
+                    parent[key] = dict.fromkeys(map(str, parent[key]))
+                else:
+                    parent[key].append(draw(SCALAR_JUNK))
         elif kind == "drop":
             del parent[key]
         elif kind == "replace":
@@ -146,9 +161,26 @@ def test_load_instance_rejects_mutations_with_value_error(document):
         return
     assert all(type(v) is str for v in instance.graph.vertices)
     assert all(type(a) is int for a in instance.agents)
+    graph = document["graph"]
+    assert all(type(x) is list for x in (graph["vertices"], graph["edges"], document["agents"]))
+    assert all(type(e["endpoints"]) is list and len(e["endpoints"]) == 2 for e in graph["edges"])
+    assert all(
+        type(dens[key]) is list
+        for entry in document["agents"]
+        for dens in entry["valuation"].values()
+        for key in ("breakpoints", "densities")
+    )
 
 
-@given(mutated(json.loads(save_allocation(FUZZ_INSTANCE, FUZZ_ALLOCATION, {"note": "1/2"}))))
+# The second file gives agents 2 and 3 empty shares, which a retyped
+# ``share`` string or object could pass for.
+FUZZ_ALLOCATION_DOCS = [
+    json.loads(save_allocation(FUZZ_INSTANCE, FUZZ_ALLOCATION, {"note": "1/2"})),
+    json.loads(save_allocation(FUZZ_INSTANCE, Allocation((full_cake(FUZZ_INSTANCE.graph), Share(()), Share(()))))),
+]
+
+
+@given(st.sampled_from(FUZZ_ALLOCATION_DOCS).flatmap(mutated))
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_load_allocation_rejects_mutations_with_value_error(document):
     try:
@@ -156,6 +188,8 @@ def test_load_allocation_rejects_mutations_with_value_error(document):
     except ValueError:
         return
     assert isinstance(metrics, dict)
+    assert type(document["agents"]) is list
+    assert all(type(entry["share"]) is list for entry in document["agents"])
 
 
 def _cli_document(instance, *args):
@@ -168,7 +202,7 @@ def _cli_document(instance, *args):
 
 
 FUZZ_INSTANCE_DOC = json.loads(save_instance(FUZZ_INSTANCE))
-FUZZ_ALLOCATION_DOC = json.loads(save_allocation(FUZZ_INSTANCE, FUZZ_ALLOCATION, {"note": "1/2"}))
+FUZZ_ALLOCATION_DOC = FUZZ_ALLOCATION_DOCS[0]
 FUZZ_IDENTICAL = generate(GeneratorSpec("random-connected", m=4, n=3, pieces=2, identical=True, seed=5))
 # (instance, allocation) pairs to mutate: metrics that name no algorithm, a
 # solve output with and without ε, and a psn-lift output.
@@ -458,6 +492,51 @@ def test_cli_non_string_edge_ids_exit_2(tmp_path, capsys):
     code, err = _exit_and_stderr(capsys, "psn", "--instance", str(inst_file))
     assert code == 2
     assert err.count("\n") == 1 and "edge id must be a string" in err
+
+
+NON_LIST_INSTANCE_EDITS = {
+    "vertices as a string": (("graph",), "vertices", "ab"),
+    "vertices as an object": (("graph",), "vertices", {"a": None, "b": None}),
+    "endpoints as a string": (("graph", "edges", 0), "endpoints", "ab"),
+    "three endpoints": (("graph", "edges", 0), "endpoints", ["a", "b", "a"]),
+    "breakpoints as a string": (("agents", 0, "valuation", "e1"), "breakpoints", "01"),
+    "breakpoints as an object": (("agents", 0, "valuation", "e1"), "breakpoints", {"0": None, "1": None}),
+    "densities as a string": (("agents", 0, "valuation", "e1"), "densities", "1"),
+    "densities as an object": (("agents", 0, "valuation", "e1"), "densities", {"1": None}),
+}
+
+
+@pytest.mark.parametrize("command", ["iterative-divide", "psn"])
+@pytest.mark.parametrize("edit", NON_LIST_INSTANCE_EDITS)
+def test_cli_non_list_instance_containers_exit_2(tmp_path, capsys, edit, command):
+    """A string or object iterates as characters or keys, and a third
+    endpoint was dropped; each of these single-edge files used to solve."""
+    doc = json.loads(save_instance(single_edge_instance()))
+    path, key, value = NON_LIST_INSTANCE_EDITS[edit]
+    _parent_of(doc, path + (key,))[key] = value
+    inst_file = tmp_path / "i.json"
+    inst_file.write_text(json.dumps(doc))
+    code, err = _exit_and_stderr(
+        capsys, *SOLVE_COMMANDS[command], "--instance", str(inst_file), "--output", str(tmp_path / "o.json")
+    )
+    assert code == 2
+    assert err.count("\n") == 1
+    assert ("must be a JSON list" in err) != (edit == "three endpoints")
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("share", [{}, ""])
+def test_cli_verify_rejects_non_list_share(tmp_path, capsys, share):
+    """An empty share written as an object or a string used to load as empty."""
+    instance = path_instance(2)
+    inst_file, alloc_file = tmp_path / "i.json", tmp_path / "a.json"
+    inst_file.write_bytes(save_instance(instance))
+    doc = json.loads(save_allocation(instance, Allocation((full_cake(instance.graph), Share(())))))
+    doc["agents"][1]["share"] = share
+    alloc_file.write_text(json.dumps(doc))
+    code, err = _exit_and_stderr(capsys, "verify", "--instance", str(inst_file), "--allocation", str(alloc_file))
+    assert code == 2
+    assert err.count("\n") == 1 and "share must be a JSON list" in err
 
 
 def test_cli_boolean_agent_id_exits_2(tmp_path, capsys):

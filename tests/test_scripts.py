@@ -1,0 +1,32 @@
+"""The maintenance scripts run end to end on small inputs, so a change to the
+solver table or the psn API that breaks them fails the suite."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+from graphcake.solvers import SOLVERS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(*args):
+    result = subprocess.run(
+        [sys.executable, *args], cwd=ROOT, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
+def test_run_matrix_tabulates_every_solver():
+    lines = run_script("scripts/run_matrix.py", "--count", "2")
+    assert lines[0].split() == [
+        "algorithm", "worst", "envy", "worst", "additive", "avg", "evals", "avg", "cuts", "time"
+    ]
+    assert sorted(line.split()[0] for line in lines[1:]) == sorted(SOLVERS)
+
+
+def test_psn_census_reports_both_families():
+    lines = run_script("scripts/psn_census.py", "--max-tree-vertices", "5", "--graphs", "3")
+    assert lines[0] == "rooted trees: certificate bound minus exact value"
+    assert "random connected graphs: certificate bound minus exact value" in lines

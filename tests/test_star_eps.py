@@ -167,6 +167,77 @@ def test_finalize_leaf_gap_falls_back_to_far_holder():
     assert allocation.share_of(2).intervals == (EdgeInterval("e2", F(0), x),)
 
 
+# The three owners of the leftover center star.  Each state makes the other
+# candidates (the last trader, the last segment trader, the first holder of
+# an edge) a different agent.
+
+
+def test_finalize_center_star_goes_to_first_bundle_holder():
+    inst = star_instance(5, n=3)
+    layout = prepare_layout(inst, F(1, 2))
+    x = layout.boundary["e01"]
+    assert x == F(479, 480)
+    whole = [EdgeInterval(e, F(0), F(1)) for e in ("e02", "e03", "e04", "e05")]
+    state = PhaseState(
+        (Share((layout.outer("e01"),)), Share(tuple(whole[:2])), Share(tuple(whole[2:]))),
+        ("N1", "N2", "N2"),
+        1,
+        3,
+        3,
+    )
+    allocation = finalize(inst, layout, state)
+    assert validate_allocation(inst, allocation).ok
+    assert allocation.share_of(1).intervals == (EdgeInterval("e01", F(0), x),)
+    assert allocation.share_of(2).intervals == (EdgeInterval("e01", x, F(1)), *whole[:2])
+    assert allocation.share_of(3).intervals == tuple(whole[2:])
+
+
+def test_finalize_center_star_goes_to_contested_boundary_holder():
+    inst = _two_edge_star_halves()
+    layout = prepare_layout(inst, F(1, 2))
+    x = layout.boundary["e1"]
+    # Both agents hold part of e1.  The gap [1/2, x] first goes to agent 2,
+    # the holder of 1/2, so only after that append does agent 2 hold the
+    # boundary point x and take the center star.
+    state = PhaseState(
+        (Share((EdgeInterval("e1", F(0), F(1, 4)),)), Share((EdgeInterval("e1", F(1, 4), F(1, 2)),))),
+        ("N1", "N1"),
+        1,
+        1,
+        2,
+    )
+    allocation = finalize(inst, layout, state)
+    assert validate_allocation(inst, allocation).ok
+    assert allocation.share_of(1).intervals == (EdgeInterval("e1", F(0), F(1, 4)),)
+    assert allocation.share_of(2).intervals == (
+        EdgeInterval("e1", F(1, 4), F(1)),
+        EdgeInterval("e2", F(0), F(1)),
+    )
+
+
+def test_finalize_center_star_goes_to_last_segment_trader():
+    inst = star_instance(3, n=2)
+    layout = prepare_layout(inst, F(1, 2))
+    x = layout.boundary["e01"]
+    assert x == F(191, 192)
+    # No edge has two holders; agent 1 holds the first held edge's boundary.
+    state = PhaseState(
+        (Share((layout.outer("e01"),)), Share((layout.outer("e02"),))),
+        ("N1", "N1"),
+        2,
+        1,
+        2,
+    )
+    allocation = finalize(inst, layout, state)
+    assert validate_allocation(inst, allocation).ok
+    assert allocation.share_of(1).intervals == (EdgeInterval("e01", F(0), x),)
+    assert allocation.share_of(2).intervals == (
+        EdgeInterval("e01", x, F(1)),
+        EdgeInterval("e02", F(0), F(1)),
+        EdgeInterval("e03", F(0), F(1)),
+    )
+
+
 def test_star_three_eps_single_agent():
     inst = generate(GeneratorSpec("star", m=4, n=1, seed=3))
     alloc = star_three_eps(inst, F(1, 2))
