@@ -207,7 +207,6 @@ def recursive_balance(
     instance: Instance,
     allocation: Allocation,
     epsilon: Rational,
-    max_calls: int | None = None,
     ledger=None,
     log: list | None = None,
 ) -> Allocation:
@@ -221,8 +220,7 @@ def recursive_balance(
         raise ValueError("balancing requires identical valuations")
     epsilon = clamp_epsilon(epsilon)
     n = instance.n
-    if max_calls is None:
-        max_calls = int(rational(5 * n * n) / epsilon)
+    max_calls = int(rational(5 * n * n) / epsilon)
     values = _share_values(instance, allocation, ledger)
     check(is_pseudo_four_ef(values), "balancing needs a pseudo ratio-4 input")
     calls = 0

@@ -5,6 +5,10 @@ repeatedly relinquish their share for an unallocated piece worth at least
 their current value plus a fixed increment, then hands out the leftovers so
 that every share stays connected.  The final multiplicative envy factor is
 at most 3 + epsilon, verified exactly before returning.
+
+``Trading`` holds the loop's state and makes one trade in place per
+``step()``; ``finalize`` hands out the leftovers at the fixpoint, and
+``star_three_eps`` runs the whole protocol.
 """
 
 from __future__ import annotations
@@ -147,22 +151,6 @@ def prepare_layout(instance: Instance, epsilon: Rational, ledger=None) -> StarLa
     return layout
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    """Snapshot of the trading loop; states are immutable for replay."""
-
-    shares: tuple[Share, ...]
-    tags: tuple[str, ...]          # "unserved" | "N1" | "N2" per agent
-    last_segment_trader: int | None
-    last_trader: int | None
-    iteration: int
-
-
-def initial_state(instance: Instance) -> PhaseState:
-    n = instance.n
-    return PhaseState((Share.empty(),) * n, ("unserved",) * n, None, None, 0)
-
-
 def _outer_part(layout: StarLayout, iv: EdgeInterval) -> tuple[Rational, Rational] | None:
     """The part of an interval inside its edge's outer segment, if it has length."""
     x = layout.boundary[iv.edge]
@@ -173,250 +161,189 @@ def _outer_part(layout: StarLayout, iv: EdgeInterval) -> tuple[Rational, Rationa
     return (lo, hi) if lo < hi else None
 
 
-def _free_intervals(layout: StarLayout, state: PhaseState, edge_id: str) -> list[EdgeInterval]:
-    """Maximal unallocated intervals inside the outer segment of one edge."""
-    outer = layout.outer(edge_id)
-    parts = (_outer_part(layout, iv) for share in state.shares for iv in share.on_edge(edge_id))
-    spans = complement_spans([part for part in parts if part is not None], outer.lo, outer.hi)
-    free = [EdgeInterval(edge_id, lo, hi) for lo, hi in spans]
-    if not layout.leaf_is_lo[edge_id]:
-        free.reverse()  # scan order is nearest-the-leaf first
-    return free
+class Trading:
+    """The trading loop's state, stepped in place by ``step``.
 
+    Besides the shares, their tags ("unserved" | "N1" | "N2" per agent) and
+    the last (segment) trader, it keeps what a trade needs: per edge the
+    maximal free intervals inside the outer segment, in ascending position,
+    each with every agent's value; every agent's own value; and its target,
+    own value + eps'.  A trade changes the free intervals of the edges it
+    touches only, and those are updated in place.  Interval values are
+    differences of prefix integrals; ``prefix`` holds every agent's prefix
+    at each point seen during the run, so each one is computed (one Eval)
+    once.
+    """
 
-class TradeCache:
-    """Incremental loop state: per-edge free intervals with per-agent values,
-    and every agent's current share value.  Rebuilt from scratch whenever it
-    does not match the state's iteration counter, so a fresh cache is always
-    safe.
+    def __init__(
+        self,
+        instance: Instance,
+        layout: StarLayout,
+        shares=None,
+        tags=None,
+        last_segment_trader: int | None = None,
+        ledger=None,
+    ):
+        n = instance.n
+        self.instance = instance
+        self.layout = layout
+        self.ledger = ledger
+        self.shares = list(shares) if shares is not None else [Share.empty()] * n
+        self.tags = list(tags) if tags is not None else ["unserved"] * n
+        self.last_segment_trader = last_segment_trader
+        self.last_trader: int | None = None
+        self.iteration = 0
+        self.prefix: dict = {}  # (edge id, position) -> prefix integral per agent
+        self.free: dict = {}    # edge id -> list[(lo, hi, values per agent)]
+        for edge_id in layout.order:
+            outer = layout.outer(edge_id)
+            parts = (_outer_part(layout, iv) for share in self.shares for iv in share.on_edge(edge_id))
+            spans = complement_spans([part for part in parts if part is not None], outer.lo, outer.hi)
+            self.free[edge_id] = [self._free_entry(edge_id, lo, hi) for lo, hi in spans]
+        self.own = [eval_share(instance, a, s, ledger) for a, s in zip(instance.agents, self.shares)]
+        self.targets = [v + layout.eps_prime for v in self.own]
 
-    A trade changes the free intervals of the edges it touches only, and
-    those are updated in place.  Interval values are differences of prefix
-    integrals; ``prefix`` holds every agent's prefix at each point seen
-    during the run, so each one is computed (one Eval) once.
+    def _prefix_row(self, edge_id: str, x: Rational, known: tuple[int, Rational] | None = None) -> tuple:
+        """Every agent's value of [0, x] on one edge.  ``known`` is an
+        (agent index, prefix) pair that the agent's Cut already answered."""
+        key = (edge_id, x)
+        row = self.prefix.get(key)
+        if row is None:
+            instance = self.instance
+            if x == ZERO:
+                row = (ZERO,) * instance.n
+            else:
+                row = [instance.valuations[a][edge_id].prefix(x) for a in instance.agents
+                       if known is None or a - 1 != known[0]]
+                if known is not None:
+                    row.insert(known[0], known[1])
+                if self.ledger is not None:
+                    self.ledger.record_eval(instance.n - (known is not None))
+                row = tuple(row)
+            self.prefix[key] = row
+        return row
 
-    Own values never decrease during a run, so an edge whose free intervals
-    all fail every agent stays failing until a trade touches it; ``dead``
-    tracks those edges to skip rescanning them."""
+    def _free_entry(self, edge_id: str, lo: Rational, hi: Rational) -> tuple:
+        lo_row = self._prefix_row(edge_id, lo)
+        hi_row = self._prefix_row(edge_id, hi)
+        return (lo, hi, tuple(h - l for l, h in zip(lo_row, hi_row)))
 
-    def __init__(self):
-        self.iteration = -1
-        self.free: dict = {}      # edge id -> list[(lo, hi, values per agent)], leaf first
-        self.own: list = []
-        self.targets: list = []   # own value + eps' per agent
-        self.prefix: dict = {}    # (edge id, position) -> prefix integral per agent
-        self.dead: set = set()
-
-
-def _prefix_row(
-    instance: Instance,
-    cache: TradeCache,
-    edge_id: str,
-    x: Rational,
-    ledger=None,
-    known: tuple[int, Rational] | None = None,
-) -> tuple:
-    """Every agent's value of [0, x] on one edge.  ``known`` is an
-    (agent index, prefix) pair that the agent's Cut already answered."""
-    key = (edge_id, x)
-    row = cache.prefix.get(key)
-    if row is None:
-        if x == ZERO:
-            row = (ZERO,) * instance.n
-        else:
-            row = [instance.valuations[a][edge_id].prefix(x) for a in instance.agents
-                   if known is None or a - 1 != known[0]]
-            if known is not None:
-                row.insert(known[0], known[1])
-            if ledger is not None:
-                ledger.record_eval(instance.n - (known is not None))
-            row = tuple(row)
-        cache.prefix[key] = row
-    return row
-
-
-def _free_entry(instance: Instance, cache: TradeCache, edge_id: str, lo: Rational, hi: Rational, ledger=None) -> tuple:
-    lo_row = _prefix_row(instance, cache, edge_id, lo, ledger)
-    hi_row = _prefix_row(instance, cache, edge_id, hi, ledger)
-    return (lo, hi, tuple(h - l for l, h in zip(lo_row, hi_row)))
-
-
-def _rebuild_cache(
-    instance: Instance,
-    layout: StarLayout,
-    state: PhaseState,
-    cache: TradeCache,
-    ledger=None,
-) -> None:
-    for edge_id in layout.order:
-        cache.free[edge_id] = [
-            _free_entry(instance, cache, edge_id, iv.lo, iv.hi, ledger)
-            for iv in _free_intervals(layout, state, edge_id)
+    def _update_free(self, edge_id: str, taken: list, released: list) -> None:
+        """Free intervals of one edge after a trade.  The ``taken`` (lo, hi)
+        spans leave the free set; the ``released`` spans, inside the outer
+        segment, rejoin it and merge with the free intervals they touch.
+        Only the intervals that change are re-valued."""
+        spans = self.free[edge_id]
+        for lo, hi in taken:
+            rest = []
+            for entry in spans:
+                a, b = entry[0], entry[1]
+                if b <= lo or hi <= a:
+                    rest.append(entry)
+                    continue
+                if a < lo:
+                    rest.append((a, lo, None))
+                if hi < b:
+                    rest.append((hi, b, None))
+            spans = rest
+        for lo, hi in released:
+            i = next((k for k, entry in enumerate(spans) if hi <= entry[0]), len(spans))
+            if i < len(spans) and spans[i][0] == hi:
+                hi = spans.pop(i)[1]
+            if i > 0 and spans[i - 1][1] == lo:
+                i -= 1
+                lo = spans.pop(i)[0]
+            spans.insert(i, (lo, hi, None))
+        self.free[edge_id] = [
+            entry if entry[2] is not None else self._free_entry(edge_id, entry[0], entry[1])
+            for entry in spans
         ]
-    cache.own = [
-        eval_share(instance, a, s, ledger)
-        for a, s in zip(instance.agents, state.shares)
-    ]
-    cache.targets = [v + layout.eps_prime for v in cache.own]
-    cache.dead.clear()
-    cache.iteration = state.iteration
 
-
-def _update_free(
-    instance: Instance,
-    layout: StarLayout,
-    cache: TradeCache,
-    edge_id: str,
-    taken: list,
-    released: list,
-    ledger=None,
-) -> None:
-    """Free intervals of one edge after a trade.  The ``taken`` (lo, hi)
-    spans leave the free set; the ``released`` spans, inside the outer
-    segment, rejoin it and merge with the free intervals they touch.  Only
-    the intervals that change are re-valued."""
-    spans = cache.free[edge_id]
-    leaf_is_lo = layout.leaf_is_lo[edge_id]
-    if not leaf_is_lo:
-        spans = spans[::-1]  # ascending position
-    for lo, hi in taken:
-        rest = []
-        for entry in spans:
-            a, b = entry[0], entry[1]
-            if b <= lo or hi <= a:
-                rest.append(entry)
-                continue
-            if a < lo:
-                rest.append((a, lo, None))
-            if hi < b:
-                rest.append((hi, b, None))
-        spans = rest
-    for lo, hi in released:
-        i = next((k for k, entry in enumerate(spans) if hi <= entry[0]), len(spans))
-        if i < len(spans) and spans[i][0] == hi:
-            hi = spans.pop(i)[1]
-        if i > 0 and spans[i - 1][1] == lo:
-            i -= 1
-            lo = spans.pop(i)[0]
-        spans.insert(i, (lo, hi, None))
-    spans = [
-        entry if entry[2] is not None else _free_entry(instance, cache, edge_id, entry[0], entry[1], ledger)
-        for entry in spans
-    ]
-    if not leaf_is_lo:
-        spans.reverse()  # scan order is nearest-the-leaf first
-    cache.free[edge_id] = spans
-    cache.dead.discard(edge_id)
-
-
-def phase2_step(
-    instance: Instance,
-    layout: StarLayout,
-    state: PhaseState,
-    ledger=None,
-    cache: TradeCache | None = None,
-) -> PhaseState | None:
-    """One trade, or None when no agent can improve by eps' any more."""
-    if cache is None:
-        cache = TradeCache()
-    if cache.iteration != state.iteration:
-        _rebuild_cache(instance, layout, state, cache, ledger)
-    targets = cache.targets
-
-    def finish(trader: int, piece_intervals, tag: str, new_value: Rational) -> PhaseState:
+    def _trade(self, trader: int, piece_intervals, tag: str, new_value: Rational) -> None:
+        """Swap the trader's share for the piece, worth ``new_value`` to it."""
         idx = trader - 1
-        check(new_value >= targets[idx], "trade must gain at least eps'")
-        old_share = state.shares[idx]
-        shares = list(state.shares)
-        shares[idx] = canonical_share(instance.graph, piece_intervals)
-        tags = list(state.tags)
-        tags[idx] = tag
-        nxt = PhaseState(
-            tuple(shares),
-            tuple(tags),
-            trader if tag == "N1" else state.last_segment_trader,
-            trader,
-            state.iteration + 1,
-        )
+        check(new_value >= self.targets[idx], "trade must gain at least eps'")
+        old_share = self.shares[idx]
+        self.shares[idx] = canonical_share(self.instance.graph, piece_intervals)
+        self.tags[idx] = tag
+        if tag == "N1":
+            self.last_segment_trader = trader
+        self.last_trader = trader
+        self.iteration += 1
         taken: dict = {}
         released: dict = {}
         for iv in piece_intervals:
             taken.setdefault(iv.edge, []).append((iv.lo, iv.hi))
         for iv in old_share.intervals:
-            part = _outer_part(layout, iv)
+            part = _outer_part(self.layout, iv)
             if part is not None:
                 released.setdefault(iv.edge, []).append(part)
         for edge_id in taken.keys() | released.keys():
-            _update_free(
-                instance, layout, cache, edge_id,
-                taken.get(edge_id, []), released.get(edge_id, []), ledger,
-            )
-        cache.own[idx] = new_value
-        cache.targets[idx] = new_value + layout.eps_prime
-        cache.iteration = nxt.iteration
-        return nxt
+            self._update_free(edge_id, taken.get(edge_id, []), released.get(edge_id, []))
+        self.own[idx] = new_value
+        self.targets[idx] = new_value + self.layout.eps_prime
 
-    # Segment trade: a maximal free interval inside one outer segment.
-    for edge_id in layout.order:
-        if edge_id in cache.dead:
-            continue
-        leaf_is_lo = layout.leaf_is_lo[edge_id]
-        for lo, hi, values in cache.free[edge_id]:
-            bidders = [a for a in instance.agents if values[a - 1] >= targets[a - 1]]
-            if not bidders:
-                continue
-            from_leaf = (lo if leaf_is_lo else hi) == layout.leaf_pos(edge_id)
-            anchor = "lo" if from_leaf == leaf_is_lo else "hi"
-            # Every bidder's target is positive and fits, so the cuts can
-            # start from the stored prefix at the anchor end.
-            anchor_row = _prefix_row(instance, cache, edge_id, lo if anchor == "lo" else hi, ledger)
-            best = None
-            for a in bidders:
-                if ledger is not None:
-                    ledger.record_cut()
-                density = instance.valuations[a][edge_id]
-                pos = density.cut_from_prefix(anchor_row[a - 1], anchor, targets[a - 1])
-                # Shortest travel from the anchor wins; ties go to the first bidder.
-                if best is None or (pos < best[0] if anchor == "lo" else pos > best[0]):
-                    best = (pos, a)
-            pos, trader = best
-            # The trader's Cut already answered its own prefix at pos.
-            start, target = anchor_row[trader - 1], targets[trader - 1]
-            at_pos = start + target if anchor == "lo" else start - target
-            _prefix_row(instance, cache, edge_id, pos, ledger, known=(trader - 1, at_pos))
-            piece = EdgeInterval(edge_id, lo, pos) if anchor == "lo" else EdgeInterval(edge_id, pos, hi)
-            return finish(trader, [piece], "N1", targets[trader - 1])
-        cache.dead.add(edge_id)
+    def step(self) -> bool:
+        """Make one trade; False when no agent can improve by eps' any more."""
+        instance, layout, targets = self.instance, self.layout, self.targets
 
-    # Whole-edge trade: bundle fully-unallocated outer segments.
-    untouched = [
-        e for e in layout.order if all(not share.on_edge(e) for share in state.shares)
-    ]
-    bundle_value = {a: ZERO for a in instance.agents}
-    chosen: list[str] = []
-    for edge_id in untouched:
-        chosen.append(edge_id)
-        outer = layout.outer(edge_id)
-        _, _, outer_vals = _free_entry(instance, cache, edge_id, outer.lo, outer.hi, ledger)
-        qualifiers = []
-        for a in instance.agents:
-            bundle_value[a] += outer_vals[a - 1]
-            if bundle_value[a] >= targets[a - 1]:
-                qualifiers.append(a)
-        if qualifiers:
-            trader = min(qualifiers)
-            check(len(chosen) >= 2, "single-edge bundle is a segment trade in disguise")
-            whole_value = sum(
-                (_free_entry(instance, cache, e, ZERO, ONE, ledger)[2][trader - 1] for e in chosen),
-                ZERO,
-            )
-            return finish(
-                trader,
-                [EdgeInterval(e, ZERO, ONE) for e in chosen],
-                "N2",
-                whole_value,
-            )
-    return None
+        # Segment trade: a maximal free interval inside one outer segment,
+        # scanned nearest-the-leaf first.
+        for edge_id in layout.order:
+            leaf_is_lo = layout.leaf_is_lo[edge_id]
+            spans = self.free[edge_id]
+            for lo, hi, values in (spans if leaf_is_lo else reversed(spans)):
+                bidders = [a for a in instance.agents if values[a - 1] >= targets[a - 1]]
+                if not bidders:
+                    continue
+                from_leaf = (lo if leaf_is_lo else hi) == layout.leaf_pos(edge_id)
+                anchor = "lo" if from_leaf == leaf_is_lo else "hi"
+                # Every bidder's target is positive and fits, so the cuts can
+                # start from the stored prefix at the anchor end.
+                anchor_row = self._prefix_row(edge_id, lo if anchor == "lo" else hi)
+                best = None
+                for a in bidders:
+                    if self.ledger is not None:
+                        self.ledger.record_cut()
+                    density = instance.valuations[a][edge_id]
+                    pos = density.cut_from_prefix(anchor_row[a - 1], anchor, targets[a - 1])
+                    # Shortest travel from the anchor wins; ties go to the first bidder.
+                    if best is None or (pos < best[0] if anchor == "lo" else pos > best[0]):
+                        best = (pos, a)
+                pos, trader = best
+                # The trader's Cut already answered its own prefix at pos.
+                start, target = anchor_row[trader - 1], targets[trader - 1]
+                at_pos = start + target if anchor == "lo" else start - target
+                self._prefix_row(edge_id, pos, known=(trader - 1, at_pos))
+                piece = EdgeInterval(edge_id, lo, pos) if anchor == "lo" else EdgeInterval(edge_id, pos, hi)
+                self._trade(trader, [piece], "N1", targets[trader - 1])
+                return True
+
+        # Whole-edge trade: bundle fully-unallocated outer segments.
+        untouched = [
+            e for e in layout.order if all(not share.on_edge(e) for share in self.shares)
+        ]
+        bundle_value = {a: ZERO for a in instance.agents}
+        chosen: list[str] = []
+        for edge_id in untouched:
+            chosen.append(edge_id)
+            outer = layout.outer(edge_id)
+            _, _, outer_vals = self._free_entry(edge_id, outer.lo, outer.hi)
+            qualifiers = []
+            for a in instance.agents:
+                bundle_value[a] += outer_vals[a - 1]
+                if bundle_value[a] >= targets[a - 1]:
+                    qualifiers.append(a)
+            if qualifiers:
+                trader = min(qualifiers)
+                check(len(chosen) >= 2, "single-edge bundle is a segment trade in disguise")
+                whole_value = sum(
+                    (self._free_entry(e, ZERO, ONE)[2][trader - 1] for e in chosen),
+                    ZERO,
+                )
+                self._trade(trader, [EdgeInterval(e, ZERO, ONE) for e in chosen], "N2", whole_value)
+                return True
+        return False
 
 
 def _restricted_to_outer(layout: StarLayout, share: Share) -> Share:
@@ -429,28 +356,29 @@ def _restricted_to_outer(layout: StarLayout, share: Share) -> Share:
     return Share(tuple(parts))
 
 
-def _assert_trading_invariants(instance: Instance, layout: StarLayout, state: PhaseState) -> None:
+def _assert_trading_invariants(trading: Trading) -> None:
+    instance, layout = trading.instance, trading.layout
     n, m = instance.n, layout.m
     for i, agent in enumerate(instance.agents):
-        own = eval_share(instance, agent, state.shares[i])
+        own = eval_share(instance, agent, trading.shares[i])
         check(
             own >= rational(1, 4 * n * m),
             f"agent {agent} finished trading below 1/(4nm)",
         )
         for j, other in enumerate(instance.agents):
-            if state.tags[j] == "N1":
+            if trading.tags[j] == "N1":
                 check(
-                    eval_share(instance, agent, state.shares[j])
+                    eval_share(instance, agent, trading.shares[j])
                     <= own + layout.eps_prime,
                     f"segment share of agent {other} too valuable to agent {agent}",
                 )
-            elif state.tags[j] == "N2":
+            elif trading.tags[j] == "N2":
                 check(
-                    eval_share(instance, agent, _restricted_to_outer(layout, state.shares[j]))
+                    eval_share(instance, agent, _restricted_to_outer(layout, trading.shares[j]))
                     <= 2 * (own + layout.eps_prime),
                     f"bundle share of agent {other} too valuable to agent {agent}",
                 )
-    check(all(tag != "unserved" for tag in state.tags), "every agent must hold a share")
+    check(all(tag != "unserved" for tag in trading.tags), "every agent must hold a share")
 
 
 def _holder(shares: tuple[Share, ...] | list[Share], edge_id: str, pos: Rational) -> int | None:
@@ -462,7 +390,7 @@ def _holder(shares: tuple[Share, ...] | list[Share], edge_id: str, pos: Rational
     return None
 
 
-def finalize(instance: Instance, layout: StarLayout, state: PhaseState, ledger=None) -> Allocation:
+def finalize(trading: Trading) -> Allocation:
     """Hand out the leftovers once no trade can improve anyone.
 
     Gaps inside outer segments go leafward to the holder of their leaf-side
@@ -470,23 +398,24 @@ def finalize(instance: Instance, layout: StarLayout, state: PhaseState, ledger=N
     remaining center star goes to a bundle holder if any, else to the holder
     of a contested boundary point, else to the last segment trader.
     """
-    _assert_trading_invariants(instance, layout, state)
+    _assert_trading_invariants(trading)
+    instance, layout = trading.instance, trading.layout
     graph = instance.graph
-    shares = [list(s.intervals) for s in state.shares]
+    shares = [list(s.intervals) for s in trading.shares]
     appended = [0] * instance.n
 
     for edge_id in layout.order:
         if not any(
             tag == "N1" and share.on_edge(edge_id)
-            for share, tag in zip(state.shares, state.tags)
+            for share, tag in zip(trading.shares, trading.tags)
         ):
             continue
-        for gap in _free_intervals(layout, state, edge_id):
-            leaf_side, center_side = layout.leafward(edge_id, gap.lo, gap.hi)
+        for lo, hi, _ in trading.free[edge_id]:
+            leaf_side, center_side = layout.leafward(edge_id, lo, hi)
             pos = center_side if leaf_side == layout.leaf_pos(edge_id) else leaf_side
-            recipient = _holder(state.shares, edge_id, pos)
+            recipient = _holder(trading.shares, edge_id, pos)
             check(recipient is not None, "gap must border an allocated interval")
-            shares[recipient].append(gap)
+            shares[recipient].append(EdgeInterval(edge_id, lo, hi))
             appended[recipient] += 1
 
     mid_shares = [canonical_share(graph, ivs) for ivs in shares]
@@ -494,11 +423,11 @@ def finalize(instance: Instance, layout: StarLayout, state: PhaseState, ledger=N
 
     if leftover.is_empty:
         recipient = None
-    elif any(tag == "N2" for tag in state.tags):
-        recipient = min(i for i, tag in enumerate(state.tags) if tag == "N2")
+    elif any(tag == "N2" for tag in trading.tags):
+        recipient = min(i for i, tag in enumerate(trading.tags) if tag == "N2")
     else:
         contested = next(
-            (e for e in layout.order if sum(1 for s in state.shares if s.on_edge(e)) >= 2),
+            (e for e in layout.order if sum(1 for s in trading.shares if s.on_edge(e)) >= 2),
             None,
         )
         if contested is not None:
@@ -506,10 +435,10 @@ def finalize(instance: Instance, layout: StarLayout, state: PhaseState, ledger=N
             recipient = _holder(mid_shares, contested, layout.boundary[contested])
             check(recipient is not None, "contested boundary point must be held")
         else:
-            check(state.last_segment_trader is not None, "no trades ever happened")
-            recipient = state.last_segment_trader - 1
+            check(trading.last_segment_trader is not None, "no trades ever happened")
+            recipient = trading.last_segment_trader - 1
     if recipient is not None:
-        if state.tags[recipient] == "N1":
+        if trading.tags[recipient] == "N1":
             check(
                 appended[recipient] <= 1,
                 "center-star recipient got more than one leftover gap",
@@ -518,7 +447,7 @@ def finalize(instance: Instance, layout: StarLayout, state: PhaseState, ledger=N
             graph, mid_shares[recipient].intervals + leftover.intervals
         )
     for idx in range(instance.n):
-        if state.tags[idx] == "N1":
+        if trading.tags[idx] == "N1":
             check(appended[idx] <= 2, "segment holder got more than two leftover gaps")
 
     return Allocation(tuple(mid_shares))
@@ -537,31 +466,27 @@ def star_three_eps(
     epsilon = layout.epsilon
     n, m = instance.n, layout.m
     iteration_cap = rational(16 * n * n * m) / epsilon
-    state = initial_state(instance)
-    cache = TradeCache()
-    while True:
-        nxt = phase2_step(instance, layout, state, ledger, cache)
-        if nxt is None:
-            break
-        state = nxt
-        check(state.iteration <= iteration_cap, "trading loop exceeded its bound")
+    trading = Trading(instance, layout, ledger=ledger)
+    while trading.step():
+        check(trading.iteration <= iteration_cap, "trading loop exceeded its bound")
         if trace is not None:
+            trader = trading.last_trader
             trace.append(
                 {
-                    "iteration": state.iteration,
-                    "phase": "2a" if state.tags[state.last_trader - 1] == "N1" else "2b",
-                    "trader": state.last_trader,
-                    "value": str(cache.own[state.last_trader - 1]),
+                    "iteration": trading.iteration,
+                    "phase": "2a" if trading.tags[trader - 1] == "N1" else "2b",
+                    "trader": trader,
+                    "value": str(trading.own[trader - 1]),
                 }
             )
-        if state.iteration % 64 == 0:
-            report = validate_partial(instance, state.shares)
+        if trading.iteration % 64 == 0:
+            report = validate_partial(instance, trading.shares)
             check(report.disjoint_ok and report.connectivity_ok, "invalid partial allocation")
-    report = validate_partial(instance, state.shares)
+    report = validate_partial(instance, trading.shares)
     check(report.disjoint_ok and report.connectivity_ok, "invalid partial allocation at Done")
 
-    pre_values = [eval_share(instance, a, s) for a, s in zip(instance.agents, state.shares)]
-    allocation = finalize(instance, layout, state, ledger)
+    pre_values = [eval_share(instance, a, s) for a, s in zip(instance.agents, trading.shares)]
+    allocation = finalize(trading)
 
     report = validate_allocation(instance, allocation)
     check(report.ok, f"final allocation invalid: {report}")

@@ -5,15 +5,16 @@ captured output); any assertion failure fails its criterion.  All value
 comparisons are exact rationals with zero tolerance.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 
 import networkx as nx
 import pytest
 
-from graphcake.balance import identical_two_eps, recursive_balance, verify_balance_outcome
+from graphcake.balance import recursive_balance, verify_balance_outcome
 from graphcake.fairness import brute_force_egalitarian, fairness_report, prop1_check
-from graphcake.generate import GeneratorSpec, fig1_instance, generate
+from graphcake.generate import GeneratorSpec, generate
 from graphcake.io import save_allocation, save_instance
 from graphcake.iterative import identical_four_ef, iterative_divide
 from graphcake.model import Edge, Graph, eval_share, validate_allocation
@@ -23,7 +24,7 @@ from graphcake.psn import (
     psn_exact_check,
     tree_dfs_bijection,
 )
-from graphcake.star_eps import prepare_layout, star_three_eps
+from graphcake.star_eps import star_three_eps
 from graphcake.star_identical import star_identical_2ef
 
 from conftest import F
@@ -179,6 +180,18 @@ def test_criterion_2_star_three_eps(star_batch):
         assert iterations <= F(16 * n * n * m) / eps
     assert elapsed < 60, f"criterion 2 took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 2 (star 3+eps, 100 stars x 2 eps, {elapsed:.1f}s): PASS")
+
+
+# sha256 over criterion 2's allocation files and trade counts, run by run.
+STAR_BATCH_SHA256 = "2d28eb4df0a448a4b6a1f8ae0779a816e1077d3a29d14e372a39a01808748675"
+
+
+def test_criterion_2_star_batch_bytes_pinned(star_batch):
+    digest = hashlib.sha256()
+    for instance, _, allocation, iterations in star_batch[0]:
+        digest.update(_bytes(instance, allocation))
+        digest.update(str(iterations).encode())
+    assert digest.hexdigest() == STAR_BATCH_SHA256
 
 
 def test_criterion_3_identical_four_ef(identical4_batch):

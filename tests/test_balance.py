@@ -1,6 +1,6 @@
 import pytest
-from fractions import Fraction
 
+from graphcake import balance
 from graphcake.balance import (
     balance_path,
     identical_two_eps,
@@ -9,7 +9,7 @@ from graphcake.balance import (
     recursive_balance,
     verify_balance_outcome,
 )
-from graphcake.fairness import fairness_report, pseudo_ef_factor
+from graphcake.fairness import pseudo_ef_factor
 from graphcake.generate import GeneratorSpec, generate
 from graphcake.iterative import identical_four_ef
 from graphcake.model import (
@@ -161,7 +161,9 @@ def test_recursive_balance_tightens_engineered_chain():
     assert validate_allocation(inst, out).ok
 
 
-def test_recursive_balance_respects_call_cap():
+def test_recursive_balance_respects_call_cap(monkeypatch):
+    # A pass that changes nothing runs the loop into its bound 5n²/ε = 800.
+    monkeypatch.setattr(balance, "balance_path", lambda instance, shares, epsilon, ledger: (shares, None))
     inst = path_instance(8, n=4)
     alloc = Allocation((
         Share((EdgeInterval("e1", F(0), F(1)),)),
@@ -170,8 +172,8 @@ def test_recursive_balance_respects_call_cap():
         Share((EdgeInterval("e5", F(1, 2), F(1)), EdgeInterval("e6", F(0), F(1)))),
         Share((EdgeInterval("e7", F(0), F(1)), EdgeInterval("e8", F(0), F(1)))),
     ))
-    with pytest.raises(ContractViolation):
-        recursive_balance(inst, alloc, F(1, 10), max_calls=0)
+    with pytest.raises(ContractViolation, match="balancing exceeded 800 passes"):
+        recursive_balance(inst, alloc, F(1, 10))
 
 
 def test_recursive_balance_rejects_non_identical():

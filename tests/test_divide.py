@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -25,7 +24,6 @@ from graphcake.model import (
     node_sort_key,
     point_node,
     share_covers_node,
-    uncovered_share,
 )
 from graphcake.generate import GeneratorSpec, generate
 

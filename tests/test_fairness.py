@@ -1,5 +1,4 @@
 import pytest
-from fractions import Fraction
 
 from graphcake.fairness import (
     brute_force_egalitarian,

@@ -21,7 +21,7 @@ from graphcake.io import (
 )
 from graphcake.iterative import identical_four_ef, iterative_divide
 from graphcake.fairness import fairness_report
-from graphcake.model import Allocation, EdgeInterval, Share, eval_share, full_cake
+from graphcake.model import Allocation, EdgeInterval, Share, full_cake
 from graphcake.psn import psn_certificate
 from graphcake.solvers import SOLVERS
 
@@ -678,6 +678,21 @@ def test_cli_output_bytes_pinned(pin_instances, tmp_path, command, algorithm, in
     assert run_cli(command, "--algorithm", algorithm, "--epsilon", "1/2",
                    "--instance", str(pin_instances[instance]), "--output", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_cli_trace_keeps_output_bytes(pin_instances, tmp_path, capsys):
+    """``--trace`` streams star-3eps's trading steps, numbered 1..k, and
+    writes the same allocation file as a run without it."""
+    digests = []
+    for extra in ((), ("--trace",)):
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert run_cli("solve", "--algorithm", "star-3eps", "--epsilon", "1/2",
+                       "--instance", str(pin_instances["star"]), "--output", str(out), *extra) == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    iterations = [json.loads(line)["iteration"] for line in capsys.readouterr().err.splitlines()]
+    assert iterations == list(range(1, len(iterations) + 1)) and iterations
+    assert digests[0] == digests[1]
 
 
 def _verify_file(inst_file, alloc_file, tmp_path):

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +20,7 @@ from graphcake.model import (
 )
 from graphcake.model import Allocation
 
-from conftest import F, density_value_oracle, single_edge_instance, star_instance
+from conftest import F, density_value_oracle, star_instance
 
 
 def iv(edge, lo, hi):

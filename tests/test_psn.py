@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import random
-from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -10,9 +9,8 @@ from graphcake.cli import main
 from graphcake.fairness import fairness_report
 from graphcake.generate import GeneratorSpec, generate
 from graphcake.io import save_instance
-from graphcake.model import Edge, EdgeInterval, Graph, Instance, eval_share
+from graphcake.model import Edge, Graph, Instance, eval_share
 from graphcake.psn import (
-    EdgeBijection,
     graph_is_acyclic,
     lift_segment,
     min_diameter_spanning_tree,

@@ -16,6 +16,7 @@ from graphcake.star_eps import prepare_layout, star_three_eps
 from graphcake.star_identical import star_identical_2ef
 
 from conftest import F
+from test_star_eps import _mirrored
 
 
 def test_ledger_counts_monotone(fig1):
@@ -121,3 +122,24 @@ def test_divide_based_solvers_query_counts_are_pinned(fig1, seed, iterative, ide
 def test_star_identical_query_counts_are_pinned(fig1, seed, counts):
     inst = fig1 if seed is None else _loaded("star", 3, 5, seed)
     assert _counts(star_identical_2ef, inst) == counts
+
+
+# Exact (evals, cuts, trades) per star_three_eps solve at ε = 1/10; the
+# third generated star is mirrored on every other edge, so its centre sits
+# at position 0 there.
+STAR_EPS_COUNTS = [
+    (None, 0, 0, False, (617, 1280, 638)),
+    (1, 5, 3, False, (3308, 3691, 1667)),
+    (2, 6, 4, False, (10793, 9465, 3623)),
+    (3, 5, 3, True, (3461, 3705, 1730)),
+]
+
+
+@pytest.mark.parametrize("seed, m, n, mirrored, counts", STAR_EPS_COUNTS)
+def test_star_three_eps_query_counts_are_pinned(fig1, seed, m, n, mirrored, counts):
+    inst = fig1 if seed is None else generate(GeneratorSpec("star", m=m, n=n, pieces=3, seed=seed))
+    if mirrored:
+        inst = _mirrored(inst, set(inst.graph.edge_ids()[::2]))
+    ledger, trace = QueryLedger(), []
+    star_three_eps(inst, F(1, 10), ledger=ledger, trace=trace)
+    assert (ledger.evals, ledger.cuts, len(trace)) == counts

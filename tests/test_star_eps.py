@@ -1,5 +1,5 @@
 import pytest
-from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from graphcake.fairness import fairness_report
 from graphcake.generate import GeneratorSpec, generate
@@ -14,13 +14,9 @@ from graphcake.model import (
     validate_allocation,
 )
 from graphcake.star_eps import (
-    PhaseState,
-    TradeCache,
-    _rebuild_cache,
+    Trading,
     finalize,
     find_star_center,
-    initial_state,
-    phase2_step,
     prepare_layout,
     star_three_eps,
 )
@@ -76,7 +72,8 @@ def test_layout_binding_agent_nearest_center():
 
 def test_first_trade_takes_leaf_prefix_worth_increment(fig1):
     layout = prepare_layout(fig1, F(1, 2))
-    state = phase2_step(fig1, layout, initial_state(fig1))
+    state = Trading(fig1, layout)
+    assert state.step()
     trader = state.last_trader
     assert trader == 1
     share = state.shares[0]
@@ -92,24 +89,20 @@ def test_bundle_trade_takes_whole_edges():
     # beats value + eps', but two whole edges together do.
     s1 = Share((layout.outer("e01"),))
     s2 = Share((layout.outer("e02"),))
-    state = PhaseState((s1, s2), ("N1", "N1"), 2, 2, 10)
-    nxt = phase2_step(inst, layout, state)
-    assert nxt.tags[0] == "N2"
-    assert nxt.shares[0].intervals == (
+    state = Trading(inst, layout, (s1, s2), ("N1", "N1"), 2)
+    assert state.step()
+    assert state.tags[0] == "N2"
+    assert state.shares[0].intervals == (
         EdgeInterval("e03", F(0), F(1)),
         EdgeInterval("e04", F(0), F(1)),
     )
 
 
 def test_phase2_reaches_fixpoint(fig1):
-    layout = prepare_layout(fig1, F(1, 2))
-    state = initial_state(fig1)
-    while True:
-        nxt = phase2_step(fig1, layout, state)
-        if nxt is None:
-            break
-        state = nxt
-    assert phase2_step(fig1, layout, state) is None
+    state = Trading(fig1, prepare_layout(fig1, F(1, 2)))
+    while state.step():
+        pass
+    assert not state.step()
     assert all(tag != "unserved" for tag in state.tags)
 
 
@@ -128,14 +121,15 @@ def test_finalize_appends_gap_toward_leaf_holder():
     assert x == F(127, 128)
     # Each agent holds a leaf-anchored prefix; the gap [1/2, x] must go to the
     # holder of its leaf-side endpoint.
-    state = PhaseState(
+    state = Trading(
+        inst,
+        layout,
         (Share((EdgeInterval("e1", F(0), F(1, 2)),)), Share((EdgeInterval("e2", F(0), F(1, 2)),))),
         ("N1", "N1"),
         2,
-        2,
-        6,
     )
-    allocation = finalize(inst, layout, state)
+    state.last_trader = 2
+    allocation = finalize(state)
     assert validate_allocation(inst, allocation).ok
     share1 = allocation.share_of(1)
     assert EdgeInterval("e1", F(0), x) in share1.intervals
@@ -149,14 +143,15 @@ def test_finalize_leaf_gap_falls_back_to_far_holder():
     x = layout.boundary["e1"]
     # Shares anchored at the boundary leave a gap starting at the leaf, which
     # goes to the holder of its far end instead.
-    state = PhaseState(
+    state = Trading(
+        inst,
+        layout,
         (Share((EdgeInterval("e1", F(1, 4), x),)), Share((EdgeInterval("e2", F(1, 4), x),))),
         ("N1", "N1"),
         1,
-        1,
-        6,
     )
-    allocation = finalize(inst, layout, state)
+    state.last_trader = 1
+    allocation = finalize(state)
     assert validate_allocation(inst, allocation).ok
     # The leaf gap [0, 1/4] went to agent 1 (holder of its far end), and H to
     # the last trader, agent 1, merging into full coverage of e1.
@@ -178,14 +173,15 @@ def test_finalize_center_star_goes_to_first_bundle_holder():
     x = layout.boundary["e01"]
     assert x == F(479, 480)
     whole = [EdgeInterval(e, F(0), F(1)) for e in ("e02", "e03", "e04", "e05")]
-    state = PhaseState(
+    state = Trading(
+        inst,
+        layout,
         (Share((layout.outer("e01"),)), Share(tuple(whole[:2])), Share(tuple(whole[2:]))),
         ("N1", "N2", "N2"),
         1,
-        3,
-        3,
     )
-    allocation = finalize(inst, layout, state)
+    state.last_trader = 3
+    allocation = finalize(state)
     assert validate_allocation(inst, allocation).ok
     assert allocation.share_of(1).intervals == (EdgeInterval("e01", F(0), x),)
     assert allocation.share_of(2).intervals == (EdgeInterval("e01", x, F(1)), *whole[:2])
@@ -199,14 +195,15 @@ def test_finalize_center_star_goes_to_contested_boundary_holder():
     # Both agents hold part of e1.  The gap [1/2, x] first goes to agent 2,
     # the holder of 1/2, so only after that append does agent 2 hold the
     # boundary point x and take the center star.
-    state = PhaseState(
+    state = Trading(
+        inst,
+        layout,
         (Share((EdgeInterval("e1", F(0), F(1, 4)),)), Share((EdgeInterval("e1", F(1, 4), F(1, 2)),))),
         ("N1", "N1"),
         1,
-        1,
-        2,
     )
-    allocation = finalize(inst, layout, state)
+    state.last_trader = 1
+    allocation = finalize(state)
     assert validate_allocation(inst, allocation).ok
     assert allocation.share_of(1).intervals == (EdgeInterval("e1", F(0), F(1, 4)),)
     assert allocation.share_of(2).intervals == (
@@ -221,14 +218,15 @@ def test_finalize_center_star_goes_to_last_segment_trader():
     x = layout.boundary["e01"]
     assert x == F(191, 192)
     # No edge has two holders; agent 1 holds the first held edge's boundary.
-    state = PhaseState(
+    state = Trading(
+        inst,
+        layout,
         (Share((layout.outer("e01"),)), Share((layout.outer("e02"),))),
         ("N1", "N1"),
         2,
-        1,
-        2,
     )
-    allocation = finalize(inst, layout, state)
+    state.last_trader = 1
+    allocation = finalize(state)
     assert validate_allocation(inst, allocation).ok
     assert allocation.share_of(1).intervals == (EdgeInterval("e01", F(0), x),)
     assert allocation.share_of(2).intervals == (
@@ -290,16 +288,14 @@ def test_trace_records_each_trade(fig1):
     assert trace
     assert all({"iteration", "phase", "trader", "value"} <= set(t) for t in trace)
     assert [t["iteration"] for t in trace] == list(range(1, len(trace) + 1))
-    # Each value is the trader's own share value, as a replay without the
-    # incremental cache evaluates it afresh.
-    layout = prepare_layout(fig1, F(1, 2))
-    state = initial_state(fig1)
+    # Each value is the trader's own share value, evaluated afresh in a replay.
+    state = Trading(fig1, prepare_layout(fig1, F(1, 2)))
     for t in trace:
-        state = phase2_step(fig1, layout, state)
+        assert state.step()
         trader = state.last_trader
         assert (t["iteration"], t["trader"]) == (state.iteration, trader)
         assert t["value"] == str(eval_share(fig1, trader, state.shares[trader - 1]))
-    assert phase2_step(fig1, layout, state) is None
+    assert not state.step()
 
 
 def _mirrored(instance, edge_ids):
@@ -331,24 +327,55 @@ def _replay_star(seed):
     return inst
 
 
+def _fresh(state):
+    """A Trading built from scratch on the state's shares, tags and last
+    segment trader, checked to hold the same free intervals, own values and
+    targets as the stepped state."""
+    fresh = Trading(state.instance, state.layout, state.shares, state.tags, state.last_segment_trader)
+    assert state.free == fresh.free
+    assert state.own == fresh.own
+    assert state.targets == fresh.targets
+    return fresh
+
+
 @pytest.mark.parametrize("seed", ["fig1", 3, 10, 7])
 def test_trade_cache_matches_rebuild_after_every_trade(seed):
     inst = _replay_star(seed)
-    layout = prepare_layout(inst, F(1, 2))
-    state = initial_state(inst)
-    cache = TradeCache()
+    state = Trading(inst, prepare_layout(inst, F(1, 2)))
     phases = set()
-    while True:
-        state = phase2_step(inst, layout, state, cache=cache)
-        if state is None:
-            break
+    steps = 0
+    while state.step():
+        steps += 1
+        assert state.iteration == steps
         phases.add(state.tags[state.last_trader - 1])
-        fresh = TradeCache()
-        _rebuild_cache(inst, layout, state, fresh)
-        assert cache.iteration == fresh.iteration == state.iteration
-        assert cache.free == fresh.free
-        assert cache.own == fresh.own
-        assert cache.targets == fresh.targets
+        _fresh(state)
     assert "N1" in phases
     if seed != "fig1":
         assert "N2" in phases
+
+
+def _trades(state):
+    """Step to the fixpoint, checking each step against a fresh build; the
+    trader and its new share of every trade, and the fresh builds."""
+    trades, fresh = [], [_fresh(state)]
+    while state.step():
+        trades.append((state.last_trader, state.shares[state.last_trader - 1]))
+        fresh.append(_fresh(state))
+    return trades, fresh
+
+
+@given(st.integers(2, 6), st.integers(2, 4), st.integers(1, 3), st.integers(0, 10**6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_trading_steps_like_a_fresh_build(m, n, pieces, seed, data):
+    inst = generate(GeneratorSpec("star", m=m, n=n, pieces=pieces, seed=seed))
+    # Centre at position 0 on the mirrored edges: their spans scan hi to lo.
+    inst = _mirrored(inst, data.draw(st.sets(st.sampled_from(inst.graph.edge_ids()))))
+    state = Trading(inst, prepare_layout(inst, F(1, 2)))
+    trades, fresh = _trades(state)
+    # Resumed from a fresh build at a drawn step, the run makes the same
+    # remaining trades and ends with the same shares.
+    k = data.draw(st.integers(0, len(trades)))
+    resumed = fresh[k]
+    assert _trades(resumed)[0] == trades[k:]
+    assert resumed.shares == state.shares
+    assert resumed.tags == state.tags

@@ -1,10 +1,8 @@
 import pytest
-from fractions import Fraction
 
 from graphcake.generate import GeneratorSpec, generate
 from graphcake.model import (
     Edge,
-    EdgeInterval,
     Graph,
     Instance,
     eval_share,

@@ -1,0 +1,50 @@
+"""Every imported name is used: a stdlib-only ``ast`` scan of the package
+(except ``__init__.py``, whose imports are its exports), the tests and the
+scripts."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _sources():
+    for directory in ("src/graphcake", "tests", "scripts"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            if path.name != "__init__.py":
+                yield path
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import that appear nowhere as a Name node or as a
+    function parameter."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name != "*":
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg):
+            used.add(node.arg)
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_unused_imports_detects_and_spares():
+    source = "import os\nimport a.b\nfrom m import x as y, z\n\ndef f(z):\n    return a.b\n"
+    assert unused_imports(source) == ["os (line 1)", "y (line 3)"]
+
+
+def test_no_unused_imports():
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in _sources()
+        if (names := unused_imports(path.read_text()))
+    }
+    assert found == {}
