@@ -25,7 +25,7 @@ from .iterative import (
     threshold,
 )
 from .balance import identical_two_eps, min_max_path, balance_path, recursive_balance
-from .star_eps import Trading, prepare_layout, star_three_eps
+from .star_eps import Trading, leaf_first, prepare_layout, star_three_eps
 from .star_identical import star_identical_2ef
 from .psn import (
     EdgeBijection,

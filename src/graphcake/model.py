@@ -370,6 +370,12 @@ class StepDensity:
     def total(self) -> Rational:
         return self._cum[-1]
 
+    def mirrored(self) -> "StepDensity":
+        """The same density read from the other end: position x becomes 1 - x."""
+        return StepDensity(
+            tuple(ONE - b for b in reversed(self.breakpoints)), tuple(reversed(self.values))
+        )
+
     def prefix(self, x: Rational) -> Rational:
         """Integral over [0, x]."""
         i = bisect_right(self.breakpoints, x) - 1

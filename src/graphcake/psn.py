@@ -22,7 +22,6 @@ from .model import (
     Graph,
     Instance,
     Share,
-    StepDensity,
     ZERO,
     ONE,
     canonical_share,
@@ -316,12 +315,7 @@ def path_instance(instance: Instance, bijection: EdgeBijection) -> Instance:
         per_edge = {}
         for j, entry in enumerate(bijection.entries):
             d = instance.density(agent, entry.edge)
-            if entry.reversed:
-                bp = tuple(ONE - b for b in reversed(d.breakpoints))
-                vals = tuple(reversed(d.values))
-                per_edge[f"s{j:03d}"] = StepDensity(bp, vals)
-            else:
-                per_edge[f"s{j:03d}"] = d
+            per_edge[f"s{j:03d}"] = d.mirrored() if entry.reversed else d
         valuations[agent] = per_edge
     return Instance(path_graph, instance.agents, valuations)
 

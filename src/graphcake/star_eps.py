@@ -6,9 +6,10 @@ their current value plus a fixed increment, then hands out the leftovers so
 that every share stays connected.  The final multiplicative envy factor is
 at most 3 + epsilon, verified exactly before returning.
 
-``Trading`` holds the loop's state and makes one trade in place per
-``step()``; ``finalize`` hands out the leftovers at the fixpoint, and
-``star_three_eps`` runs the whole protocol.
+``leaf_first`` orients a star so every edge runs from its leaf (0) to the
+center (1); ``Trading`` holds the loop's state and makes one trade in place
+per ``step()``; ``finalize`` hands out the leftovers at the fixpoint,
+``mirror_back`` maps the shares back, and ``star_three_eps`` runs it all.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from .rational import Rational, rational
 
 from .model import (
     Allocation,
+    Edge,
     EdgeInterval,
+    Graph,
     Instance,
     Share,
     ZERO,
@@ -52,18 +55,45 @@ def find_star_center(graph) -> str | None:
     return min(candidates) if candidates else None
 
 
+def leaf_first(instance: Instance) -> tuple[Instance, frozenset[str]]:
+    """The same star with every edge running from its leaf to the center.
+
+    Edges whose center sits at position 0 get their endpoints swapped and
+    their densities mirrored; ``flipped`` names them.  A star that is already
+    leaf-first comes back as the same object.
+    """
+    graph = instance.graph
+    center = find_star_center(graph)
+    if center is None:
+        raise ValueError("instance graph is not a star")
+    flipped = frozenset(e.id for e in graph.edges if e.endpoints[0] == center)
+    if not flipped:
+        return instance, flipped
+    edges = tuple(Edge(e.id, e.endpoints[::-1]) if e.id in flipped else e for e in graph.edges)
+    valuations = {
+        a: {e: d.mirrored() if e in flipped else d for e, d in val.items()}
+        for a, val in instance.valuations.items()
+    }
+    return Instance(Graph(graph.vertices, edges), instance.agents, valuations), flipped
+
+
+def mirror_back(instance: Instance, flipped: frozenset[str], allocation: Allocation) -> Allocation:
+    """An allocation of ``leaf_first(instance)`` as shares of ``instance``."""
+    def back(iv: EdgeInterval) -> EdgeInterval:
+        return EdgeInterval(iv.edge, ONE - iv.hi, ONE - iv.lo) if iv.edge in flipped else iv
+    return Allocation(tuple(canonical_share(instance.graph, map(back, s.intervals)) for s in allocation.shares))
+
+
 @dataclass(frozen=True)
 class StarLayout:
-    """Per-edge geometry of the protocol.
+    """Per-edge geometry of the protocol on a leaf-first star.
 
-    For edge k the outer segment runs from the leaf to ``boundary[k]`` and
-    the inner sliver from there to the center; every inner sliver is worth at
-    most eps_prime/m to every agent.
+    For edge k the outer segment is [0, ``boundary[k]``], from the leaf, and
+    the inner sliver is [``boundary[k]``, 1], up to the center; every inner
+    sliver is worth at most eps_prime/m to every agent.
     """
 
-    center: str
     order: tuple[str, ...]
-    leaf_is_lo: dict
     boundary: dict
     epsilon: Rational
     eps_prime: Rational
@@ -72,26 +102,11 @@ class StarLayout:
     def m(self) -> int:
         return len(self.order)
 
-    def leaf_pos(self, edge_id: str) -> Rational:
-        return ZERO if self.leaf_is_lo[edge_id] else ONE
-
     def outer(self, edge_id: str) -> EdgeInterval:
-        x = self.boundary[edge_id]
-        if self.leaf_is_lo[edge_id]:
-            return EdgeInterval(edge_id, ZERO, x)
-        return EdgeInterval(edge_id, x, ONE)
+        return EdgeInterval(edge_id, ZERO, self.boundary[edge_id])
 
     def inner(self, edge_id: str) -> EdgeInterval:
-        x = self.boundary[edge_id]
-        if self.leaf_is_lo[edge_id]:
-            return EdgeInterval(edge_id, x, ONE)
-        return EdgeInterval(edge_id, ZERO, x)
-
-    def leafward(self, edge_id: str, a: Rational, b: Rational) -> tuple[Rational, Rational]:
-        """Order two positions as (nearer leaf, nearer center)."""
-        if self.leaf_is_lo[edge_id]:
-            return (min(a, b), max(a, b))
-        return (max(a, b), min(a, b))
+        return EdgeInterval(edge_id, self.boundary[edge_id], ONE)
 
 
 def clamp_epsilon(epsilon: Rational) -> Rational:
@@ -104,17 +119,19 @@ def clamp_epsilon(epsilon: Rational) -> Rational:
 
 
 def prepare_layout(instance: Instance, epsilon: Rational, ledger=None) -> StarLayout:
-    """Cut every edge so the center-side sliver is tiny for every agent.
+    """Cut every leaf-first edge so its center-side sliver is tiny for everyone.
 
-    Each agent's candidate boundary is the point nearest the center whose
+    Each agent's candidate boundary is the largest position whose
     center-side segment is worth exactly min(eps'/m, her edge value); the
-    boundary actually used is the candidate nearest the center, which keeps
-    the sliver small for everyone while making the outer segment maximal.
+    boundary actually used is the largest candidate, which keeps the sliver
+    small for everyone while making the outer segment maximal.
     """
     epsilon = clamp_epsilon(epsilon)
     center = find_star_center(instance.graph)
     if center is None:
         raise ValueError("instance graph is not a star")
+    if any(e.endpoints[0] == center for e in instance.graph.edges):
+        raise ValueError("star edges must run from leaf to center; see leaf_first")
     order = tuple(sorted(e.id for e in instance.graph.edges))
     m = len(order)
     if m < 2:
@@ -123,24 +140,16 @@ def prepare_layout(instance: Instance, epsilon: Rational, ledger=None) -> StarLa
     eps_prime = epsilon / (16 * n * m)
     cap = eps_prime / m
 
-    leaf_is_lo = {}
     boundary = {}
     for edge_id in order:
-        e = instance.graph.edge(edge_id)
-        leaf_is_lo[edge_id] = e.endpoints[1] == center
         whole = EdgeInterval(edge_id, ZERO, ONE)
-        anchor = "hi" if leaf_is_lo[edge_id] else "lo"
-        best = None
+        candidates = []
         for agent in instance.agents:
-            total = eval_interval(instance, agent, whole, ledger)
-            target = min(cap, total)
-            pos = cut(instance, agent, whole, anchor, target, ledger).position
-            toward_center = pos if not leaf_is_lo[edge_id] else -pos
-            if best is None or toward_center < best[0]:
-                best = (toward_center, pos)
-        boundary[edge_id] = best[1]
+            target = min(cap, eval_interval(instance, agent, whole, ledger))
+            candidates.append(cut(instance, agent, whole, "hi", target, ledger).position)
+        boundary[edge_id] = max(candidates)
 
-    layout = StarLayout(center, order, leaf_is_lo, boundary, epsilon, eps_prime)
+    layout = StarLayout(order, boundary, epsilon, eps_prime)
     for agent in instance.agents:
         total = ZERO
         for edge_id in order:
@@ -153,12 +162,8 @@ def prepare_layout(instance: Instance, epsilon: Rational, ledger=None) -> StarLa
 
 def _outer_part(layout: StarLayout, iv: EdgeInterval) -> tuple[Rational, Rational] | None:
     """The part of an interval inside its edge's outer segment, if it has length."""
-    x = layout.boundary[iv.edge]
-    if layout.leaf_is_lo[iv.edge]:
-        lo, hi = iv.lo, min(iv.hi, x)
-    else:
-        lo, hi = max(iv.lo, x), iv.hi
-    return (lo, hi) if lo < hi else None
+    hi = min(iv.hi, layout.boundary[iv.edge])
+    return (iv.lo, hi) if iv.lo < hi else None
 
 
 class Trading:
@@ -288,16 +293,14 @@ class Trading:
         instance, layout, targets = self.instance, self.layout, self.targets
 
         # Segment trade: a maximal free interval inside one outer segment,
-        # scanned nearest-the-leaf first.
+        # scanned nearest-the-leaf first.  A span at the leaf is cut from
+        # the leaf, any other span from its center-side end.
         for edge_id in layout.order:
-            leaf_is_lo = layout.leaf_is_lo[edge_id]
-            spans = self.free[edge_id]
-            for lo, hi, values in (spans if leaf_is_lo else reversed(spans)):
+            for lo, hi, values in self.free[edge_id]:
                 bidders = [a for a in instance.agents if values[a - 1] >= targets[a - 1]]
                 if not bidders:
                     continue
-                from_leaf = (lo if leaf_is_lo else hi) == layout.leaf_pos(edge_id)
-                anchor = "lo" if from_leaf == leaf_is_lo else "hi"
+                anchor = "lo" if lo == ZERO else "hi"
                 # Every bidder's target is positive and fits, so the cuts can
                 # start from the stored prefix at the anchor end.
                 anchor_row = self._prefix_row(edge_id, lo if anchor == "lo" else hi)
@@ -393,8 +396,8 @@ def _holder(shares: tuple[Share, ...] | list[Share], edge_id: str, pos: Rational
 def finalize(trading: Trading) -> Allocation:
     """Hand out the leftovers once no trade can improve anyone.
 
-    Gaps inside outer segments go leafward to the holder of their leaf-side
-    boundary (or to the other side when the gap starts at the leaf); the
+    Gaps inside outer segments go to the holder of their leaf-side end (or
+    of their center-side end when the gap starts at the leaf); the
     remaining center star goes to a bundle holder if any, else to the holder
     of a contested boundary point, else to the last segment trader.
     """
@@ -411,9 +414,7 @@ def finalize(trading: Trading) -> Allocation:
         ):
             continue
         for lo, hi, _ in trading.free[edge_id]:
-            leaf_side, center_side = layout.leafward(edge_id, lo, hi)
-            pos = center_side if leaf_side == layout.leaf_pos(edge_id) else leaf_side
-            recipient = _holder(trading.shares, edge_id, pos)
+            recipient = _holder(trading.shares, edge_id, hi if lo == ZERO else lo)
             check(recipient is not None, "gap must border an allocated interval")
             shares[recipient].append(EdgeInterval(edge_id, lo, hi))
             appended[recipient] += 1
@@ -459,14 +460,17 @@ def star_three_eps(
     ledger=None,
     trace: list | None = None,
 ) -> Allocation:
-    """Allocation of a star cake with envy factor at most 3 + epsilon."""
+    """Allocation of a star cake with envy factor at most 3 + epsilon.
+
+    Spokes may run either way: the protocol runs on ``leaf_first(instance)``."""
+    star, flipped = leaf_first(instance)
     if instance.n == 1:
         return Allocation((full_cake(instance.graph),))
-    layout = prepare_layout(instance, epsilon, ledger)
+    layout = prepare_layout(star, epsilon, ledger)
     epsilon = layout.epsilon
     n, m = instance.n, layout.m
     iteration_cap = rational(16 * n * n * m) / epsilon
-    trading = Trading(instance, layout, ledger=ledger)
+    trading = Trading(star, layout, ledger=ledger)
     while trading.step():
         check(trading.iteration <= iteration_cap, "trading loop exceeded its bound")
         if trace is not None:
@@ -480,13 +484,13 @@ def star_three_eps(
                 }
             )
         if trading.iteration % 64 == 0:
-            report = validate_partial(instance, trading.shares)
+            report = validate_partial(star, trading.shares)
             check(report.disjoint_ok and report.connectivity_ok, "invalid partial allocation")
-    report = validate_partial(instance, trading.shares)
+    report = validate_partial(star, trading.shares)
     check(report.disjoint_ok and report.connectivity_ok, "invalid partial allocation at Done")
 
-    pre_values = [eval_share(instance, a, s) for a, s in zip(instance.agents, trading.shares)]
-    allocation = finalize(trading)
+    pre_values = [eval_share(star, a, s) for a, s in zip(star.agents, trading.shares)]
+    allocation = mirror_back(instance, flipped, finalize(trading))
 
     report = validate_allocation(instance, allocation)
     check(report.ok, f"final allocation invalid: {report}")

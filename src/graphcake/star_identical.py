@@ -2,7 +2,8 @@
 
 Peel leaf-anchored segments worth exactly 1/n while any edge still carries
 that much, then merge the remaining center-anchored stubs, always the two
-cheapest first, until one group per unserved agent remains.
+cheapest first, until one group per unserved agent remains.  Both run on
+``leaf_first(instance)``, and ``mirror_back`` maps the shares back.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .model import (
     uncovered_share,
     validate_allocation,
 )
-from .star_eps import find_star_center
+from .star_eps import leaf_first, mirror_back
 
 
 @dataclass(frozen=True)
@@ -42,53 +43,43 @@ class StubGroup:
 
 
 def star_identical_2ef(instance: Instance, ledger=None) -> Allocation:
-    """Allocation of an identical-valuations star with value ratio <= 2."""
-    if instance.n == 1:
-        return Allocation((full_cake(instance.graph),))
+    """Allocation of an identical-valuations star with value ratio <= 2.
+
+    Spokes may run either way: the bag filling runs on ``leaf_first(instance)``."""
     if not instance.identical_valuations():
         raise ValueError("bag filling requires identical valuations")
-    center = find_star_center(instance.graph)
-    if center is None:
-        raise ValueError("instance graph is not a star")
+    star, flipped = leaf_first(instance)
+    if instance.n == 1:
+        return Allocation((full_cake(instance.graph),))
 
-    graph = instance.graph
+    graph = star.graph
     mu = instance.agents[0]
     n = instance.n
     quota = rational(1, n)
 
     # Peel leaf-anchored segments of value exactly 1/n.  `frontier` tracks the
-    # leaf-side end of the unpeeled remainder of each edge.
-    leaf_is_lo = {e.id: e.endpoints[1] == center for e in graph.edges}
-    frontier = {e.id: (ZERO if leaf_is_lo[e.id] else ONE) for e in graph.edges}
+    # leaf-side end of the unpeeled remainder [frontier, 1] of each edge.
+    frontier = {e.id: ZERO for e in graph.edges}
     peels: list[tuple[int, Share]] = []
     unserved = list(instance.agents)
 
     def residual(edge_id: str) -> EdgeInterval:
-        pos = frontier[edge_id]
-        if leaf_is_lo[edge_id]:
-            return EdgeInterval(edge_id, pos, ONE)
-        return EdgeInterval(edge_id, ZERO, pos)
+        return EdgeInterval(edge_id, frontier[edge_id], ONE)
 
     while unserved:
         candidates = [
             e.id
             for e in graph.edges
-            if eval_share(instance, mu, Share((residual(e.id),)), ledger) >= quota
+            if eval_share(star, mu, Share((residual(e.id),)), ledger) >= quota
         ]
         if not candidates:
             break
         edge_id = min(candidates)
         seg = residual(edge_id)
-        anchor = "lo" if leaf_is_lo[edge_id] else "hi"
-        pos = cut(instance, mu, seg, anchor, quota, ledger).position
-        piece = (
-            EdgeInterval(edge_id, seg.lo, pos)
-            if anchor == "lo"
-            else EdgeInterval(edge_id, pos, seg.hi)
-        )
+        pos = cut(star, mu, seg, "lo", quota, ledger).position
         frontier[edge_id] = pos
         recipient = unserved.pop(0)
-        peels.append((recipient, canonical_share(graph, [piece])))
+        peels.append((recipient, canonical_share(graph, [EdgeInterval(edge_id, seg.lo, pos)])))
 
     shares: dict[int, Share] = dict(peels)
     k = len(unserved)
@@ -96,7 +87,7 @@ def star_identical_2ef(instance: Instance, ledger=None) -> Allocation:
 
     if k == 0:
         # Whatever is left carries no value; keep it attached to the last peel.
-        check(eval_share(instance, mu, stub_star) == 0, "leftover after full peel must be worthless")
+        check(eval_share(star, mu, stub_star) == 0, "leftover after full peel must be worthless")
         if not stub_star.is_empty and peels:
             last = peels[-1][0]
             shares[last] = canonical_share(graph, shares[last].intervals + stub_star.intervals)
@@ -104,7 +95,7 @@ def star_identical_2ef(instance: Instance, ledger=None) -> Allocation:
         groups = []
         for e in graph.edges:
             iv = residual(e.id)
-            v = eval_share(instance, mu, Share((iv,)), ledger)
+            v = eval_share(star, mu, Share((iv,)), ledger)
             check(v < quota, f"stub on {iv.edge} still worth {v} >= 1/n")
             groups.append(StubGroup((iv,), v))
         total = sum((g.value for g in groups), rational(0))
@@ -129,7 +120,7 @@ def star_identical_2ef(instance: Instance, ledger=None) -> Allocation:
             check(group.value >= g_star / 2, f"group for agent {agent} below half the maximum")
             shares[agent] = canonical_share(graph, group.stubs)
 
-    allocation = Allocation(tuple(shares[a] for a in instance.agents))
+    allocation = mirror_back(instance, flipped, Allocation(tuple(shares[a] for a in instance.agents)))
     report = validate_allocation(instance, allocation)
     check(report.ok, f"bag filling produced an invalid allocation: {report}")
     values = [eval_share(instance, mu, s) for s in allocation.shares]

@@ -49,6 +49,25 @@ def star_instance(m, n=2, leaf_weights=None):
     return Instance(graph, tuple(range(1, n + 1)), {i: val for i in range(1, n + 1)})
 
 
+def _mirrored(instance, edge_ids):
+    """The same cake with the given edges' endpoints and densities reversed."""
+
+    def flip(d):
+        return StepDensity(
+            tuple(1 - b for b in reversed(d.breakpoints)), tuple(reversed(d.values))
+        )
+
+    graph = instance.graph
+    edges = tuple(
+        Edge(e.id, e.endpoints[::-1]) if e.id in edge_ids else e for e in graph.edges
+    )
+    valuations = {
+        a: {e: flip(d) if e in edge_ids else d for e, d in val.items()}
+        for a, val in instance.valuations.items()
+    }
+    return Instance(Graph(graph.vertices, edges), instance.agents, valuations)
+
+
 def density_value_oracle(density, lo, hi, refine=8):
     """Independent integral: midpoint sums on a breakpoint-refining grid,
     exact for step densities."""

@@ -387,6 +387,21 @@ def test_cli_rejects_algorithm_graph_mismatch(tmp_path, capsys):
         assert "star" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algorithm", ["star-3eps", "star-identical-2ef"])
+def test_cli_star_solvers_reject_a_single_agent_non_star(tmp_path, capsys, algorithm):
+    tree_file = tmp_path / "tree.json"
+    assert run_cli("gen", "--family", "tree", "--edges", "4", "--agents", "1",
+                   "--seed", "3", "--output", str(tree_file)) == 0
+    from graphcake.star_eps import find_star_center
+
+    assert find_star_center(load_instance(tree_file.read_bytes()).graph) is None
+    capsys.readouterr()
+    code, err = _exit_and_stderr(capsys, "solve", "--algorithm", algorithm,
+                                 "--instance", str(tree_file), "--output", str(tmp_path / "x.json"))
+    assert code == 2
+    assert err.count("\n") == 1 and "not a star" in err
+
+
 def test_cli_zero_denominator_in_instance_exits_2(tmp_path, capsys):
     inst_file = tmp_path / "fig1.json"
     run_cli("gen", "--family", "fig1", "--output", str(inst_file))

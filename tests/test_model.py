@@ -142,6 +142,17 @@ def test_eval_matches_independent_quadrature(density, a, b):
     assert density.integral(lo, hi) == density_value_oracle(density, lo, hi)
 
 
+@given(densities(), st.integers(0, 16), st.integers(0, 16))
+@example(PLATEAU, 0, 16)
+@example(PLATEAU, 0, 5)
+@settings(max_examples=80, deadline=None)
+def test_mirrored_density_reads_the_edge_backwards(density, a, b):
+    lo, hi = F(min(a, b), 16), F(max(a, b), 16)
+    mirrored = density.mirrored()
+    assert mirrored.integral(1 - hi, 1 - lo) == density.integral(lo, hi)
+    assert mirrored.mirrored() == density
+
+
 # ---------------------------------------------------------------------------
 # connectivity
 

@@ -9,19 +9,22 @@ from graphcake.model import (
     Graph,
     Instance,
     Share,
-    StepDensity,
+    canonical_share,
     eval_share,
     validate_allocation,
 )
+from graphcake.queries import QueryLedger
+from graphcake.solvers import SOLVERS
 from graphcake.star_eps import (
     Trading,
     finalize,
     find_star_center,
+    leaf_first,
     prepare_layout,
     star_three_eps,
 )
 
-from conftest import F, star_instance, uniform_density
+from conftest import F, _mirrored, path_instance, star_instance, uniform_density
 
 
 def test_find_star_center(fig1):
@@ -31,6 +34,21 @@ def test_find_star_center(fig1):
         (Edge("e1", ("a", "b")), Edge("e2", ("b", "c")), Edge("e3", ("c", "d"))),
     )
     assert find_star_center(path3) is None
+
+
+def test_leaf_first_flips_the_centre_first_spokes(fig1):
+    star, flipped = leaf_first(fig1)
+    assert star is fig1 and not flipped
+    star, flipped = leaf_first(_mirrored(fig1, {"e1", "e3"}))
+    assert flipped == {"e1", "e3"}
+    assert star == fig1
+    with pytest.raises(ValueError, match="not a star"):
+        leaf_first(path_instance(3))
+
+
+def test_prepare_layout_rejects_a_centre_first_star(fig1):
+    with pytest.raises(ValueError, match="leaf to center"):
+        prepare_layout(_mirrored(fig1, {"e2"}), F(1, 2))
 
 
 def test_layout_star3_boundaries(fig1):
@@ -298,31 +316,12 @@ def test_trace_records_each_trade(fig1):
     assert not state.step()
 
 
-def _mirrored(instance, edge_ids):
-    """The same cake with the given edges' endpoints and densities reversed."""
-
-    def flip(d):
-        return StepDensity(
-            tuple(1 - b for b in reversed(d.breakpoints)), tuple(reversed(d.values))
-        )
-
-    graph = instance.graph
-    edges = tuple(
-        Edge(e.id, e.endpoints[::-1]) if e.id in edge_ids else e for e in graph.edges
-    )
-    valuations = {
-        a: {e: flip(d) if e in edge_ids else d for e, d in val.items()}
-        for a, val in instance.valuations.items()
-    }
-    return Instance(Graph(graph.vertices, edges), instance.agents, valuations)
-
-
 def _replay_star(seed):
     if seed == "fig1":
         return generate(GeneratorSpec("fig1"))
     inst = generate(GeneratorSpec("star", m=3 + seed % 4, n=2 + seed % 3, pieces=3, seed=seed))
     if seed == 7:
-        # Centre at position 0 on every other edge: free intervals scan hi to lo.
+        # Centre at position 0 on every other edge, until leaf_first flips it.
         return _mirrored(inst, set(inst.graph.edge_ids()[::2]))
     return inst
 
@@ -340,7 +339,7 @@ def _fresh(state):
 
 @pytest.mark.parametrize("seed", ["fig1", 3, 10, 7])
 def test_trade_cache_matches_rebuild_after_every_trade(seed):
-    inst = _replay_star(seed)
+    inst = leaf_first(_replay_star(seed))[0]
     state = Trading(inst, prepare_layout(inst, F(1, 2)))
     phases = set()
     steps = 0
@@ -368,8 +367,8 @@ def _trades(state):
 @settings(max_examples=60, deadline=None)
 def test_trading_steps_like_a_fresh_build(m, n, pieces, seed, data):
     inst = generate(GeneratorSpec("star", m=m, n=n, pieces=pieces, seed=seed))
-    # Centre at position 0 on the mirrored edges: their spans scan hi to lo.
-    inst = _mirrored(inst, data.draw(st.sets(st.sampled_from(inst.graph.edge_ids()))))
+    # Centre at position 0 on the mirrored edges, until leaf_first flips them.
+    inst = leaf_first(_mirrored(inst, data.draw(st.sets(st.sampled_from(inst.graph.edge_ids())))))[0]
     state = Trading(inst, prepare_layout(inst, F(1, 2)))
     trades, fresh = _trades(state)
     # Resumed from a fresh build at a drawn step, the run makes the same
@@ -379,3 +378,34 @@ def test_trading_steps_like_a_fresh_build(m, n, pieces, seed, data):
     assert _trades(resumed)[0] == trades[k:]
     assert resumed.shares == state.shares
     assert resumed.tags == state.tags
+
+
+def _mirror_shares(graph, allocation, edge_ids):
+    """Each share read from the other end on the given edges."""
+    return tuple(
+        canonical_share(graph, [
+            EdgeInterval(iv.edge, 1 - iv.hi, 1 - iv.lo) if iv.edge in edge_ids else iv
+            for iv in share.intervals
+        ])
+        for share in allocation.shares
+    )
+
+
+@pytest.mark.parametrize("algorithm", ["star-3eps", "star-identical-2ef"])
+@given(st.integers(2, 6), st.integers(2, 4), st.integers(1, 3), st.integers(0, 10**6), st.data())
+@settings(max_examples=40, deadline=None)
+def test_star_solvers_are_mirror_equivariant(algorithm, m, n, pieces, seed, data):
+    identical = algorithm == "star-identical-2ef"
+    inst = generate(GeneratorSpec("star", m=m, n=n, pieces=pieces, identical=identical, seed=seed))
+    assert leaf_first(inst)[0] is inst
+    flipped = data.draw(st.sets(st.sampled_from(inst.graph.edge_ids())))
+    runs = []
+    for cake in (inst, _mirrored(inst, flipped)):
+        ledger, trace = QueryLedger(), []
+        allocation = SOLVERS[algorithm].run(cake, F(1, 2), ledger, trace)
+        runs.append((cake, allocation, trace, (ledger.evals, ledger.cuts)))
+    (_, plain, plain_trace, plain_counts), (mirror, flip, flip_trace, flip_counts) = runs
+    # Mirroring the cake mirrors the shares and changes no query count.
+    assert flip.shares == _mirror_shares(mirror.graph, plain, flipped)
+    assert flip_trace == plain_trace
+    assert flip_counts == plain_counts
