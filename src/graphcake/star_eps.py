@@ -10,6 +10,11 @@ at most 3 + epsilon, verified exactly before returning.
 center (1); ``Trading`` holds the loop's state and makes one trade in place
 per ``step()``; ``finalize`` hands out the leftovers at the fixpoint,
 ``mirror_back`` maps the shares back, and ``star_three_eps`` runs it all.
+
+Every interval ``Trading`` keeps, free or held, carries the prefix rows
+(every agent's value of [0, x]) at its ends, so a trade values what it
+splits or merges by subtracting rows it already has, and computes a row only
+for a point it has not met: each point costs one Eval per agent, once.
 """
 
 from __future__ import annotations
@@ -166,18 +171,33 @@ def _outer_part(layout: StarLayout, iv: EdgeInterval) -> tuple[Rational, Rationa
     return (iv.lo, hi) if iv.lo < hi else None
 
 
+def _span(lo: Rational, hi: Rational, lo_row: tuple, hi_row: tuple) -> tuple:
+    """A free entry: the interval, every agent's value of it, its end rows."""
+    return (lo, hi, tuple(h - l for l, h in zip(lo_row, hi_row)), lo_row, hi_row)
+
+
 class Trading:
     """The trading loop's state, stepped in place by ``step``.
 
     Besides the shares, their tags ("unserved" | "N1" | "N2" per agent) and
-    the last (segment) trader, it keeps what a trade needs: per edge the
-    maximal free intervals inside the outer segment, in ascending position,
-    each with every agent's value; every agent's own value; and its target,
-    own value + eps'.  A trade changes the free intervals of the edges it
-    touches only, and those are updated in place.  Interval values are
-    differences of prefix integrals; ``prefix`` holds every agent's prefix
-    at each point seen during the run, so each one is computed (one Eval)
-    once.
+    the last (segment) trader, it keeps what a trade needs.  A row is every
+    agent's prefix integral at one position of an edge, and every interval
+    kept carries the rows at its ends:
+
+    - ``free``: per edge, the maximal free intervals inside the outer
+      segment, in ascending position, each ``(lo, hi, values, lo_row,
+      hi_row)`` with every agent's value of it;
+    - ``held``: per agent, the outer parts of its share, each ``(edge id,
+      lo, hi, lo_row, hi_row)``;
+    - ``own`` and ``targets``: every agent's own value and own value + eps'.
+
+    A segment trade replaces the free entry it cuts with the remainder, or
+    deletes it; every trade returns the trader's held parts to the free
+    lists, each merged with the free intervals it touches, and values every
+    new entry from the rows its ends carry.  ``prefix`` (per edge, position
+    -> row) keeps every row computed and is asked only for a point no entry
+    carries: the constructor's ends, a cut position and a bundle's whole
+    edges.  So each point's row is computed (one Eval per agent) once.
     """
 
     def __init__(
@@ -198,21 +218,31 @@ class Trading:
         self.last_segment_trader = last_segment_trader
         self.last_trader: int | None = None
         self.iteration = 0
-        self.prefix: dict = {}  # (edge id, position) -> prefix integral per agent
-        self.free: dict = {}    # edge id -> list[(lo, hi, values per agent)]
+        self.prefix: dict = {edge_id: {} for edge_id in layout.order}
+        self.free: dict = {}
+        self.held: list = [[] for _ in range(n)]
         for edge_id in layout.order:
+            parts = []
+            for idx, share in enumerate(self.shares):
+                for iv in share.on_edge(edge_id):
+                    part = _outer_part(layout, iv)
+                    if part is not None:
+                        lo, hi = part
+                        parts.append(part)
+                        self.held[idx].append((edge_id, lo, hi, self._row(edge_id, lo), self._row(edge_id, hi)))
             outer = layout.outer(edge_id)
-            parts = (_outer_part(layout, iv) for share in self.shares for iv in share.on_edge(edge_id))
-            spans = complement_spans([part for part in parts if part is not None], outer.lo, outer.hi)
-            self.free[edge_id] = [self._free_entry(edge_id, lo, hi) for lo, hi in spans]
+            self.free[edge_id] = [
+                _span(lo, hi, self._row(edge_id, lo), self._row(edge_id, hi))
+                for lo, hi in complement_spans(parts, outer.lo, outer.hi)
+            ]
         self.own = [eval_share(instance, a, s, ledger) for a, s in zip(instance.agents, self.shares)]
         self.targets = [v + layout.eps_prime for v in self.own]
 
-    def _prefix_row(self, edge_id: str, x: Rational, known: tuple[int, Rational] | None = None) -> tuple:
+    def _row(self, edge_id: str, x: Rational, known: tuple[int, Rational] | None = None) -> tuple:
         """Every agent's value of [0, x] on one edge.  ``known`` is an
         (agent index, prefix) pair that the agent's Cut already answered."""
-        key = (edge_id, x)
-        row = self.prefix.get(key)
+        memo = self.prefix[edge_id]
+        row = memo.get(x)
         if row is None:
             instance = self.instance
             if x == ZERO:
@@ -225,66 +255,31 @@ class Trading:
                 if self.ledger is not None:
                     self.ledger.record_eval(instance.n - (known is not None))
                 row = tuple(row)
-            self.prefix[key] = row
+            memo[x] = row
         return row
 
-    def _free_entry(self, edge_id: str, lo: Rational, hi: Rational) -> tuple:
-        lo_row = self._prefix_row(edge_id, lo)
-        hi_row = self._prefix_row(edge_id, hi)
-        return (lo, hi, tuple(h - l for l, h in zip(lo_row, hi_row)))
-
-    def _update_free(self, edge_id: str, taken: list, released: list) -> None:
-        """Free intervals of one edge after a trade.  The ``taken`` (lo, hi)
-        spans leave the free set; the ``released`` spans, inside the outer
-        segment, rejoin it and merge with the free intervals they touch.
-        Only the intervals that change are re-valued."""
-        spans = self.free[edge_id]
-        for lo, hi in taken:
-            rest = []
-            for entry in spans:
-                a, b = entry[0], entry[1]
-                if b <= lo or hi <= a:
-                    rest.append(entry)
-                    continue
-                if a < lo:
-                    rest.append((a, lo, None))
-                if hi < b:
-                    rest.append((hi, b, None))
-            spans = rest
-        for lo, hi in released:
-            i = next((k for k, entry in enumerate(spans) if hi <= entry[0]), len(spans))
-            if i < len(spans) and spans[i][0] == hi:
-                hi = spans.pop(i)[1]
-            if i > 0 and spans[i - 1][1] == lo:
-                i -= 1
-                lo = spans.pop(i)[0]
-            spans.insert(i, (lo, hi, None))
-        self.free[edge_id] = [
-            entry if entry[2] is not None else self._free_entry(edge_id, entry[0], entry[1])
-            for entry in spans
-        ]
-
-    def _trade(self, trader: int, piece_intervals, tag: str, new_value: Rational) -> None:
-        """Swap the trader's share for the piece, worth ``new_value`` to it."""
+    def _trade(self, trader: int, share: Share, held: list, tag: str, new_value: Rational) -> None:
+        """Give the trader ``share``, worth ``new_value`` to it.  The caller
+        has taken ``held``, the share's outer parts, out of the free lists;
+        the trader's old outer parts rejoin them here."""
         idx = trader - 1
         check(new_value >= self.targets[idx], "trade must gain at least eps'")
-        old_share = self.shares[idx]
-        self.shares[idx] = canonical_share(self.instance.graph, piece_intervals)
+        self.shares[idx] = share
         self.tags[idx] = tag
         if tag == "N1":
             self.last_segment_trader = trader
         self.last_trader = trader
         self.iteration += 1
-        taken: dict = {}
-        released: dict = {}
-        for iv in piece_intervals:
-            taken.setdefault(iv.edge, []).append((iv.lo, iv.hi))
-        for iv in old_share.intervals:
-            part = _outer_part(self.layout, iv)
-            if part is not None:
-                released.setdefault(iv.edge, []).append(part)
-        for edge_id in taken.keys() | released.keys():
-            self._update_free(edge_id, taken.get(edge_id, []), released.get(edge_id, []))
+        for edge_id, lo, hi, lo_row, hi_row in self.held[idx]:
+            spans = self.free[edge_id]
+            i = next((k for k, entry in enumerate(spans) if hi <= entry[0]), len(spans))
+            if i < len(spans) and spans[i][0] == hi:
+                _, hi, _, _, hi_row = spans.pop(i)
+            if i > 0 and spans[i - 1][1] == lo:
+                i -= 1
+                lo, _, _, lo_row, _ = spans.pop(i)
+            spans.insert(i, _span(lo, hi, lo_row, hi_row))
+        self.held[idx] = held
         self.own[idx] = new_value
         self.targets[idx] = new_value + self.layout.eps_prime
 
@@ -296,14 +291,15 @@ class Trading:
         # scanned nearest-the-leaf first.  A span at the leaf is cut from
         # the leaf, any other span from its center-side end.
         for edge_id in layout.order:
-            for lo, hi, values in self.free[edge_id]:
+            spans = self.free[edge_id]
+            for i, (lo, hi, values, lo_row, hi_row) in enumerate(spans):
                 bidders = [a for a in instance.agents if values[a - 1] >= targets[a - 1]]
                 if not bidders:
                     continue
                 anchor = "lo" if lo == ZERO else "hi"
                 # Every bidder's target is positive and fits, so the cuts can
-                # start from the stored prefix at the anchor end.
-                anchor_row = self._prefix_row(edge_id, lo if anchor == "lo" else hi)
+                # start from the row at the anchor end.
+                anchor_row = lo_row if anchor == "lo" else hi_row
                 best = None
                 for a in bidders:
                     if self.ledger is not None:
@@ -317,21 +313,32 @@ class Trading:
                 # The trader's Cut already answered its own prefix at pos.
                 start, target = anchor_row[trader - 1], targets[trader - 1]
                 at_pos = start + target if anchor == "lo" else start - target
-                self._prefix_row(edge_id, pos, known=(trader - 1, at_pos))
-                piece = EdgeInterval(edge_id, lo, pos) if anchor == "lo" else EdgeInterval(edge_id, pos, hi)
-                self._trade(trader, [piece], "N1", targets[trader - 1])
+                pos_row = self._row(edge_id, pos, known=(trader - 1, at_pos))
+                if anchor == "lo":
+                    piece, rest = (lo, pos, lo_row, pos_row), (pos, hi, pos_row, hi_row)
+                else:
+                    piece, rest = (pos, hi, pos_row, hi_row), (lo, pos, lo_row, pos_row)
+                if rest[0] < rest[1]:
+                    spans[i] = _span(*rest)
+                else:
+                    del spans[i]
+                share = Share((EdgeInterval(edge_id, piece[0], piece[1]),))
+                self._trade(trader, share, [(edge_id, *piece)], "N1", target)
                 return True
 
-        # Whole-edge trade: bundle fully-unallocated outer segments.
+        # Whole-edge trade: bundle fully-unallocated outer segments.  An
+        # untouched edge's free list is its whole outer segment, if that has
+        # length.
         untouched = [
             e for e in layout.order if all(not share.on_edge(e) for share in self.shares)
         ]
+        nothing = (ZERO,) * instance.n
         bundle_value = {a: ZERO for a in instance.agents}
         chosen: list[str] = []
         for edge_id in untouched:
             chosen.append(edge_id)
-            outer = layout.outer(edge_id)
-            _, _, outer_vals = self._free_entry(edge_id, outer.lo, outer.hi)
+            free = self.free[edge_id]
+            outer_vals = free[0][2] if free else nothing
             qualifiers = []
             for a in instance.agents:
                 bundle_value[a] += outer_vals[a - 1]
@@ -340,11 +347,15 @@ class Trading:
             if qualifiers:
                 trader = min(qualifiers)
                 check(len(chosen) >= 2, "single-edge bundle is a segment trade in disguise")
-                whole_value = sum(
-                    (self._free_entry(e, ZERO, ONE)[2][trader - 1] for e in chosen),
-                    ZERO,
-                )
-                self._trade(trader, [EdgeInterval(e, ZERO, ONE) for e in chosen], "N2", whole_value)
+                whole_value = sum((self._row(e, ONE)[trader - 1] for e in chosen), ZERO)
+                held = [
+                    (e, lo, hi, lo_row, hi_row)
+                    for e in chosen for lo, hi, _, lo_row, hi_row in self.free[e]
+                ]
+                for e in chosen:
+                    self.free[e] = []
+                share = canonical_share(self.instance.graph, [EdgeInterval(e, ZERO, ONE) for e in chosen])
+                self._trade(trader, share, held, "N2", whole_value)
                 return True
         return False
 
@@ -413,7 +424,7 @@ def finalize(trading: Trading) -> Allocation:
             for share, tag in zip(trading.shares, trading.tags)
         ):
             continue
-        for lo, hi, _ in trading.free[edge_id]:
+        for lo, hi, *_ in trading.free[edge_id]:
             recipient = _holder(trading.shares, edge_id, hi if lo == ZERO else lo)
             check(recipient is not None, "gap must border an allocated interval")
             shares[recipient].append(EdgeInterval(edge_id, lo, hi))

@@ -125,12 +125,15 @@ def test_star_identical_query_counts_are_pinned(fig1, seed, counts):
 
 # Exact (evals, cuts, trades) per star_three_eps solve at ε = 1/10; the
 # third generated star is mirrored on every other edge, so its centre sits
-# at position 0 there, and it counts what the unmirrored star counts.
+# at position 0 there, and it counts what the unmirrored star counts.  The
+# last star has perfbench star-trade's 95th-percentile shape (m = 3, n = 4),
+# so trades among four bidders are pinned too.
 STAR_EPS_COUNTS = [
     (None, 0, 0, False, (617, 1280, 638)),
     (1, 5, 3, False, (3308, 3691, 1667)),
     (2, 6, 4, False, (10793, 9465, 3623)),
     (3, 5, 3, True, (3452, 3705, 1730)),
+    (4, 3, 4, False, (4926, 5757, 1684)),
 ]
 
 

@@ -9,6 +9,7 @@ from graphcake.model import (
     Graph,
     Instance,
     Share,
+    StepDensity,
     canonical_share,
     eval_share,
     validate_allocation,
@@ -281,10 +282,10 @@ def test_epsilon_clamped_with_warning(fig1):
 
 
 def test_non_star_rejected():
-    inst = generate(GeneratorSpec("tree", m=4, n=2, seed=8))
-    if find_star_center(inst.graph) is None:
-        with pytest.raises(ValueError):
-            star_three_eps(inst, F(1, 2))
+    inst = generate(GeneratorSpec("tree", m=4, n=2, seed=0))
+    assert find_star_center(inst.graph) is None
+    with pytest.raises(ValueError, match="not a star"):
+        star_three_eps(inst, F(1, 2))
 
 
 def test_random_stars_meet_bound_and_stay_valid():
@@ -328,10 +329,12 @@ def _replay_star(seed):
 
 def _fresh(state):
     """A Trading built from scratch on the state's shares, tags and last
-    segment trader, checked to hold the same free intervals, own values and
-    targets as the stepped state."""
+    segment trader, checked to hold the same free intervals and held parts,
+    with the rows at their ends, and the same own values and targets as the
+    stepped state."""
     fresh = Trading(state.instance, state.layout, state.shares, state.tags, state.last_segment_trader)
     assert state.free == fresh.free
+    assert state.held == fresh.held
     assert state.own == fresh.own
     assert state.targets == fresh.targets
     return fresh
@@ -351,6 +354,21 @@ def test_trade_cache_matches_rebuild_after_every_trade(seed):
     assert "N1" in phases
     if seed != "fig1":
         assert "N2" in phases
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_trading_evaluates_only_the_prefixes_it_records(seed, monkeypatch):
+    inst = leaf_first(_replay_star(seed))[0]
+    ledger = QueryLedger()
+    state = Trading(inst, prepare_layout(inst, F(1, 10)), ledger=ledger)
+    calls = []
+    prefix = StepDensity.prefix
+    monkeypatch.setattr(StepDensity, "prefix", lambda self, x: calls.append(x) or prefix(self, x))
+    evals = ledger.evals
+    while state.step():
+        pass
+    assert state.iteration > 0
+    assert len(calls) == ledger.evals - evals
 
 
 def _trades(state):
