@@ -3,15 +3,19 @@
 All rationals travel as reduced ``"p/q"`` strings (integers without the
 denominator), keys are sorted, and no floats appear anywhere, so equal
 objects serialize to identical bytes.
+
+The loaders parse each distinct rational text of a document once: a
+document repeats the same breakpoints and cut positions many times, and
+every repeat reuses the first parse's (immutable) value.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from typing import Any, Callable
 
 from .rational import Rational, rational
-import re
-from typing import Any
 
 from .model import (
     Allocation,
@@ -33,9 +37,24 @@ def parse_rational(text: str) -> Rational:
     # pass through the rational type's own string parser.
     numerator, _, denominator = text.partition("/")
     try:
-        return Rational(int(numerator), int(denominator or 1))
+        return rational(int(numerator), int(denominator or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _document_parser() -> Callable[[Any], Rational]:
+    """``parse_rational`` that parses each distinct text once; one per document."""
+    parsed: dict[str, Rational] = {}
+
+    def parse(text: Any) -> Rational:
+        if type(text) is not str:
+            return parse_rational(text)  # raises its error for a non-string
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = parse_rational(text)
+        return value
+
+    return parse
 
 
 def format_rational(value: Rational) -> str:
@@ -111,7 +130,8 @@ def instance_from_dict(data: dict) -> Instance:
         )
         valuations = {}
         agents = []
-        densities: dict[tuple, StepDensity] = {}  # equal texts parse once
+        parse = _document_parser()
+        densities: dict[tuple, StepDensity] = {}  # equal texts build one density
         for entry in _json_list(data["agents"], "agents"):
             agent = _json_id(entry["id"], int, "agent id")
             agents.append(agent)
@@ -123,8 +143,7 @@ def instance_from_dict(data: dict) -> Instance:
                 )
                 if key not in densities:
                     densities[key] = StepDensity(
-                        tuple(parse_rational(b) for b in key[0]),
-                        tuple(parse_rational(v) for v in key[1]),
+                        tuple(map(parse, key[0])), tuple(map(parse, key[1]))
                     )
                 valuation[edge_id] = densities[key]
             valuations[agent] = valuation
@@ -168,6 +187,7 @@ def allocation_to_dict(instance: Instance, allocation: Allocation, metrics: dict
 def allocation_from_dict(instance: Instance, data: dict) -> tuple[Allocation, dict]:
     try:
         shares = {}
+        parse = _document_parser()
         for entry in _json_list(data["agents"], "allocation agents"):
             agent = _json_id(entry["id"], int, "allocation agent id")
             if agent not in instance.agents:
@@ -175,7 +195,7 @@ def allocation_from_dict(instance: Instance, data: dict) -> tuple[Allocation, di
             if agent in shares:
                 raise ValueError(f"allocation lists agent {agent!r} twice")
             intervals = [
-                EdgeInterval(t["edge"], parse_rational(t["from"]), parse_rational(t["to"]))
+                EdgeInterval(t["edge"], parse(t["from"]), parse(t["to"]))
                 for t in _json_list(entry["share"], "share")
             ]
             shares[agent] = canonical_share(instance.graph, intervals)

@@ -347,15 +347,23 @@ class StepDensity:
         bp, vals = self.breakpoints, self.values
         if len(bp) < 2 or bp[0] != ZERO or bp[-1] != ONE:
             raise ValueError("breakpoints must run from 0 to 1")
-        if any(bp[i] >= bp[i + 1] for i in range(len(bp) - 1)):
-            raise ValueError("breakpoints must strictly increase")
+        left = bp[0]
+        for right in bp[1:]:
+            if left >= right:
+                raise ValueError("breakpoints must strictly increase")
+            left = right
         if len(vals) != len(bp) - 1:
             raise ValueError("need one density value per piece")
-        if any(v < 0 for v in vals):
-            raise ValueError("densities must be nonnegative")
-        cum = [ZERO]
-        for i, v in enumerate(vals):
-            cum.append(cum[-1] + v * (bp[i + 1] - bp[i]))
+        for v in vals:
+            if v < 0:
+                raise ValueError("densities must be nonnegative")
+        total = ZERO
+        cum = [total]
+        left = bp[0]
+        for v, right in zip(vals, bp[1:]):
+            total = total + v * (right - left)
+            cum.append(total)
+            left = right
         object.__setattr__(self, "_cum", tuple(cum))
 
     @cached_property
@@ -509,10 +517,20 @@ def eval_interval(instance: Instance, agent: int, interval: EdgeInterval, ledger
 
 
 def eval_share(instance: Instance, agent: int, share: Share, ledger=None) -> Rational:
-    """Value of a share to an agent: the sum of its interval integrals."""
+    """Value of a share to an agent: the sum of its interval integrals.
+
+    The ledger records one Eval per interval, in one call per share.
+    """
+    intervals = share.intervals
+    if ledger is not None:
+        ledger.record_eval(len(intervals))
+    valuation = instance.valuations.get(agent, {})
     total = ZERO
-    for iv in share.intervals:
-        total += eval_interval(instance, agent, iv, ledger)
+    for iv in intervals:
+        density = valuation.get(iv.edge)
+        if density is None:
+            raise ValueError(f"unknown agent {agent} or edge {iv.edge!r}")
+        total += density.integral(iv.lo, iv.hi)
     return total
 
 
@@ -573,14 +591,23 @@ class ValidationReport:
         return self.disjoint_ok and self.complete_ok and self.connectivity_ok
 
 
+def _by_edge(graph: Graph, owners: Iterable, shares: Sequence[Share]) -> dict[str, list[tuple]]:
+    """``(lo, hi, owner)`` of every interval of the shares, one list per edge
+    in graph order; intervals on edges the graph lacks are left out."""
+    buckets: dict[str, list[tuple]] = {e.id: [] for e in graph.edges}
+    for owner, share in zip(owners, shares):
+        for iv in share.intervals:
+            bucket = buckets.get(iv.edge)
+            if bucket is not None:
+                bucket.append((iv.lo, iv.hi, owner))
+    return buckets
+
+
 def validate_partial(instance: Instance, shares: Sequence[Share]) -> ValidationReport:
     """Disjointness and connectivity checks; completeness is not required."""
     graph = instance.graph
     overlaps = []
-    for edge in graph.edges:
-        entries = []
-        for agent, share in zip(instance.agents, shares):
-            entries.extend((iv.lo, iv.hi, agent) for iv in share.on_edge(edge.id))
+    for edge_id, entries in _by_edge(graph, instance.agents, shares).items():
         entries.sort()
         for i in range(len(entries)):
             lo_i, hi_i, a_i = entries[i]
@@ -589,7 +616,7 @@ def validate_partial(instance: Instance, shares: Sequence[Share]) -> ValidationR
                 if lo_j >= hi_i:
                     break
                 if a_j != a_i and min(hi_i, hi_j) > lo_j:
-                    overlaps.append((edge.id, lo_j, min(hi_i, hi_j), a_i, a_j))
+                    overlaps.append((edge_id, lo_j, min(hi_i, hi_j), a_i, a_j))
     disconnected = [
         agent
         for agent, share in zip(instance.agents, shares)
@@ -626,10 +653,9 @@ def complement_spans(spans: Iterable[tuple[Rational, Rational]], lo: Rational, h
 
 def _uncovered(graph: Graph, shares: Sequence[Share]) -> Iterable[tuple[str, Rational, Rational]]:
     """``(edge, lo, hi)`` for each segment no share covers, edge by edge."""
-    for edge in graph.edges:
-        covered = [(iv.lo, iv.hi) for share in shares for iv in share.on_edge(edge.id)]
-        for lo, hi in complement_spans(covered, ZERO, ONE):
-            yield edge.id, lo, hi
+    for edge_id, entries in _by_edge(graph, range(len(shares)), shares).items():
+        for lo, hi in complement_spans([(lo, hi) for lo, hi, _ in entries], ZERO, ONE):
+            yield edge_id, lo, hi
 
 
 def uncovered_share(graph: Graph, shares: Sequence[Share]) -> Share:

@@ -197,13 +197,32 @@ except ImportError:  # gmpy2 is an optional extra
             n, d = -n, -d
         return _build(n, d)
 
+    def _ratio(numerator, denominator):
+        """``numerator / denominator`` of two ints: one gcd, the sign on top."""
+        if not denominator:
+            raise ZeroDivisionError(f"Fraction({numerator}, 0)")
+        g = gcd(numerator, denominator)
+        if denominator < 0:
+            g = -g
+        return _build(numerator // g, denominator // g)
+
+else:
+    _ratio = Rational
+
 
 def rational(numerator, denominator=None):
-    """Exact rational from ints, strings like ``"p/q"``, or other rationals."""
+    """Exact rational from ints, strings like ``"p/q"``, or other rationals.
+
+    ``rational(p, q)`` with two ints reduces the pair once, with one gcd, and
+    builds the result directly; ``q == 0`` raises ``ZeroDivisionError``.  Any
+    other pair of arguments goes through the rational type itself.
+    """
     if denominator is None:
         if type(numerator) is Rational:
             return numerator  # immutable, so no copy is needed
         return Rational(numerator)
+    if type(numerator) is int and type(denominator) is int:
+        return _ratio(numerator, denominator)
     return Rational(numerator, denominator)
 
 

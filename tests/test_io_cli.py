@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from graphcake.cli import main
-from graphcake.generate import GeneratorSpec, generate
+from graphcake.generate import FAMILIES, GeneratorSpec, fig1_instance, generate
 from graphcake.io import (
     load_allocation,
     load_instance,
@@ -21,8 +21,9 @@ from graphcake.io import (
 )
 from graphcake.iterative import identical_four_ef, iterative_divide
 from graphcake.fairness import fairness_report
-from graphcake.model import Allocation, EdgeInterval, Share, full_cake
+from graphcake.model import Allocation, Edge, EdgeInterval, Graph, Instance, Share, StepDensity, full_cake
 from graphcake.psn import psn_certificate
+from graphcake.rational import Rational
 from graphcake.solvers import SOLVERS
 
 from conftest import F, path_instance, single_edge_instance, star_instance, triangle_instance
@@ -263,6 +264,69 @@ def test_io_round_trip_shares_equal_valuations():
     distinct = load_instance(save_instance(generate(spec)))
     assert len({id(v) for v in distinct.valuations.values()}) == distinct.n
     assert not distinct.identical_valuations()
+
+
+def _instance_from_texts(document: dict) -> Instance:
+    """The instance a document describes, built with ``Fraction(text)`` and
+    the model classes only."""
+    graph = Graph(
+        tuple(document["graph"]["vertices"]),
+        tuple(Edge(e["id"], tuple(e["endpoints"])) for e in document["graph"]["edges"]),
+    )
+    valuations = {
+        entry["id"]: {
+            edge_id: StepDensity(
+                tuple(Fraction(b) for b in d["breakpoints"]),
+                tuple(Fraction(v) for v in d["densities"]),
+            )
+            for edge_id, d in entry["valuation"].items()
+        }
+        for entry in document["agents"]
+    }
+    return Instance(graph, tuple(sorted(valuations)), valuations)
+
+
+@pytest.mark.parametrize("identical", [False, True])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_load_instance_matches_a_fraction_build(family, identical):
+    for seed in range(4):
+        spec = GeneratorSpec(family, m=3 + seed, n=1 + seed, pieces=1 + seed, identical=identical, seed=seed)
+        raw = save_instance(generate(spec))
+        loaded = load_instance(raw)
+        assert loaded == _instance_from_texts(json.loads(raw))
+        for valuation in loaded.valuations.values():
+            for density in valuation.values():
+                assert all(type(x) is Rational for x in density.breakpoints + density.values)
+
+
+def _fig1_with(**fields) -> str:
+    """fig1's document with the given fields of agent 1's ``e1`` density replaced."""
+    document = json.loads(save_instance(fig1_instance()))
+    document["agents"][0]["valuation"]["e1"].update(fields)
+    return json.dumps(document)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"breakpoints": ["0", "1/2", "3/4"], "densities": ["1/3", "1/3"]}, "breakpoints must run from 0 to 1"),
+    ({"breakpoints": ["1/4", "1/2", "1"], "densities": ["1/3", "1/3"]}, "breakpoints must run from 0 to 1"),
+    ({"breakpoints": ["0", "1/2", "1/2", "1"], "densities": ["1/3", "1/3", "1/3"]},
+     "breakpoints must strictly increase"),
+    ({"densities": ["1/3", "1/3"]}, "need one density value per piece"),
+    ({"breakpoints": ["0", "1/2", "1"], "densities": ["-1/3", "1"]}, "densities must be nonnegative"),
+    ({"breakpoints": ["0", "1/0", "1"]}, "zero denominator in '1/0'"),
+    ({"densities": ["2/0"]}, "zero denominator in '2/0'"),
+    ({"densities": [0.5]}, "not a rational p/q string: 0.5"),
+    ({"breakpoints": ["0", 1]}, "not a rational p/q string: 1"),
+    # Two faults: the pieces are checked in order, and every text parses
+    # before any density is checked.
+    ({"breakpoints": ["0", "1/2", "1/2", "1"], "densities": ["-1", "1", "1"]},
+     "breakpoints must strictly increase"),
+    ({"breakpoints": ["0", "1/2", "1/2", "1"], "densities": ["1", "1", "1/0"]}, "zero denominator in '1/0'"),
+])
+def test_load_instance_density_faults_keep_their_messages(fields, message):
+    with pytest.raises(ValueError) as caught:
+        load_instance(_fig1_with(**fields))
+    assert str(caught.value) == message
 
 
 def test_instance_round_trip_is_byte_stable(fig1):

@@ -17,8 +17,12 @@ from graphcake.model import (
     is_connected,
     uncovered_share,
     validate_allocation,
+    validate_partial,
+    ValidationReport,
 )
+from graphcake.generate import GeneratorSpec, generate
 from graphcake.model import Allocation
+from graphcake.rational import ONE, ZERO
 
 from conftest import F, density_value_oracle, star_instance
 
@@ -268,6 +272,122 @@ def test_every_agent_sees_total_one_on_any_complete_allocation(fig1):
     assert validate_allocation(fig1, alloc).complete_ok
     for agent in fig1.agents:
         assert sum(eval_share(fig1, agent, s) for s in alloc.shares) == 1
+
+
+# The per-edge scans that validate_partial and _uncovered used before they
+# bucketed the intervals by edge in one pass: an oracle for the report.
+
+
+def _oracle_on_edge(share, edge_id):
+    return [x for x in share.intervals if x.edge == edge_id]
+
+
+def _oracle_validate_partial(instance, shares):
+    graph = instance.graph
+    overlaps = []
+    for edge in graph.edges:
+        entries = []
+        for agent, share in zip(instance.agents, shares):
+            entries.extend((x.lo, x.hi, agent) for x in _oracle_on_edge(share, edge.id))
+        entries.sort()
+        for i in range(len(entries)):
+            lo_i, hi_i, a_i = entries[i]
+            for j in range(i + 1, len(entries)):
+                lo_j, hi_j, a_j = entries[j]
+                if lo_j >= hi_i:
+                    break
+                if a_j != a_i and min(hi_i, hi_j) > lo_j:
+                    overlaps.append((edge.id, lo_j, min(hi_i, hi_j), a_i, a_j))
+    disconnected = [
+        agent for agent, share in zip(instance.agents, shares) if not is_connected(graph, share)
+    ]
+    return ValidationReport(tuple(overlaps), (), tuple(disconnected))
+
+
+def _oracle_uncovered(graph, shares):
+    for edge in graph.edges:
+        covered = [(x.lo, x.hi) for share in shares for x in _oracle_on_edge(share, edge.id)]
+        for lo, hi in complement_spans(covered, ZERO, ONE):
+            yield edge.id, lo, hi
+
+
+def _oracle_validate_allocation(instance, allocation):
+    partial = _oracle_validate_partial(instance, allocation.shares)
+    gaps = tuple(_oracle_uncovered(instance.graph, allocation.shares))
+    return ValidationReport(partial.overlaps, gaps, partial.disconnected)
+
+
+def _assert_reports_match(instance, shares):
+    allocation = Allocation(tuple(shares))
+    for got, want in [
+        (validate_partial(instance, allocation.shares), _oracle_validate_partial(instance, allocation.shares)),
+        (validate_allocation(instance, allocation), _oracle_validate_allocation(instance, allocation)),
+    ]:
+        assert got.overlaps == want.overlaps
+        assert got.gaps == want.gaps
+        assert got.disconnected == want.disconnected
+        for mine, theirs in zip(got.overlaps + got.gaps, want.overlaps + want.gaps):
+            assert [type(x) for x in mine] == [type(x) for x in theirs]
+    assert uncovered_share(instance.graph, allocation.shares) == canonical_share(
+        instance.graph, [EdgeInterval(*gap) for gap in _oracle_uncovered(instance.graph, allocation.shares)]
+    )
+
+
+def _random_shares(rng, instance):
+    """Unsorted, unmerged shares with overlaps, gaps and single points."""
+    edge_ids = instance.graph.edge_ids()
+    shares = [[] for _ in instance.agents]
+    for _ in range(rng.randrange(3 * len(edge_ids))):
+        a, b = sorted((F(rng.randrange(9), 8), F(rng.randrange(9), 8)))
+        if rng.random() < 0.15:
+            b = a
+        shares[rng.randrange(len(shares))].append(EdgeInterval(rng.choice(edge_ids), a, b))
+    return [Share(tuple(share)) for share in shares]
+
+
+def test_validation_matches_the_per_edge_scan_on_random_allocations():
+    rng = random.Random(20)
+    parallel = 0
+    for seed in range(40):
+        inst = generate(GeneratorSpec("random-connected", m=2 + seed % 7, n=1 + seed % 4, seed=seed))
+        ends = [frozenset(e.endpoints) for e in inst.graph.edges]
+        parallel += len(ends) != len(set(ends))
+        for _ in range(5):
+            _assert_reports_match(inst, _random_shares(rng, inst))
+    assert parallel >= 5  # the family really draws parallel edges
+
+
+def _listed_out_of_order_with_a_loop():
+    """Edges listed e3, e1, e2 (graph order is not id order); e2 is a self-loop."""
+    graph = Graph(("a", "b"), (Edge("e3", ("a", "b")), Edge("e1", ("b", "a")), Edge("e2", ("a", "a"))))
+    val = {"e1": StepDensity((F(0), F(1)), (F(1, 3),)), "e2": StepDensity((F(0), F(1)), (F(1, 3),)),
+           "e3": StepDensity((F(0), F(1)), (F(1, 3),))}
+    return Instance(graph, (1, 2, 3), {1: val, 2: val, 3: val})
+
+
+@pytest.mark.parametrize("shares", [
+    # overlaps on two edges, reported in graph order, and a three-way overlap
+    [[iv("e1", 0, F(1, 2)), iv("e3", 0, F(3, 4))],
+     [iv("e1", F(1, 4), 1), iv("e3", F(1, 2), 1)],
+     [iv("e1", F(1, 8), F(3, 8)), iv("e2", 0, 1)]],
+    # gaps on every edge, and one edge nobody holds
+    [[iv("e3", F(1, 4), F(1, 2))], [iv("e3", F(3, 4), 1)], [iv("e1", 0, F(1, 2))]],
+    # single points: on the self-loop's vertex, inside a gap and on a border
+    [[iv("e2", 0, 0), iv("e3", 0, F(1, 2))],
+     [iv("e3", F(1, 2), F(1, 2)), iv("e1", F(1, 3), F(1, 3))],
+     [iv("e2", 1, 1), iv("e3", F(1, 2), 1), iv("e1", 0, F(1, 4))]],
+    # the self-loop shared and overlapped, one share disconnected
+    [[iv("e2", 0, F(1, 2)), iv("e1", F(1, 2), F(3, 4))],
+     [iv("e2", F(1, 4), 1), iv("e3", 0, 1)],
+     [iv("e1", 0, F(1, 2)), iv("e1", F(3, 4), 1)]],
+    # an interval on an edge the graph lacks is no part of any report
+    [[iv("e9", 0, 1)], [iv("e2", 0, 1)], [iv("e3", 0, 1), iv("e1", 0, F(1, 2))]],
+    # empty shares
+    [[], [], []],
+])
+def test_validation_matches_the_per_edge_scan_on_hand_built_cases(shares):
+    inst = _listed_out_of_order_with_a_loop()
+    _assert_reports_match(inst, [Share(tuple(share)) for share in shares])
 
 
 def test_canonical_share_merges_and_sorts(fig1):

@@ -78,9 +78,9 @@ def test_fig5_layout_order_matches_depth_first():
 
 def test_dfs_layout_rejects_cycles():
     inst = generate(GeneratorSpec("random-connected", m=6, n=1, seed=5))
-    if not graph_is_acyclic(inst.graph):
-        with pytest.raises(ValueError):
-            tree_dfs_bijection(inst.graph, inst.graph.vertices[0])
+    assert not graph_is_acyclic(inst.graph)
+    with pytest.raises(ValueError):
+        tree_dfs_bijection(inst.graph, inst.graph.vertices[0])
 
 
 # ---------------------------------------------------------------------------

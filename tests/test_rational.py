@@ -159,3 +159,48 @@ def test_rational_returns_existing_rational_unchanged():
     assert rational(value) is value
     assert type(rational(Fraction(3, 4))) is Rational
     assert rational(Fraction(3, 4)) == value
+
+
+@settings(max_examples=400, deadline=None)
+@given(integers, st.one_of(integers, st.just(0)))
+@example(0, 5)
+@example(0, -5)
+@example(3, -6)
+@example(-3, -6)
+@example(7, 0)
+@example(0, 0)
+@example(10**30, -(3 * 10**29))
+def test_rational_of_two_ints_matches_fraction(p, q):
+    if q == 0:
+        with pytest.raises(ZeroDivisionError):
+            Fraction(p, q)
+        with pytest.raises(ZeroDivisionError):
+            rational(p, q)
+        return
+    got = rational(p, q)
+    assert type(got) is Rational
+    _assert_same(got, Fraction(p, q))
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ("3/4", 2),
+        (3, "4"),
+        (Fraction(3, 4), 2),
+        (6, Fraction(-4, 3)),
+        (True, 2),
+        (3, True),
+        (Fraction(1, 3), Fraction(0)),
+        (False, False),
+    ],
+)
+def test_rational_of_other_arguments_behaves_as_the_type(p, q):
+    def outcome(build):
+        try:
+            value = build(p, q)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            return type(exc), str(exc)
+        return type(value), value.numerator, value.denominator
+
+    assert outcome(rational) == outcome(Rational)

@@ -61,9 +61,9 @@ def test_rejects_non_star():
     inst = generate(GeneratorSpec("tree", m=5, n=2, identical=True, seed=6))
     from graphcake.star_eps import find_star_center
 
-    if find_star_center(inst.graph) is None:
-        with pytest.raises(ValueError):
-            star_identical_2ef(inst)
+    assert find_star_center(inst.graph) is None
+    with pytest.raises(ValueError):
+        star_identical_2ef(inst)
 
 
 def test_random_stars_ratio_at_most_two():
