@@ -45,9 +45,10 @@ def _write(path: str | None, payload: bytes) -> None:
 
 
 def _epsilon(text: str) -> Rational:
+    # The solvers clamp an ε of 1 or more, so a file must not claim one.
     eps = parse_rational(text)
-    if eps <= 0:
-        raise argparse.ArgumentTypeError("epsilon must be a positive rational")
+    if not 0 < eps < 1:
+        raise argparse.ArgumentTypeError("epsilon must be a rational in (0, 1)")
     return eps
 
 
@@ -114,7 +115,7 @@ def _solve(args) -> int:
 def _stored_solver(metrics: dict) -> tuple[Solver | None, Rational | None]:
     """The table entry and ε a stored metrics block names.  Files without an
     algorithm and psn-lift outputs give ``(None, None)``; any other name, or
-    a solver's ε that is not a positive rational, is malformed input."""
+    a solver's ε that is not a rational in (0, 1), is malformed input."""
     name = metrics.get("algorithm")
     # A list comparison, not a set lookup: the stored name may be any JSON value.
     if "algorithm" not in metrics or name in _lift_names():

@@ -9,10 +9,11 @@ The subcake is first viewed as a multigraph whose nodes are interval
 endpoints (graph vertices unify incident endpoints).  Cycles are broken by
 detaching one endpoint of a cycle edge onto a fresh leaf node; because only
 node identities change, the produced shares need no translation back.
-``decycle`` interns every node key to an int once, keeps one adjacency of
-int lists that each break updates in place, and returns that int tree;
-``divide`` indexes plain lists by node and sub-edge number, and reads a
-node's key only for its trace.
+``decycle`` interns every node key to an int once, picks the edges to break
+in one union-find pass (they are the edges outside a maximum spanning tree,
+so no cycle search is needed), builds the int adjacency once and returns
+that int tree; ``divide`` indexes plain lists by node and sub-edge number,
+and reads a node's key only for its trace.
 """
 
 from __future__ import annotations
@@ -37,13 +38,6 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class DecycleEntry:
-    split_node: tuple
-    duplicate_node: tuple
-    interval: EdgeInterval
-
-
 @dataclass
 class SubcakeTree:
     """Rooted, acyclic view of a subcake after cycle removal.
@@ -52,7 +46,9 @@ class SubcakeTree:
     sub-edge ``s`` is ``intervals[s]``, joining ``lo[s]`` (its lo end) to
     ``hi[s]``.  ``order`` starts at ``root`` and lists each node after its
     parent; ``children[v]`` holds the (child, sub-edge) pairs below ``v``,
-    sorted by the child's ``node_sort_key``.
+    sorted by the child's ``node_sort_key``.  A sub-edge broken off a cycle
+    has one end keyed ``("d", edge, lo, hi)``, a leaf of its own; the key is
+    unique because intervals are distinct and each breaks at most once.
     """
 
     keys: list[tuple]
@@ -62,7 +58,6 @@ class SubcakeTree:
     root: int
     order: list[int]
     children: list[list[tuple[int, int]]] = field(repr=False)
-    record: tuple[DecycleEntry, ...] = ()
 
 
 def _build_intervals(instance: Instance, subcake: Share, root_point: PointOnEdge | None) -> list[EdgeInterval]:
@@ -84,106 +79,69 @@ def _build_intervals(instance: Instance, subcake: Share, root_point: PointOnEdge
     return intervals
 
 
-def _find_cycle(adj: list[list[int]], lo: list[int], hi: list[int], start: int) -> list[int] | None:
-    """Sub-edges of the first cycle met by a depth-first search, or None.
-
-    Nodes and sub-edges are ints: ``adj[node]`` lists the sub-edges at a
-    node in index order, and sub-edge ``s`` joins ``lo[s]`` to ``hi[s]``.
-    """
-    visited = [False] * len(adj)
-    parent_edge = [-1] * len(adj)
-    parent_node = [-1] * len(adj)
-    visited[start] = True
-    stack = [(start, iter(adj[start]))]
-    while stack:
-        node, it = stack[-1]
-        for s in it:
-            a, b = lo[s], hi[s]
-            if a == b:
-                return [s]
-            if s == parent_edge[node]:
-                continue
-            other = b if node == a else a
-            if visited[other]:
-                # Back edge to an ancestor: walk up from `node` to `other`.
-                cycle = [s]
-                cur = node
-                while cur != other:
-                    cycle.append(parent_edge[cur])
-                    cur = parent_node[cur]
-                return cycle
-            visited[other] = True
-            parent_edge[other] = s
-            parent_node[other] = node
-            stack.append((other, iter(adj[other])))
-            break
-        else:
-            stack.pop()
-    return None
-
-
 def decycle(instance: Instance, subcake: Share, root) -> SubcakeTree:
     """Rooted tree view of a connected subcake.
 
-    Every cycle is broken by detaching one endpoint of its lexicographically
-    smallest interval onto a fresh leaf; agents' values of every interval are
-    untouched, and the returned record suffices to restore the original
-    adjacency by replaying it backwards.
+    A sub-edge is broken by detaching one of its ends onto a fresh leaf,
+    keyed ``("d", edge, lo, hi)``: the hi end for a self-loop, otherwise the
+    end with the larger ``node_sort_key``.  Agents' values of every interval
+    are untouched, and each sub-edge's end keys say which end was detached.
 
-    Cycles are found one at a time by a depth-first search from the root,
-    restarted after every break.  The search runs on ints: each node key is
-    interned once, each sub-edge is named by its index in (edge, lo, hi)
-    order, and one adjacency, built in index order, is updated in place by
-    each break.  The returned tree keeps those ints.
+    The broken sub-edges are those outside the maximum spanning tree under
+    sub-edge index (intervals in (edge, lo, hi) order): one union-find pass
+    over the sub-edges in descending index order breaks each one whose ends
+    are already joined.  This is exactly the set that repeatedly breaking
+    the smallest sub-edge of some cycle would break, since the smallest
+    sub-edge of a cycle is never in that tree.  Each sub-edge breaks at most
+    once and only on its own ends, so the tree does not depend on the order
+    of the breaks.
     """
     root_key, root_point = _resolve_root(instance, subcake, root)
     graph = instance.graph
     intervals = _build_intervals(instance, subcake, root_point)
     keys: list[tuple] = []
     index: dict[tuple, int] = {}
-    adj: list[list[int]] = []
     lo: list[int] = []
     hi: list[int] = []
-    for s, iv in enumerate(intervals):
+    for iv in intervals:
         for pos, ends in ((iv.lo, lo), (iv.hi, hi)):
             key = point_node(graph, iv.edge, pos)
             node = index.get(key)
             if node is None:
                 node = index[key] = len(keys)
                 keys.append(key)
-                adj.append([])
             ends.append(node)
-        adj[lo[s]].append(s)
-        if hi[s] != lo[s]:
-            adj[hi[s]].append(s)
     root_node = index.get(root_key)
     if root_node is None:
         raise ValueError(f"root {root!r} is not a point of the subcake")
     node_sort_keys = [node_sort_key(key) for key in keys]
 
-    record: list[DecycleEntry] = []
-    while True:
-        cycle = _find_cycle(adj, lo, hi, root_node)
-        if cycle is None:
-            break
-        t = min(cycle)
-        self_loop = lo[t] == hi[t]
-        side_hi = self_loop or node_sort_keys[hi[t]] > node_sort_keys[lo[t]]
-        split = hi[t] if side_hi else lo[t]
-        iv = intervals[t]
-        duplicate_key = ("d", iv.edge, iv.lo, iv.hi, len(record))
+    joined = list(range(len(keys)))
+
+    def find(node: int) -> int:
+        while joined[node] != node:
+            joined[node] = node = joined[joined[node]]
+        return node
+
+    for s in reversed(range(len(intervals))):
+        a, b = find(lo[s]), find(hi[s])
+        if a != b:
+            joined[a] = b
+            continue
+        iv = intervals[s]
+        duplicate_key = ("d", iv.edge, iv.lo, iv.hi)
         duplicate = len(keys)
         keys.append(duplicate_key)
         node_sort_keys.append(node_sort_key(duplicate_key))
-        adj.append([t])
-        if not self_loop:
-            # A self-loop stays listed under its split node through its other end.
-            adj[split].remove(t)
-        if side_hi:
-            hi[t] = duplicate
+        if lo[s] == hi[s] or node_sort_keys[hi[s]] > node_sort_keys[lo[s]]:
+            hi[s] = duplicate
         else:
-            lo[t] = duplicate
-        record.append(DecycleEntry(keys[split], duplicate_key, iv))
+            lo[s] = duplicate
+
+    adj: list[list[int]] = [[] for _ in keys]
+    for s in range(len(intervals)):
+        adj[lo[s]].append(s)
+        adj[hi[s]].append(s)
 
     children: list[list[tuple[int, int]]] = [[] for _ in keys]
     order = [root_node]
@@ -202,7 +160,7 @@ def decycle(instance: Instance, subcake: Share, root) -> SubcakeTree:
                 stack.append(other)
         kids.sort(key=lambda k: (node_sort_keys[k[0]], k[1]))
     check(len(order) == len(keys), "decycle produced a disconnected view")
-    return SubcakeTree(keys, intervals, lo, hi, root_node, order, children, tuple(record))
+    return SubcakeTree(keys, intervals, lo, hi, root_node, order, children)
 
 
 def _resolve_root(instance: Instance, subcake: Share, root) -> tuple[tuple, PointOnEdge | None]:

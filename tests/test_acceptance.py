@@ -168,6 +168,17 @@ def test_criterion_1_half_additive_envy(iterative_batch):
     print(f"\nACCEPTANCE 1 (1/2-additive envy, 200 instances, {elapsed:.1f}s): PASS")
 
 
+# sha256 over criterion 1's allocation files, run by run.
+ITERATIVE_BATCH_SHA256 = "8a12eb69b404c31f135d09d714f702f303f7dd48612e54ea185aada5f9cca0d5"
+
+
+def test_criterion_1_iterative_batch_bytes_pinned(iterative_batch):
+    digest = hashlib.sha256()
+    for instance, allocation in iterative_batch[0]:
+        digest.update(_bytes(instance, allocation))
+    assert digest.hexdigest() == ITERATIVE_BATCH_SHA256
+
+
 def test_criterion_2_star_three_eps(star_batch):
     batch, elapsed = star_batch
     assert len(batch) == 200
@@ -207,6 +218,17 @@ def test_criterion_3_identical_four_ef(identical4_batch):
     print("\nACCEPTANCE 3 (identical ratio 4, 100 instances): PASS")
 
 
+# sha256 over criterion 3's allocation files, run by run.
+IDENTICAL4_BATCH_SHA256 = "17e3a620dd59197a4a028f0bf874f43ab50acdd359720ce53a61ac2d68a28582"
+
+
+def test_criterion_3_identical4_batch_bytes_pinned(identical4_batch):
+    digest = hashlib.sha256()
+    for instance, allocation in identical4_batch:
+        digest.update(_bytes(instance, allocation))
+    assert digest.hexdigest() == IDENTICAL4_BATCH_SHA256
+
+
 def test_criterion_4_identical_two_eps(balance_batch):
     assert len(balance_batch) == 200
     for instance, eps, allocation, log in balance_batch:
@@ -217,6 +239,18 @@ def test_criterion_4_identical_two_eps(balance_batch):
         for outcome in log:
             verify_balance_outcome(outcome, eps)
     print("\nACCEPTANCE 4 (identical 2+eps, 100 instances x 2 eps): PASS")
+
+
+# sha256 over criterion 4's allocation files and balance-log lengths, run by run.
+BALANCE_BATCH_SHA256 = "ce69b5a95b69568d6a086d888b7048403eb73b44712635b9ee765fd84aba78e3"
+
+
+def test_criterion_4_balance_batch_bytes_pinned(balance_batch):
+    digest = hashlib.sha256()
+    for instance, _, allocation, log in balance_batch:
+        digest.update(_bytes(instance, allocation))
+        digest.update(str(len(log)).encode())
+    assert digest.hexdigest() == BALANCE_BATCH_SHA256
 
 
 def test_criterion_5_star_identical(star_identical_batch, fig1):

@@ -1,9 +1,9 @@
 import random
 
+import networkx as nx
 import pytest
 
 from graphcake.divide import (
-    DecycleEntry,
     _build_intervals,
     _resolve_root,
     _subtree_edges,
@@ -44,14 +44,14 @@ def test_decycle_triangle_breaks_one_cycle():
     tree = decycle(inst, full_cake(inst.graph), "a")
     assert len(tree.order) == 4
     assert len(tree.intervals) == 3
-    assert len(tree.record) == 1
+    assert sum(key[0] == "d" for key in tree.keys) == 1
 
 
 def test_decycle_tree_is_identity():
     inst = star_instance(3)
     tree = decycle(inst, full_cake(inst.graph), "c")
     assert len(tree.order) == 4
-    assert tree.record == ()
+    assert not any(key[0] == "d" for key in tree.keys)
 
 
 def test_decycle_preserves_values():
@@ -80,15 +80,16 @@ def test_decycle_self_loop_stays_under_its_vertex():
     inst = Instance(graph, (1,), {1: val})
     tree = decycle(inst, full_cake(graph), "b")
     loop = EdgeInterval("e1", F(0), F(1))
-    assert tree.record[0] == DecycleEntry(("v", "a"), ("d", "e1", F(0), F(1), 0), loop)
-    assert len(tree.record) == 2
+    assert tree.intervals[0] == loop
+    assert (tree.keys[tree.lo[0]], tree.keys[tree.hi[0]]) == (("v", "a"), ("d", "e1", F(0), F(1)))
+    assert sum(key[0] == "d" for key in tree.keys) == 2
     assert len(tree.order) == 4 and len(tree.intervals) == 3
     a = tree.keys.index(("v", "a"))
     assert [(tree.keys[child], tree.intervals[s]) for child, s in tree.children[a]] == [
-        (("d", "e1", F(0), F(1), 0), loop),
-        (("d", "e2", F(0), F(1), 1), EdgeInterval("e2", F(0), F(1))),
+        (("d", "e1", F(0), F(1)), loop),
+        (("d", "e2", F(0), F(1)), EdgeInterval("e2", F(0), F(1))),
     ]
-    duplicate = tree.keys.index(("d", "e1", F(0), F(1), 0))
+    duplicate = tree.keys.index(("d", "e1", F(0), F(1)))
     assert [node for node in tree.order if (duplicate, 0) in tree.children[node]] == [a]
 
 
@@ -96,7 +97,11 @@ def test_decycle_self_loop_stays_under_its_vertex():
 # decycle against a restart-from-scratch oracle: the decycle of an earlier
 # version, which kept tuple-keyed sub-edges and rebuilt a node-keyed
 # adjacency before every cycle search.  Only ``se.sort_key`` became
-# ``_sort_key(se)``, and the tree comes back as ``tree_shape`` tuples.
+# ``_sort_key(se)``, its record entries became plain tuples, and the tree
+# comes back as ``tree_shape`` tuples.  The oracle numbers its duplicate
+# keys by break, which decycle no longer does: ``oracle_shape`` drops that
+# serial and the record, and the two shapes must then be equal.  The
+# sub-edge end keys in the shape already show which end was detached.
 
 
 class _SubEdge:
@@ -198,7 +203,7 @@ def restart_decycle(instance, subcake, root):
             target.hi_node = duplicate
         else:
             target.lo_node = duplicate
-        record.append(DecycleEntry(split, duplicate, target.interval))
+        record.append((split, duplicate, target.interval))
 
     adj = _adjacency(subedges)
     parent = {root_node: None}
@@ -233,8 +238,8 @@ def restart_decycle(instance, subcake, root):
 
 def tree_shape(tree):
     """A SubcakeTree read through its point keys: the root, the node order,
-    each node's parent and its children in order, with sub-edges by value,
-    and the record."""
+    and each node's parent and its children in order, with sub-edges by
+    value."""
     keys = tree.keys
 
     def edge(s):
@@ -246,7 +251,40 @@ def tree_shape(tree):
         children[keys[node]] = [(keys[child], edge(s)) for child, s in tree.children[node]]
         for child, s in tree.children[node]:
             parent[keys[child]] = (keys[node], edge(s))
-    return (keys[tree.root], [keys[node] for node in tree.order], parent, children, tree.record)
+    return (keys[tree.root], [keys[node] for node in tree.order], parent, children)
+
+
+def oracle_shape(expected):
+    """``restart_decycle``'s result as a ``tree_shape``: the break serial
+    dropped from every duplicate key, and the record left out."""
+    root, order, parent, children, _record = expected
+
+    def node(key):
+        return key[:4] if key[0] == "d" else key
+
+    def edge(e):
+        return (e[0], node(e[1]), node(e[2]))
+
+    return (
+        node(root),
+        [node(key) for key in order],
+        {node(key): None if up is None else (node(up[0]), edge(up[1])) for key, up in parent.items()},
+        {node(key): [(node(child), edge(e)) for child, e in kids] for key, kids in children.items()},
+    )
+
+
+def assert_breaks_outside_max_spanning_tree(instance, tree):
+    """The broken sub-edges, those with a ("d") end, are exactly those
+    networkx leaves out of a maximum spanning tree weighted by sub-edge
+    index."""
+    multigraph = nx.MultiGraph()
+    for s, iv in enumerate(tree.intervals):
+        lo, hi = point_node(instance.graph, iv.edge, iv.lo), point_node(instance.graph, iv.edge, iv.hi)
+        multigraph.add_edge(lo, hi, key=s, weight=s)
+    kept = {k for _, _, k in nx.maximum_spanning_edges(multigraph, keys=True, data=False)}
+    keys = tree.keys
+    broken = {s for s in range(len(tree.intervals)) if "d" in (keys[tree.lo[s]][0], keys[tree.hi[s]][0])}
+    assert broken == set(range(len(tree.intervals))) - kept
 
 
 def random_multigraph_instance(rng):
@@ -287,7 +325,9 @@ def assert_decycle_matches_oracle(instance, subcake, root):
         with pytest.raises(ValueError):
             decycle(instance, subcake, root)
         return
-    assert tree_shape(decycle(instance, subcake, root)) == expected
+    tree = decycle(instance, subcake, root)
+    assert tree_shape(tree) == oracle_shape(expected)
+    assert_breaks_outside_max_spanning_tree(instance, tree)
 
 
 def test_decycle_matches_restart_oracle_on_random_connected():
@@ -299,7 +339,7 @@ def test_decycle_matches_restart_oracle_on_random_connected():
         for subcake in (full_cake(instance.graph), random_subcake(rng, instance)):
             root = random_root(rng, instance, subcake)
             assert_decycle_matches_oracle(instance, subcake, root)
-            broken += len(decycle(instance, subcake, root).record)
+            broken += sum(key[0] == "d" for key in decycle(instance, subcake, root).keys)
     assert broken > 300  # the cycle-breaking path is exercised
 
 

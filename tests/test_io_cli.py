@@ -480,14 +480,22 @@ def test_cli_zero_denominator_in_instance_exits_2(tmp_path, capsys):
 
 
 def test_cli_zero_denominator_epsilon_exits_2(tmp_path, capsys):
+    # An ε of 1 or more would be clamped by the solver, so the file would
+    # claim a bound the run did not aim for: rejected like a zero denominator.
     inst_file = tmp_path / "fig1.json"
     run_cli("gen", "--family", "fig1", "--output", str(inst_file))
-    with pytest.raises(SystemExit) as exc:
-        run_cli("solve", "--algorithm", "star-3eps", "--epsilon", "1/0",
-                "--instance", str(inst_file), "--output", str(tmp_path / "out.json"))
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "--epsilon" in err
+    commands = [("solve", "--algorithm", "star-3eps"), ("solve", "--algorithm", "identical-2eps"),
+                ("psn-lift", "--algorithm", "identical-2eps")]
+    for command in commands:
+        for epsilon in ("1/0", "1", "2"):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*command, "--epsilon", epsilon,
+                        "--instance", str(inst_file), "--output", str(tmp_path / "out.json"))
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "--epsilon" in err
+            assert not (tmp_path / "out.json").exists()
 
 
 def _verify_edited_allocation(tmp_path, edit):
@@ -877,6 +885,7 @@ def test_cli_verify_rejects_a_bound_that_fails(pin_instances, tmp_path):
     ("epsilon", "-1/2"),
     ("epsilon", "0.5"),
     ("epsilon", ["1/2"]),
+    ("epsilon", "1"),
 ])
 def test_cli_verify_malformed_metrics_exit_2(pin_instances, tmp_path, capsys, field, value):
     inst_file, alloc_file = pin_instances["star"], tmp_path / "alloc.json"

@@ -1,6 +1,7 @@
 """Every imported name is used: a stdlib-only ``ast`` scan of the package
 (except ``__init__.py``, whose imports are its exports), the tests and the
-scripts."""
+scripts.  Every module-level private function or class of the package is
+referenced in its own module."""
 
 import ast
 from pathlib import Path
@@ -46,5 +47,34 @@ def test_no_unused_imports():
         str(path.relative_to(ROOT)): names
         for path in _sources()
         if (names := unused_imports(path.read_text()))
+    }
+    assert found == {}
+
+
+def unreferenced_private_defs(source: str) -> list[str]:
+    """Module-level ``_private`` functions and classes whose name appears
+    nowhere in the module as a Name node.  A name search over the whole tree
+    would miss one whose name another file also defines."""
+    tree = ast.parse(source)
+    defined = {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in defined.items() if name not in used]
+
+
+def test_unreferenced_private_defs_detects_and_spares():
+    source = "def _dead():\n    pass\n\nclass _Used:\n    pass\n\ndef _helper():\n    return _Used()\n\nx = _helper()\n"
+    assert unreferenced_private_defs(source) == ["_dead (line 1)"]
+
+
+def test_no_unreferenced_private_defs():
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in sorted((ROOT / "src/graphcake").glob("*.py"))
+        if (names := unreferenced_private_defs(path.read_text()))
     }
     assert found == {}
