@@ -131,6 +131,10 @@ def _stored_solver(metrics: dict) -> tuple[Solver | None, Rational | None]:
         raise ValueError(f"metrics epsilon {metrics.get('epsilon')!r}: {exc}") from None
 
 
+def _segment(edge: str, lo: Rational, hi: Rational) -> str:
+    return f"{edge} [{format_rational(lo)}, {format_rational(hi)}]"
+
+
 def _verify(args) -> int:
     instance = load_instance(_read(args.instance))
     allocation, metrics = load_allocation(instance, _read(args.allocation))
@@ -138,18 +142,26 @@ def _verify(args) -> int:
     lifted = metrics.get("algorithm") in _lift_names()
     validity = validate_allocation(instance, allocation)
     report = fairness_report(instance, allocation)
-    implications = prop1_check(report, instance.n)
     failures = []
     if not validity.disjoint_ok:
-        failures.append(f"overlapping shares: {validity.overlaps[:3]}")
+        overlaps = "; ".join(
+            f"{_segment(edge, lo, hi)} held by agents {a} and {b}"
+            for edge, lo, hi, a, b in validity.overlaps[:3]
+        )
+        failures.append(f"overlapping shares: {overlaps}")
     if not validity.complete_ok:
-        failures.append(f"uncovered segments: {validity.gaps[:3]}")
+        gaps = "; ".join(_segment(*gap) for gap in validity.gaps[:3])
+        failures.append(f"uncovered segments: {gaps}")
     # A lifted share may fall into several pieces; their count is checked
     # against the certificate instead.
     connected = validity.connectivity_ok or lifted
     if not connected:
-        failures.append(f"disconnected shares for agents {validity.disconnected}")
-    if not implications.ok:
+        agents = ", ".join(map(str, validity.disconnected))
+        failures.append(f"disconnected shares for agents {agents}")
+    partition = validity.disjoint_ok and validity.complete_ok
+    # The implications hold for every partition, so only there does a
+    # failure point at the metrics rather than at the allocation.
+    if partition and not prop1_check(report, instance.n).ok:
         failures.append("metric implications failed (metric bug)")
     claimed = metrics.get("fairness")
     if claimed is not None and claimed != report.as_dict():
@@ -166,7 +178,7 @@ def _verify(args) -> int:
         over = {agent: count for agent, count in claims["pieces"].items() if count > bound}
         if over:
             failures.append(f"pieces {over} above the certified bound {bound}")
-    valid = validity.disjoint_ok and validity.complete_ok and connected
+    valid = partition and connected
     payload = {"valid": valid, "fairness": report.as_dict(), "failures": failures}
     _write(args.output, dumps_canonical(payload))
     return 1 if failures else 0

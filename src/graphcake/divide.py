@@ -13,24 +13,25 @@ node identities change, the produced shares need no translation back.
 in one union-find pass (they are the edges outside a maximum spanning tree,
 so no cycle search is needed), builds the int adjacency once and returns
 that int tree; ``divide`` indexes plain lists by node and sub-edge number,
-and reads a node's key only for its trace.
+and reads a node's key only for its trace.  The values below each node are
+sums of Eval answers kept as unreduced integer pairs (``rational.pair_sum``),
+compared with ``beta`` by cross-multiplication; only a cut target is
+reduced to a rational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rational import Rational
+from .rational import Rational, as_pair, from_pair, pair_sum
 from .model import (
     EdgeInterval,
     Instance,
     PointOnEdge,
     Share,
-    ZERO,
     canonical_share,
     check,
     cut,
-    eval_interval,
     eval_share,
     eval_share_each,
     node_sort_key,
@@ -214,37 +215,42 @@ def divide(
 
     tree = decycle(instance, subcake, root)
     intervals = tree.intervals
-    edge_value = [{a: eval_interval(instance, a, iv) for a in leads} for iv in intervals]
+    # Eval answers and their sums below stay unreduced integer pairs; only a
+    # cut target is reduced to a rational.
+    edge_value = [
+        {a: instance.density(a, iv.edge).integral_pair(iv.lo, iv.hi) for a in leads} for iv in intervals
+    ]
     if ledger is not None:
         ledger.record_eval(len(agents) * len(intervals))
+    beta_n, beta_d = as_pair(beta)
 
-    subtree: list = [None] * len(tree.keys)
+    def reaches(value: tuple[int, int]) -> bool:
+        return value[0] * beta_d >= beta_n * value[1]
+
+    below: list = [None] * len(tree.keys)  # everything below a node
+    through: list = [None] * len(intervals)  # a sub-edge and everything below it
     for node in reversed(tree.order):
-        acc = {a: ZERO for a in leads}
+        acc = dict.fromkeys(leads, (0, 1))
         for child, s in tree.children[node]:
-            below, along = subtree[child], edge_value[s]
-            for a in leads:
-                acc[a] += below[a] + along[a]
-        subtree[node] = acc
+            through[s] = {a: pair_sum(*below[child][a], *edge_value[s][a]) for a in leads}
+            acc = {a: pair_sum(*acc[a], *through[s][a]) for a in leads}
+        below[node] = acc
 
     # Walk from the root towards any child subtree still worth >= beta.
     v = tree.root
     while True:
         descend = None
         for child, _s in tree.children[v]:
-            if any(subtree[child][a] >= beta for a in leads):
+            if any(reaches(below[child][a]) for a in leads):
                 descend = child
                 break
         if descend is None:
             break
         v = descend
 
-    branches = [
-        (child, s, {a: subtree[child][a] + edge_value[s][a] for a in leads})
-        for child, s in tree.children[v]
-    ]
+    branches = [(child, s, through[s]) for child, s in tree.children[v]]
 
-    case1 = next((b for b in branches if any(b[2][a] >= beta for a in leads)), None)
+    case1 = next((b for b in branches if any(reaches(b[2][a]) for a in leads)), None)
 
     if case1 is not None:
         w, s, branch = case1
@@ -252,11 +258,11 @@ def divide(
         anchor = "lo" if tree.lo[s] == w else "hi"
         best_pos = best_dist = witness = None
         for a in leads:
-            if branch[a] < beta:
+            if not reaches(branch[a]):
                 continue
             if ledger is not None:
                 ledger.record_cut(len(groups[a]))
-            target = beta - subtree[w][a]
+            target = beta - from_pair(*below[w][a])
             pos = cut(instance, a, iv, anchor, target).position
             distance = pos - iv.lo if anchor == "lo" else iv.hi - pos
             if best_pos is None or distance < best_dist:
@@ -275,15 +281,14 @@ def divide(
         if trace is not None:
             trace.append({"at": tree.keys[v], "case": 1, "cut": (iv.edge, best_pos), "witness": witness})
     else:
-        acc = {a: ZERO for a in leads}
+        acc = dict.fromkeys(leads, (0, 1))
         witness = None
         first_edges = set()
         for taken_children, (child, s, branch) in enumerate(branches, start=1):
             first_edges.add(s)
             first_edges.update(_subtree_edges(tree, child))
-            for a in leads:
-                acc[a] += branch[a]
-            qualifiers = [a for a in leads if acc[a] >= beta]
+            acc = {a: pair_sum(*acc[a], *branch[a]) for a in leads}
+            qualifiers = [a for a in leads if reaches(acc[a])]
             if qualifiers:
                 witness = min(qualifiers)
                 break

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rational import Rational, rational
+from .rational import Rational, as_pair, from_pair, rational
 from collections.abc import Iterable
 from itertools import product
 
@@ -53,30 +53,31 @@ class FairnessReport:
 
 def fairness_report(instance: Instance, allocation: Allocation) -> FairnessReport:
     """Exact metrics of an allocation; agents sharing a valuation are
-    evaluated once."""
+    evaluated once.  The envy maxima are compared on integer pairs and each
+    is reduced once."""
     columns = [eval_share_each(instance, instance.agents, share) for share in allocation.shares]
     matrix = tuple(tuple(column[i] for column in columns) for i in instance.agents)
-    envy_factor: Rational | None = rational(1)
-    additive = rational(0)
-    prop_unbounded = False
-    prop_value = rational(0)
-    for i in range(instance.n):
-        own = matrix[i][i]
-        if own == 0:
-            prop_unbounded = True
-        else:
-            prop_value = max(prop_value, rational(1) / (instance.n * own))
-        for j in range(instance.n):
-            other = matrix[i][j]
-            additive = max(additive, other - own)
-            if other == 0:
+    additive_n, additive_d = 0, 1  # the largest other - own
+    envy_n, envy_d = 1, 1  # the largest other / own over valuable shares
+    unbounded = False
+    for i, row in enumerate(matrix):
+        own_n, own_d = as_pair(row[i])
+        for other_n, other_d in map(as_pair, row):
+            diff_n, diff_d = other_n * own_d - own_n * other_d, other_d * own_d
+            if diff_n * additive_d > additive_n * diff_d:
+                additive_n, additive_d = diff_n, diff_d
+            if not other_n:
                 continue  # a worthless share never causes envy
-            if own == 0:
-                envy_factor = None
-            elif envy_factor is not None:
-                envy_factor = max(envy_factor, other / own)
-    prop = None if prop_unbounded else prop_value
-    return FairnessReport(matrix, envy_factor, additive, prop, _pseudo_ef(instance, matrix[0]))
+            if not own_n:
+                unbounded = True
+            elif other_n * own_d * envy_d > envy_n * other_d * own_n:
+                envy_n, envy_d = other_n * own_d, other_d * own_n
+    envy_factor = None if unbounded else from_pair(envy_n, envy_d)
+    lowest = min(row[i] for i, row in enumerate(matrix))
+    prop = rational(1) / (instance.n * lowest) if lowest else None
+    return FairnessReport(
+        matrix, envy_factor, from_pair(additive_n, additive_d), prop, _pseudo_ef(instance, matrix[0])
+    )
 
 
 def pseudo_ef_factor(instance: Instance, allocation: Allocation) -> Rational | None:

@@ -4,6 +4,11 @@ All rationals travel as reduced ``"p/q"`` strings (integers without the
 denominator), keys are sorted, and no floats appear anywhere, so equal
 objects serialize to identical bytes.
 
+``dumps_canonical`` writes the layout of ``json.dumps(..., sort_keys=True,
+indent=2)`` itself: ``json`` runs its C encoder only without an indent, so
+the emitter walks the containers and leaves each string to the C string
+encoder and each other scalar to ``json.dumps``.
+
 The loaders parse each distinct rational text of a document once: a
 document repeats the same breakpoints and cut positions many times, and
 every repeat reuses the first parse's (immutable) value.
@@ -86,7 +91,57 @@ def _endpoints(edge: dict) -> tuple[str, str]:
 
 
 def dumps_canonical(payload: Any) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline, as
+    UTF-8 bytes, without ``json``'s pure-Python indenting encoder."""
+    out: list[str] = []
+    _emit(payload, "\n", out)
+    out.append("\n")
+    return "".join(out).encode("utf-8")
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _emit(value: Any, newline: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` in ``dumps_canonical``'s layout;
+    ``newline`` is the line break and indent of the line ``value`` is on."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _emit(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep)
+            out.append(_quote(_json_key(key)))
+            out.append(": ")
+            _emit(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(value))
+
+
+def _json_key(key: Any) -> str:
+    """An object key as ``json`` writes it: ``1`` as ``"1"``, ``None`` as ``"null"``."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 # ---------------------------------------------------------------------------

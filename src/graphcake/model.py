@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .rational import ONE, Rational, ZERO, rational
+from .rational import ONE, Rational, ZERO, as_pair, from_pair, pair_sum, rational
 
 
 class ContractViolation(AssertionError):
@@ -332,11 +332,14 @@ class StepDensity:
     """Piecewise-constant density over one edge.
 
     ``breakpoints`` strictly increase from 0 to 1; ``values`` holds one
-    nonnegative density per piece.  Cumulative integrals are precomputed, and
-    on first use so is each piece's line ``prefix(x) = values[i] * x +
-    _offset[i]``: evaluation is a bisect, one exact multiplication and one
-    addition.  An integral from 0 is one prefix, and the whole edge [0, 1]
-    is the stored total, with no arithmetic at all.
+    nonnegative density per piece.  Construction checks and accumulates on
+    integer numerators and denominators and reduces each cumulative integral
+    once.  On first use each piece's line ``prefix(x) = values[i] * x +
+    _offset[i]`` is built too.  ``integral_pair`` answers an integral with a
+    bisect and a few integer products on the pairs of one or two pieces,
+    unreduced; ``integral`` reduces that pair once, and ``eval_share`` sums
+    the pairs of a whole share before its one reduction.  The whole edge
+    [0, 1] is the stored total, with no arithmetic at all.
     """
 
     breakpoints: tuple[Rational, ...]
@@ -344,26 +347,26 @@ class StepDensity:
     _cum: tuple[Rational, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bp, vals = self.breakpoints, self.values
-        if len(bp) < 2 or bp[0] != ZERO or bp[-1] != ONE:
+        points = list(map(as_pair, self.breakpoints))
+        if len(points) < 2 or points[0][0] or points[-1][0] != points[-1][1]:
             raise ValueError("breakpoints must run from 0 to 1")
-        left = bp[0]
-        for right in bp[1:]:
-            if left >= right:
+        for (ln, ld), (rn, rd) in zip(points, points[1:]):
+            if ln * rd >= rn * ld:
                 raise ValueError("breakpoints must strictly increase")
-            left = right
-        if len(vals) != len(bp) - 1:
+        weights = list(map(as_pair, self.values))
+        if len(weights) != len(points) - 1:
             raise ValueError("need one density value per piece")
-        for v in vals:
-            if v < 0:
+        for vn, _ in weights:
+            if vn < 0:
                 raise ValueError("densities must be nonnegative")
-        total = ZERO
-        cum = [total]
-        left = bp[0]
-        for v, right in zip(vals, bp[1:]):
-            total = total + v * (right - left)
+        cum = [ZERO]
+        cn, cd = 0, 1
+        for (bn, bd), (rn, rd), (vn, vd) in zip(points, points[1:], weights):
+            # cum + v * (right - left), over one common denominator
+            pd = vd * rd * bd
+            total = from_pair(cn * pd + vn * (rn * bd - bn * rd) * cd, cd * pd)
             cum.append(total)
-            left = right
+            cn, cd = as_pair(total)
         object.__setattr__(self, "_cum", tuple(cum))
 
     @cached_property
@@ -391,10 +394,31 @@ class StepDensity:
             return self._cum[-1]
         return self.values[i] * x + self._offset[i]
 
+    def integral_pair(self, lo: Rational, hi: Rational) -> tuple[int, int]:
+        """Integral over [lo, hi] as an unreduced ``(numerator, denominator)``
+        pair, the denominator positive."""
+        ln, ld = as_pair(lo)
+        hn, hd = as_pair(hi)
+        if not ln and hn == hd:
+            return as_pair(self._cum[-1])
+        bp = self.breakpoints
+        last = len(self.values) - 1
+        i = min(bisect_right(bp, lo) - 1, last)
+        j = min(bisect_right(bp, hi, i) - 1, last)
+        if i == j:  # one piece: v * (hi - lo)
+            vn, vd = as_pair(self.values[i])
+            return vn * (hn * ld - ln * hd), vd * hd * ld
+        # prefix(hi) - prefix(lo), each prefix(x) = values[k] * x + _offset[k]
+        offset = self._offset
+        vn, vd = as_pair(self.values[j])
+        on, od = as_pair(offset[j])
+        high_n, high_d = vn * hn * od + on * vd * hd, vd * hd * od
+        vn, vd = as_pair(self.values[i])
+        on, od = as_pair(offset[i])
+        return pair_sum(high_n, high_d, -(vn * ln * od + on * vd * ld), vd * ld * od)
+
     def integral(self, lo: Rational, hi: Rational) -> Rational:
-        if not lo:
-            return self._cum[-1] if hi == 1 else self.prefix(hi)
-        return self.prefix(hi) - self.prefix(lo)
+        return from_pair(*self.integral_pair(lo, hi))
 
     def cut_position(self, lo: Rational, hi: Rational, anchor: str, target: Rational) -> Rational:
         """First position (scanning from the anchor end of [lo, hi]) where the
@@ -463,9 +487,11 @@ class Instance:
             if same is None:
                 if set(val) != edge_ids:
                     raise ValueError(f"agent {agent} must value every edge exactly once")
-                total = sum((d.total for d in val.values()), ZERO)
-                if total != 1:
-                    raise ValueError(f"agent {agent} valuation sums to {total}, not 1")
+                tn, td = 0, 1
+                for density in val.values():
+                    tn, td = pair_sum(tn, td, *as_pair(density.total))
+                if tn != td:
+                    raise ValueError(f"agent {agent} valuation sums to {from_pair(tn, td)}, not 1")
                 distinct.append(val)
                 same = val
             shared[agent] = same
@@ -517,7 +543,8 @@ def eval_interval(instance: Instance, agent: int, interval: EdgeInterval, ledger
 
 
 def eval_share(instance: Instance, agent: int, share: Share, ledger=None) -> Rational:
-    """Value of a share to an agent: the sum of its interval integrals.
+    """Value of a share to an agent: the sum of its interval integrals,
+    added as unreduced integer pairs and reduced once.
 
     The ledger records one Eval per interval, in one call per share.
     """
@@ -525,13 +552,13 @@ def eval_share(instance: Instance, agent: int, share: Share, ledger=None) -> Rat
     if ledger is not None:
         ledger.record_eval(len(intervals))
     valuation = instance.valuations.get(agent, {})
-    total = ZERO
+    tn, td = 0, 1
     for iv in intervals:
         density = valuation.get(iv.edge)
         if density is None:
             raise ValueError(f"unknown agent {agent} or edge {iv.edge!r}")
-        total += density.integral(iv.lo, iv.hi)
-    return total
+        tn, td = pair_sum(tn, td, *density.integral_pair(iv.lo, iv.hi))
+    return from_pair(tn, td)
 
 
 def eval_share_each(instance: Instance, agents: Iterable[int], share: Share, ledger=None) -> dict[int, Rational]:

@@ -11,17 +11,22 @@ normalization.  Every other operand type, and every operation not listed,
 falls back to ``Fraction`` itself.  Both backends give the same exact
 values and interoperate with ``Fraction``, so callers may pass Fraction
 values anywhere.
+
+``as_pair``, ``pair_sum`` and ``from_pair`` let a kernel run on integer
+``(numerator, denominator)`` pairs: it reads its operands' pairs, adds and
+multiplies plain ints without reducing, and builds one reduced value at the
+end, so a sum of k terms is reduced once instead of k times (Knuth, TAOCP
+vol. 2, 4.5.1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 try:
     from gmpy2 import mpq as Rational
 except ImportError:  # gmpy2 is an optional extra
-    from math import gcd
-
     _object_new = object.__new__
 
     class Rational(Fraction):
@@ -197,7 +202,17 @@ except ImportError:  # gmpy2 is an optional extra
             n, d = -n, -d
         return _build(n, d)
 
-    def _ratio(numerator, denominator):
+    def as_pair(value):
+        """``(numerator, denominator)`` of an int, ``Fraction`` or ``Rational``
+        in lowest terms, the denominator positive."""
+        t = type(value)
+        if t is Rational or t is Fraction:
+            return value._numerator, value._denominator
+        if t is int:
+            return value, 1
+        return value.numerator, value.denominator
+
+    def from_pair(numerator, denominator):
         """``numerator / denominator`` of two ints: one gcd, the sign on top."""
         if not denominator:
             raise ZeroDivisionError(f"Fraction({numerator}, 0)")
@@ -207,7 +222,24 @@ except ImportError:  # gmpy2 is an optional extra
         return _build(numerator // g, denominator // g)
 
 else:
-    _ratio = Rational
+    from_pair = Rational
+
+    def as_pair(value):
+        """``(numerator, denominator)`` of an int, ``Fraction`` or ``mpq``
+        in lowest terms, the denominator positive."""
+        return value.numerator, value.denominator
+
+
+def pair_sum(n1, d1, n2, d2):
+    """``n1/d1 + n2/d2`` as an unreduced pair over the lcm of the positive
+    denominators: a gcd only where they differ."""
+    if d1 == d2:
+        return n1 + n2, d1
+    g = gcd(d1, d2)
+    if g == 1:
+        return n1 * d2 + n2 * d1, d1 * d2
+    d2 //= g
+    return n1 * d2 + n2 * (d1 // g), d1 * d2
 
 
 def rational(numerator, denominator=None):
@@ -222,7 +254,7 @@ def rational(numerator, denominator=None):
             return numerator  # immutable, so no copy is needed
         return Rational(numerator)
     if type(numerator) is int and type(denominator) is int:
-        return _ratio(numerator, denominator)
+        return from_pair(numerator, denominator)
     return Rational(numerator, denominator)
 
 

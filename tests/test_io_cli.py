@@ -1,8 +1,12 @@
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from graphcake.cli import main
 from graphcake.generate import FAMILIES, GeneratorSpec, fig1_instance, generate
 from graphcake.io import (
+    dumps_canonical,
     load_allocation,
     load_instance,
     parse_rational,
@@ -21,7 +26,17 @@ from graphcake.io import (
 )
 from graphcake.iterative import identical_four_ef, iterative_divide
 from graphcake.fairness import fairness_report
-from graphcake.model import Allocation, Edge, EdgeInterval, Graph, Instance, Share, StepDensity, full_cake
+from graphcake.model import (
+    Allocation,
+    ContractViolation,
+    Edge,
+    EdgeInterval,
+    Graph,
+    Instance,
+    Share,
+    StepDensity,
+    full_cake,
+)
 from graphcake.psn import psn_certificate
 from graphcake.rational import Rational
 from graphcake.solvers import SOLVERS
@@ -981,3 +996,130 @@ def test_cli_verify_rejects_pieces_above_the_bound(tmp_path):
     code, failures = _verify_file(inst_file, alloc_file, tmp_path)
     assert code == 1
     assert failures == ["pieces {'1': 3} above the certified bound 2"]
+
+
+# ---------------------------------------------------------------------------
+# The canonical emitter, the module entry point and verify's messages
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    | st.dictionaries(st.integers(-20, 20), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_json_values)
+@example({"b": [], "a": {}, "é\n\"": [float("inf"), -0.0, True, None, "\u2603\t"]})
+@example({10: "x", 2: ("y", [1.5])})
+@settings(max_examples=300, deadline=None)
+def test_dumps_canonical_matches_json_dumps(value):
+    assert dumps_canonical(value) == (json.dumps(value, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("value", [{(1, 2): "tuple key"}, [Fraction(1, 2)], {"a": object()}])
+def test_dumps_canonical_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        dumps_canonical(value)
+
+
+def test_python_m_graphcake_runs_the_cli(tmp_path):
+    """``python -m graphcake`` from a source checkout writes what ``main`` writes."""
+    args = ["gen", "--family", "star", "--edges", "3", "--agents", "2", "--seed", "1"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "graphcake", *args], cwd=tmp_path, capture_output=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    out = tmp_path / "star.json"
+    assert run_cli(*args, "--output", str(out)) == 0
+    assert done.stdout == out.read_bytes()
+
+
+def _verify_star_shares(tmp_path, shares):
+    """``verify`` on a 3-edge star (leaves at position 0, the centre at 1)
+    against a metrics-free allocation listing each agent's segments."""
+    inst_file, alloc_file = tmp_path / "star.json", tmp_path / "alloc.json"
+    assert run_cli("gen", "--family", "star", "--edges", "3", "--agents", "2", "--seed", "1",
+                   "--output", str(inst_file)) == 0
+    alloc_file.write_text(json.dumps({"agents": [
+        {"id": agent, "share": [{"edge": e, "from": lo, "to": hi} for e, lo, hi in share]}
+        for agent, share in enumerate(shares, start=1)
+    ]}))
+    return _verify_file(inst_file, alloc_file, tmp_path)
+
+
+@pytest.mark.parametrize("shares, failures", [
+    # e02 is left over; a cake that is not a partition is no metric bug.
+    ([[("e01", "0", "1")], [("e03", "0", "1")]], ["uncovered segments: e02 [0, 1]"]),
+    ([[("e01", "0", "1"), ("e02", "0", "1")], [("e02", "1/2", "1"), ("e03", "0", "1")]],
+     ["overlapping shares: e02 [1/2, 1] held by agents 1 and 2"]),
+    # Agent 1's leaf halves of e01 and e03 do not meet.
+    ([[("e01", "0", "1/2"), ("e03", "0", "1/2")], [("e01", "1/2", "1"), ("e02", "0", "1"), ("e03", "1/2", "1")]],
+     ["disconnected shares for agents 1"]),
+])
+def test_cli_verify_names_faults_in_plain_positions(tmp_path, shares, failures):
+    code, found = _verify_star_shares(tmp_path, shares)
+    assert code == 1
+    assert found == failures
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda graph: graph["vertices"].append(graph["vertices"][0]), "duplicate vertex ids"),
+    (lambda graph: graph["edges"].append(dict(graph["edges"][0])), "duplicate edge id 'e1'"),
+])
+def test_cli_duplicate_graph_ids_exit_2(tmp_path, capsys, edit, message):
+    inst_file = tmp_path / "fig1.json"
+    run_cli("gen", "--family", "fig1", "--output", str(inst_file))
+    document = json.loads(inst_file.read_text())
+    edit(document["graph"])
+    inst_file.write_text(json.dumps(document))
+    capsys.readouterr()
+    code, err = _exit_and_stderr(capsys, "solve", "--algorithm", "iterative-divide",
+                                 "--instance", str(inst_file), "--output", str(tmp_path / "out.json"))
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+def test_cli_verify_malformed_allocation_json_exits_2(tmp_path, capsys):
+    inst_file, alloc_file = tmp_path / "fig1.json", tmp_path / "alloc.json"
+    run_cli("gen", "--family", "fig1", "--output", str(inst_file))
+    alloc_file.write_text('{"agents": [')
+    capsys.readouterr()
+    code, err = _exit_and_stderr(capsys, "verify", "--instance", str(inst_file),
+                                 "--allocation", str(alloc_file))
+    assert code == 2
+    assert err.startswith("error: malformed JSON: ") and err.count("\n") == 1
+
+
+def _everything_to_agent_1(instance, epsilon, ledger, trace):
+    """A valid allocation that breaks iterative-divide's 1/2 additive-envy bound."""
+    return Allocation((full_cake(instance.graph),) + (Share.empty(),) * (instance.n - 1))
+
+
+def _broken_guarantee(instance, epsilon, ledger, trace):
+    raise ContractViolation("divide must partition values")
+
+
+@pytest.mark.parametrize("run, output, err", [
+    (_everything_to_agent_1, True, "contracted bound violated; this is a bug\n"),
+    (_broken_guarantee, False, "internal contract violated (bug): divide must partition values\n"),
+])
+def test_cli_solve_reports_a_solver_bug_with_exit_1(tmp_path, capsys, monkeypatch, run, output, err):
+    """A solver that breaks its bound still writes its allocation; one whose
+    internal check fails writes nothing.  Both exit 1 with one stderr line."""
+    inst_file, out = tmp_path / "fig1.json", tmp_path / "out.json"
+    run_cli("gen", "--family", "fig1", "--output", str(inst_file))
+    monkeypatch.setitem(SOLVERS, "iterative-divide", dataclasses.replace(SOLVERS["iterative-divide"], run=run))
+    capsys.readouterr()
+    code, got = _exit_and_stderr(capsys, "solve", "--algorithm", "iterative-divide",
+                                 "--instance", str(inst_file), "--output", str(out))
+    assert code == 1
+    assert got == err
+    assert out.exists() == output

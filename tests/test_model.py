@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +23,7 @@ from graphcake.model import (
 )
 from graphcake.generate import GeneratorSpec, generate
 from graphcake.model import Allocation
-from graphcake.rational import ONE, ZERO
+from graphcake.rational import ONE, ZERO, Rational, rational
 
 from conftest import F, density_value_oracle, star_instance
 
@@ -155,6 +156,70 @@ def test_mirrored_density_reads_the_edge_backwards(density, a, b):
     mirrored = density.mirrored()
     assert mirrored.integral(1 - hi, 1 - lo) == density.integral(lo, hi)
     assert mirrored.mirrored() == density
+
+
+def _typed(draw, value: Fraction):
+    """``value`` as an int (when whole), a ``Fraction`` or a ``Rational``:
+    every type the kernels accept."""
+    kinds = [Fraction, rational] + ([int] if value.denominator == 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    return int(value) if kind is int else kind(value.numerator, value.denominator)
+
+
+@st.composite
+def typed_densities(draw):
+    """Breakpoints and values over mixed denominators and types, and the
+    same density as plain ``Fraction`` lists."""
+    denom = draw(st.sampled_from([6, 12, 35, 64]))
+    interior = sorted(draw(st.sets(st.integers(1, denom - 1), max_size=4)))
+    bp = [Fraction(0), *(Fraction(i, denom) for i in interior), Fraction(1)]
+    vals = [Fraction(draw(st.integers(0, 9)), draw(st.sampled_from([1, 4, 7, 15]))) for _ in bp[1:]]
+    density = StepDensity(tuple(_typed(draw, b) for b in bp), tuple(_typed(draw, v) for v in vals))
+    return density, bp, vals
+
+
+@st.composite
+def typed_spans(draw):
+    denom = draw(st.sampled_from([1, 5, 12, 48]))
+    a, b = sorted(draw(st.integers(0, denom)) for _ in range(2))
+    return _typed(draw, Fraction(a, denom)), _typed(draw, Fraction(b, denom))
+
+
+def _fraction_integral(bp, vals, lo, hi):
+    """The integral as a plain ``Fraction`` sum of piece overlaps."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    return sum(
+        (v * max(Fraction(0), min(hi, b) - max(lo, a)) for a, b, v in zip(bp, bp[1:], vals)),
+        Fraction(0),
+    )
+
+
+@given(typed_densities(), st.lists(typed_spans(), min_size=1, max_size=5))
+@example((PLATEAU, [Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1)], [Fraction(2), Fraction(0), Fraction(2)]),
+         [(0, 1), (Fraction(1, 4), rational(3, 4)), (rational(1, 8), Fraction(7, 8)), (1, 1)])
+@settings(max_examples=150, deadline=None)
+def test_integral_pairs_and_eval_share_match_a_fraction_sum(drawn, spans):
+    """The unreduced pair, its reduction and a share's one-reduction sum all
+    equal a plain ``Fraction`` sum, with int, ``Fraction`` and ``Rational``
+    endpoints; every edge of the share values the same density."""
+    density, bp, vals = drawn
+    for lo, hi in spans:
+        want = _fraction_integral(bp, vals, lo, hi)
+        n, d = density.integral_pair(lo, hi)
+        assert d > 0 and Fraction(n, d) == want
+        got = density.integral(lo, hi)
+        assert type(got) is Rational and got == want
+    total = density.total
+    if not total:
+        return
+    edges = tuple(Edge(f"e{k}", (f"v{k}", f"v{k + 1}")) for k in range(len(spans)))
+    graph = Graph(tuple(f"v{k}" for k in range(len(spans) + 1)), edges)
+    scaled = StepDensity(density.breakpoints, tuple(v / (total * len(edges)) for v in density.values))
+    instance = Instance(graph, (1,), {1: {e.id: scaled for e in edges}})
+    share = Share(tuple(EdgeInterval(e.id, lo, hi) for e, (lo, hi) in zip(edges, spans)))
+    want = sum((_fraction_integral(bp, vals, lo, hi) for lo, hi in spans), Fraction(0)) / (total * len(edges))
+    got = eval_share(instance, 1, share)
+    assert type(got) is Rational and got == want
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from graphcake.rational import Rational, rational
+from graphcake.rational import Rational, as_pair, from_pair, pair_sum, rational
 
 pytestmark = pytest.mark.skipif(
     not (isinstance(Rational, type) and issubclass(Rational, Fraction)),
@@ -204,3 +204,27 @@ def test_rational_of_other_arguments_behaves_as_the_type(p, q):
         return type(value), value.numerator, value.denominator
 
     assert outcome(rational) == outcome(Rational)
+
+
+@given(fractions, st.sampled_from([Rational, Fraction, int]), integers)
+def test_pairs_round_trip_every_accepted_type(value, kind, scale):
+    """``as_pair`` reads the lowest-terms pair of an int, ``Fraction`` or
+    ``Rational``; ``from_pair`` reduces any int pair once, to the same value."""
+    if kind is int:
+        value = Fraction(value.numerator)
+    pair = as_pair(_make(kind, value))
+    assert pair == (value.numerator, value.denominator)
+    assert all(type(x) is int for x in pair)
+    if scale:
+        got = from_pair(value.numerator * scale, value.denominator * scale)
+        assert type(got) is Rational
+        _assert_same(got, value)
+
+
+@given(integers, denominators, integers, denominators)
+@example(1, 6, 1, 6)    # equal denominators: no gcd
+@example(1, 6, 1, 4)    # a common factor
+@example(1, 3, -1, 5)   # coprime
+def test_pair_sum_adds_unreduced_pairs(n1, d1, n2, d2):
+    n, d = pair_sum(n1, d1, n2, d2)
+    assert d > 0 and Fraction(n, d) == Fraction(n1, d1) + Fraction(n2, d2)
