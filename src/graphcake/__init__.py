@@ -19,7 +19,6 @@ from .divide import decycle, divide
 from .iterative import (
     ADAPTIVE_IDENTICAL,
     FIXED_QUARTER,
-    ThresholdSchedule,
     identical_four_ef,
     iterative_divide,
     threshold,

@@ -24,6 +24,7 @@ from .model import (
     Share,
     canonical_share,
     check,
+    checked_epsilon,
     contact_nodes,
     eval_share,
     full_cake,
@@ -31,7 +32,6 @@ from .model import (
     share_boundary_nodes,
     validate_allocation,
 )
-from .star_eps import clamp_epsilon
 
 
 def _share_values(instance: Instance, allocation: Allocation, ledger=None) -> list[Rational]:
@@ -57,11 +57,7 @@ def min_max_path(instance: Instance, allocation: Allocation, ledger=None) -> lis
     n = instance.n
     touch: list[list[int]] = [[] for _ in range(n)]  # ascending by construction
     for i in range(n):
-        if allocation.shares[i].is_empty:
-            continue
         for j in range(i + 1, n):
-            if allocation.shares[j].is_empty:
-                continue
             if contact_nodes(graph, allocation.shares[i], allocation.shares[j]):
                 touch[i].append(j)
                 touch[j].append(i)
@@ -218,7 +214,7 @@ def recursive_balance(
     """
     if not instance.identical_valuations():
         raise ValueError("balancing requires identical valuations")
-    epsilon = clamp_epsilon(epsilon)
+    epsilon = checked_epsilon(epsilon)
     n = instance.n
     max_calls = int(rational(5 * n * n) / epsilon)
     values = _share_values(instance, allocation, ledger)
@@ -250,7 +246,8 @@ def recursive_balance(
 
 def identical_two_eps(instance: Instance, epsilon: Rational, ledger=None) -> Allocation:
     """Pipeline: adaptive carving, then balancing down to ratio 2 + epsilon."""
+    checked_epsilon(epsilon)  # a single agent skips the balancing, not the rule
     if instance.n == 1:
         return Allocation((full_cake(instance.graph),))
     seeded = identical_four_ef(instance, ledger)
-    return recursive_balance(instance, seeded, clamp_epsilon(epsilon), ledger=ledger)
+    return recursive_balance(instance, seeded, epsilon, ledger=ledger)

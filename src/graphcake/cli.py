@@ -20,7 +20,7 @@ from .io import (
     save_allocation,
     save_instance,
 )
-from .model import ContractViolation, share_components, validate_allocation
+from .model import ContractViolation, checked_epsilon, share_components, validate_allocation
 from .psn import psn_allocate, psn_certificate
 from .queries import QueryLedger
 from .solvers import DEFAULT_EPSILON, SOLVERS, Solver, contract
@@ -45,11 +45,12 @@ def _write(path: str | None, payload: bytes) -> None:
 
 
 def _epsilon(text: str) -> Rational:
-    # The solvers clamp an ε of 1 or more, so a file must not claim one.
+    # The solvers' own rule, applied while parsing: a bad ε is malformed input.
     eps = parse_rational(text)
-    if not 0 < eps < 1:
-        raise argparse.ArgumentTypeError("epsilon must be a rational in (0, 1)")
-    return eps
+    try:
+        return checked_epsilon(eps)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _lift_choices() -> list[str]:

@@ -9,10 +9,7 @@ the value ratio by 4 - 2^-(n-3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rational import Rational, rational
-from typing import Literal
 
 from .divide import divide
 from .model import (
@@ -26,17 +23,12 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class ThresholdSchedule:
-    kind: Literal["fixed-quarter", "adaptive-identical"]
-
-
-FIXED_QUARTER = ThresholdSchedule("fixed-quarter")
-ADAPTIVE_IDENTICAL = ThresholdSchedule("adaptive-identical")
+FIXED_QUARTER = "fixed-quarter"
+ADAPTIVE_IDENTICAL = "adaptive-identical"
 
 
 def threshold(
-    schedule: ThresholdSchedule, i: int, n: int, allocated_values: list[Rational]
+    schedule: str, i: int, n: int, allocated_values: list[Rational]
 ) -> Rational:
     """Carving threshold for round ``i`` of ``n - 1``.
 
@@ -48,10 +40,10 @@ def threshold(
         raise ValueError(f"round {i} outside 1..{n - 1}")
     if len(allocated_values) != i - 1:
         raise ValueError("allocated_values must list the previous rounds")
-    if schedule.kind == "fixed-quarter":
-        return rational(1, 4)
-    xi = rational(1, 2 * n - 1)
-    return (2 * i * xi - sum(allocated_values, rational(0))) / 2
+    if schedule == ADAPTIVE_IDENTICAL:
+        xi = rational(1, 2 * n - 1)
+        return (2 * i * xi - sum(allocated_values, rational(0))) / 2
+    return rational(1, 4)
 
 
 def _pow2(exponent: int) -> Rational:
@@ -60,7 +52,7 @@ def _pow2(exponent: int) -> Rational:
 
 def iterative_divide(
     instance: Instance,
-    schedule: ThresholdSchedule = FIXED_QUARTER,
+    schedule: str = FIXED_QUARTER,
     ledger=None,
 ) -> Allocation:
     """Allocate by repeatedly splitting the unallocated remainder.
@@ -72,7 +64,7 @@ def iterative_divide(
     valuations and asserts its per-round value-window invariants exactly.
     """
     n = instance.n
-    adaptive = schedule.kind == "adaptive-identical"
+    adaptive = schedule == ADAPTIVE_IDENTICAL
     if adaptive and n > 1 and not instance.identical_valuations():
         raise ValueError("adaptive schedule requires identical valuations")
     if n == 1:

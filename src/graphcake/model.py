@@ -3,10 +3,9 @@
 A cake is a connected multigraph whose edges are divisible unit-parameter
 segments.  Agents hold piecewise-constant (step) value densities over each
 edge.  Every position, density, and value in the engine is an exact
-rational (a ``fractions.Fraction`` subclass with exact-type fast paths, or
-``gmpy2.mpq`` when that optional package is installed; see ``rational.py``);
-no floating point enters any computation, so all fairness checks are exact
-comparisons.
+rational (a ``fractions.Fraction`` subclass with exact-type fast paths; see
+``rational.py``); no floating point enters any computation, so all fairness
+checks are exact comparisons.
 
 Positions on an edge run from 0 at the first listed endpoint to 1 at the
 second.  Vertices are shared points: a share containing position 0 of some
@@ -30,6 +29,13 @@ class ContractViolation(AssertionError):
 def check(condition: bool, message: str) -> None:
     if not condition:
         raise ContractViolation(message)
+
+
+def checked_epsilon(epsilon: Rational) -> Rational:
+    """``epsilon`` as a ``Rational``; every epsilon bound needs 0 < epsilon < 1."""
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must be a rational in (0, 1)")
+    return rational(epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +297,8 @@ def canonical_share(graph: Graph, intervals: Iterable[EdgeInterval]) -> Share:
     """Sort, merge same-edge runs, and drop redundant degenerate points.
 
     The represented point set is preserved exactly: a single point survives
-    only when no other interval of the share already covers it.
+    only when no interval of positive length, and no single point kept
+    before it, already covers it.
     """
     by_edge: dict[str, list[EdgeInterval]] = {}
     for iv in intervals:
@@ -313,13 +320,12 @@ def canonical_share(graph: Graph, intervals: Iterable[EdgeInterval]) -> Share:
     # A leftover degenerate whose point is a vertex may still duplicate a
     # point covered through another edge; drop those.
     result: list[EdgeInterval] = []
+    points: list[EdgeInterval] = []
     for iv in merged:
-        if iv.degenerate:
-            node = point_node(graph, iv.edge, iv.lo)
-            others = Share(tuple(x for x in merged if x is not iv))
-            if share_covers_node(graph, others, node):
-                continue
-        result.append(iv)
+        (points if iv.degenerate else result).append(iv)
+    for iv in points:
+        if not share_covers_node(graph, Share(tuple(result)), point_node(graph, iv.edge, iv.lo)):
+            result.append(iv)
     return Share(tuple(sorted(result, key=lambda x: (x.edge, x.lo, x.hi))))
 
 

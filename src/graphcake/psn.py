@@ -194,8 +194,7 @@ def _eccentricities(vertices, edges) -> dict[str, int]:
     out = {}
     for v in vertices:
         depth, _ = _bfs(adj, [v])
-        if len(depth) != len(set(vertices)):
-            return {}
+        check(len(depth) == len(set(vertices)), "tree edges do not span the vertices")
         out[v] = max(depth.values())
     return out
 
@@ -206,7 +205,6 @@ def _eccentricities(vertices, edges) -> dict[str, int]:
 
 def _spanning_tree_stats(vertices, tree_edges) -> tuple[int, str, int]:
     ecc = _eccentricities(vertices, tree_edges)
-    check(bool(ecc), "tree edges do not span the vertices")
     diameter = max(ecc.values())
     root = min(v for v, e in ecc.items() if e == min(ecc.values()))
     return diameter, root, ecc[root]

@@ -19,7 +19,6 @@ for a point it has not met: each point costs one Eval per agent, once.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .rational import Rational, rational
@@ -34,8 +33,9 @@ from .model import (
     ZERO,
     ONE,
     canonical_share,
-    complement_spans,
     check,
+    checked_epsilon,
+    complement_spans,
     cut,
     eval_interval,
     eval_share,
@@ -44,8 +44,6 @@ from .model import (
     validate_allocation,
     validate_partial,
 )
-
-EPSILON_CLAMP = rational(1) - rational(1, 1024)
 
 
 def find_star_center(graph) -> str | None:
@@ -114,15 +112,6 @@ class StarLayout:
         return EdgeInterval(edge_id, self.boundary[edge_id], ONE)
 
 
-def clamp_epsilon(epsilon: Rational) -> Rational:
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if epsilon >= 1:
-        warnings.warn(f"epsilon {epsilon} clamped to {EPSILON_CLAMP}", stacklevel=3)
-        return EPSILON_CLAMP
-    return rational(epsilon)
-
-
 def prepare_layout(instance: Instance, epsilon: Rational, ledger=None) -> StarLayout:
     """Cut every leaf-first edge so its center-side sliver is tiny for everyone.
 
@@ -131,7 +120,7 @@ def prepare_layout(instance: Instance, epsilon: Rational, ledger=None) -> StarLa
     boundary actually used is the largest candidate, which keeps the sliver
     small for everyone while making the outer segment maximal.
     """
-    epsilon = clamp_epsilon(epsilon)
+    epsilon = checked_epsilon(epsilon)
     center = find_star_center(instance.graph)
     if center is None:
         raise ValueError("instance graph is not a star")
@@ -475,6 +464,7 @@ def star_three_eps(
 
     Spokes may run either way: the protocol runs on ``leaf_first(instance)``."""
     star, flipped = leaf_first(instance)
+    checked_epsilon(epsilon)  # a single agent skips the layout, not the rule
     if instance.n == 1:
         return Allocation((full_cake(instance.graph),))
     layout = prepare_layout(star, epsilon, ledger)

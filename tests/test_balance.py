@@ -2,6 +2,7 @@ import pytest
 
 from graphcake import balance
 from graphcake.balance import (
+    BalanceOutcome,
     balance_path,
     identical_two_eps,
     is_pseudo_four_ef,
@@ -18,6 +19,7 @@ from graphcake.model import (
     EdgeInterval,
     Share,
     eval_share,
+    full_cake,
     validate_allocation,
 )
 
@@ -113,6 +115,13 @@ def test_balance_path_case1_stops_midway():
     assert sum(share_values(inst, new)) == total_before
 
 
+def test_verify_balance_outcome_rejects_an_unknown_kind():
+    values = (F(1, 4), F(3, 4))
+    outcome = BalanceOutcome("case4", None, F(3, 4), values, values)
+    with pytest.raises(ContractViolation, match="unclassifiable balancing pass: case4"):
+        verify_balance_outcome(outcome, F(1, 2))
+
+
 # ---------------------------------------------------------------------------
 # recursive balance
 
@@ -182,6 +191,21 @@ def test_recursive_balance_rejects_non_identical():
     alloc = identical_four_ef(generate(GeneratorSpec("star", m=3, n=2, identical=True, seed=11)))
     with pytest.raises(ValueError):
         recursive_balance(inst, alloc, F(1, 2))
+
+
+def test_balancing_rejects_epsilon_outside_unit_interval(fig1):
+    seeded = identical_four_ef(fig1)
+    for epsilon in (F(0), F(1), F(5, 2)):
+        with pytest.raises(ValueError, match=r"epsilon must be a rational in \(0, 1\)"):
+            recursive_balance(fig1, seeded, epsilon)
+        for instance in (fig1, path_instance(3, n=1)):
+            with pytest.raises(ValueError, match=r"epsilon must be a rational in \(0, 1\)"):
+                identical_two_eps(instance, epsilon)
+
+
+def test_identical_two_eps_gives_one_agent_the_whole_cake():
+    inst = path_instance(3, n=1)
+    assert identical_two_eps(inst, F(1, 2)) == Allocation((full_cake(inst.graph),))
 
 
 def test_pipeline_on_random_instances():

@@ -398,6 +398,12 @@ def test_divide_accepts_midedge_root():
     assert share_covers_node(inst.graph, rest, point_node(inst.graph, "e1", F(1, 2)))
 
 
+def test_divide_rejects_a_root_that_is_no_point():
+    inst = single_edge_instance()
+    with pytest.raises(ValueError, match="root must be a vertex id or PointOnEdge, got 0"):
+        divide(inst, full_cake(inst.graph), (1, 2), F(1, 4), 0)
+
+
 def test_divide_rejects_bad_beta():
     inst = single_edge_instance()
     with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from graphcake.io import (
     save_instance,
 )
 from graphcake.iterative import identical_four_ef, iterative_divide
-from graphcake.fairness import fairness_report
+from graphcake.fairness import fairness_report, prop1_check
 from graphcake.model import (
     Allocation,
     ContractViolation,
@@ -384,6 +384,30 @@ def test_allocation_round_trip(fig1):
     assert save_allocation(fig1, loaded, {"note": 1}) == raw
 
 
+# (which document, edit, message): the faults the fuzz tests above reach
+# only by chance, each with the message it must keep.
+@pytest.mark.parametrize("kind, edit, message", [
+    ("instance", lambda d: d.pop("graph"), "malformed instance JSON: 'graph'"),
+    ("instance", lambda d: d["graph"]["edges"][0].update(endpoints=["c", "zz"]),
+     "edge 'e1' references unknown vertex 'zz'"),
+    ("instance", lambda d: d["agents"][0].update(id=3), "agents must be exactly 1..n"),
+    ("instance", lambda d: d["agents"][0]["valuation"].pop("e1"), "agent 1 must value every edge exactly once"),
+    ("allocation", lambda d: d.pop("agents"), "malformed allocation JSON: 'agents'"),
+    ("allocation", lambda d: d["agents"].pop(1), "allocation missing agents [2]"),
+    ("allocation", lambda d: d.update(metrics=[1]), "allocation metrics must be a JSON object, got [1]"),
+])
+def test_load_faults_keep_their_messages(fig1, kind, edit, message):
+    raw = save_instance(fig1) if kind == "instance" else save_allocation(fig1, identical_four_ef(fig1))
+    document = json.loads(raw)
+    edit(document)
+    with pytest.raises(ValueError) as caught:
+        if kind == "instance":
+            load_instance(json.dumps(document))
+        else:
+            load_allocation(fig1, json.dumps(document))
+    assert str(caught.value) == message
+
+
 def test_generate_deterministic_bytes():
     spec = GeneratorSpec("star", m=5, n=3, pieces=3, seed=7)
     assert save_instance(generate(spec)) == save_instance(generate(spec))
@@ -396,6 +420,14 @@ def test_generated_families_are_valid():
         inst = generate(GeneratorSpec(family, m=6, n=3, pieces=3, seed=13))
         assert inst.n == 3
         assert len(inst.graph.edges) == 6
+
+
+def test_generator_spec_validation():
+    with pytest.raises(ValueError, match="unknown family 'wheel'"):
+        GeneratorSpec("wheel")
+    for sizes in ({"m": 0}, {"n": 0}, {"pieces": 0}):
+        with pytest.raises(ValueError, match="need m >= 1, n >= 1, pieces >= 1"):
+            GeneratorSpec("tree", **sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +527,8 @@ def test_cli_zero_denominator_in_instance_exits_2(tmp_path, capsys):
 
 
 def test_cli_zero_denominator_epsilon_exits_2(tmp_path, capsys):
-    # An ε of 1 or more would be clamped by the solver, so the file would
-    # claim a bound the run did not aim for: rejected like a zero denominator.
+    # An ε of 1 or more is outside every solver's rule, (0, 1): rejected
+    # while parsing, like a zero denominator.
     inst_file = tmp_path / "fig1.json"
     run_cli("gen", "--family", "fig1", "--output", str(inst_file))
     commands = [("solve", "--algorithm", "star-3eps"), ("solve", "--algorithm", "identical-2eps"),
@@ -1123,3 +1155,42 @@ def test_cli_solve_reports_a_solver_bug_with_exit_1(tmp_path, capsys, monkeypatc
     assert code == 1
     assert got == err
     assert out.exists() == output
+
+
+def test_cli_verify_reports_a_metric_bug_with_exit_1(tmp_path, monkeypatch):
+    """A partition whose metrics break their implications is a bug in the
+    metrics: verify lists it and exits 1."""
+    inst_file, alloc_file = tmp_path / "fig1.json", tmp_path / "alloc.json"
+    run_cli("gen", "--family", "fig1", "--output", str(inst_file))
+    assert run_cli("solve", "--algorithm", "identical-4ef", "--instance", str(inst_file),
+                   "--output", str(alloc_file)) == 0
+    monkeypatch.setattr(
+        "graphcake.cli.prop1_check",
+        lambda report, n: dataclasses.replace(prop1_check(report, n), ef_implies_prop=False),
+    )
+    assert _verify_file(inst_file, alloc_file, tmp_path) == (1, ["metric implications failed (metric bug)"])
+
+
+def test_cli_psn_lift_and_verify_with_empty_shares(tmp_path):
+    """Seven identical agents on a four-edge tree: the path solver leaves
+    agents 5-7 with nothing, the lift keeps their shares empty, and verify
+    accepts the partition."""
+    inst_file, alloc_file = tmp_path / "tree.json", tmp_path / "lift.json"
+    run_cli("gen", "--family", "tree", "--edges", "4", "--agents", "7", "--identical",
+            "--seed", "0", "--output", str(inst_file))
+    assert run_cli("psn-lift", "--algorithm", "iterative-divide", "--instance", str(inst_file),
+                   "--output", str(alloc_file)) == 0
+    payload = json.loads(alloc_file.read_text())
+    assert [payload["metrics"]["pieces"][str(a)] for a in (5, 6, 7)] == [0, 0, 0]
+    assert [agent["share"] for agent in payload["agents"][4:]] == [[], [], []]
+    assert _verify_file(inst_file, alloc_file, tmp_path) == (0, [])
+
+
+def test_cli_star_protocol_rejects_a_one_edge_star(tmp_path, capsys):
+    inst_file = tmp_path / "star.json"
+    run_cli("gen", "--family", "star", "--edges", "1", "--agents", "2", "--output", str(inst_file))
+    capsys.readouterr()
+    code, err = _exit_and_stderr(capsys, "solve", "--algorithm", "star-3eps",
+                                 "--instance", str(inst_file), "--output", str(tmp_path / "out.json"))
+    assert code == 2
+    assert err.count("\n") == 1 and "star protocol needs at least two edges" in err

@@ -9,13 +9,18 @@ from graphcake.model import (
     EdgeInterval,
     Graph,
     Instance,
+    PointOnEdge,
     Share,
     StepDensity,
     canonical_share,
     complement_spans,
     cut,
+    eval_interval,
     eval_share,
     is_connected,
+    point_node,
+    share_components,
+    share_covers_node,
     uncovered_share,
     validate_allocation,
     validate_partial,
@@ -471,6 +476,42 @@ def test_canonical_share_drops_redundant_point(fig1):
     assert lonely.intervals == (iv("e2", 1, 1),)
 
 
+def test_canonical_share_keeps_a_vertex_listed_through_two_edges():
+    # Both single points are vertex b of the path a-b-c; one of them must survive.
+    graph = Graph(("a", "b", "c"), (Edge("e1", ("a", "b")), Edge("e2", ("b", "c"))))
+    share = canonical_share(graph, [iv("e1", 1, 1), iv("e2", 0, 0)])
+    assert share.intervals == (iv("e1", 1, 1),)
+
+
+# Path a-b-c-d with a parallel edge and a loop at b, so single points meet
+# through several edges.
+CANON_GRAPH = Graph(
+    ("a", "b", "c", "d"),
+    (Edge("e1", ("a", "b")), Edge("e2", ("b", "c")), Edge("e3", ("b", "c")),
+     Edge("e4", ("b", "b")), Edge("e5", ("c", "d"))),
+)
+canon_intervals = st.lists(
+    st.tuples(st.sampled_from(["e1", "e2", "e3", "e4", "e5"]), st.integers(0, 4), st.integers(0, 4))
+    .map(lambda t: iv(t[0], F(min(t[1:]), 4), F(max(t[1:]), 4))),
+    max_size=6,
+)
+
+
+@given(canon_intervals)
+@example([iv("e1", 1, 1), iv("e2", 0, 0)])
+@example([iv("e4", 0, 0), iv("e4", 1, 1), iv("e2", 0, 0), iv("e3", 0, F(1, 2))])
+@settings(max_examples=300, deadline=None)
+def test_canonical_share_covers_every_input_endpoint(intervals):
+    share = canonical_share(CANON_GRAPH, intervals)
+    for x in intervals:
+        for pos in (x.lo, x.hi):
+            assert share_covers_node(CANON_GRAPH, share, point_node(CANON_GRAPH, x.edge, pos))
+    for x in share.intervals:
+        if x.degenerate:  # a kept single point is covered by nothing else
+            others = Share(tuple(y for y in share.intervals if y is not x))
+            assert not share_covers_node(CANON_GRAPH, others, point_node(CANON_GRAPH, x.edge, x.lo))
+
+
 def test_uncovered_share(fig1):
     taken = Share((iv("e1", 0, F(1, 2)),))
     rest = uncovered_share(fig1.graph, [taken])
@@ -514,6 +555,11 @@ def test_graph_requires_connectivity():
         Graph(("a", "b", "c"), (Edge("e1", ("a", "b")),))
 
 
+def test_graph_requires_an_edge():
+    with pytest.raises(ValueError, match="a cake needs at least one edge"):
+        Graph(("a",), ())
+
+
 def test_step_density_validation():
     with pytest.raises(ValueError):
         StepDensity((F(0), F(1, 2)), (F(1),))
@@ -528,3 +574,33 @@ def test_interval_bounds_validation():
         EdgeInterval("e1", F(-1, 2), F(1, 2))
     with pytest.raises(ValueError):
         EdgeInterval("e1", F(3, 4), F(1, 4))
+
+
+def test_point_position_validation():
+    with pytest.raises(ValueError, match=r"position 3/2 outside \[0, 1\]"):
+        PointOnEdge("e1", F(3, 2))
+
+
+def test_unknown_edge_id_rejected(fig1):
+    with pytest.raises(ValueError, match="unknown edge id 'e9'"):
+        fig1.graph.edge("e9")
+
+
+def test_unknown_agent_rejected(fig1):
+    with pytest.raises(ValueError, match="unknown agent 3 or edge 'e1'"):
+        eval_interval(fig1, 3, iv("e1", 0, 1))
+
+
+def test_cut_anchor_validation(fig1):
+    with pytest.raises(ValueError, match="anchor must be 'lo' or 'hi'"):
+        cut(fig1, 1, iv("e1", 0, 1), "mid", F(1, 6))
+
+
+def test_instance_requires_every_valuation():
+    graph = Graph(("a", "b"), (Edge("e1", ("a", "b")),))
+    with pytest.raises(ValueError, match="agent 2 has no valuation"):
+        Instance(graph, (1, 2), {1: {"e1": StepDensity.uniform(F(1))}})
+
+
+def test_empty_share_has_no_components(fig1):
+    assert share_components(fig1.graph, Share.empty()) == []

@@ -83,6 +83,11 @@ def test_dfs_layout_rejects_cycles():
         tree_dfs_bijection(inst.graph, inst.graph.vertices[0])
 
 
+def test_dfs_layout_rejects_an_unknown_root(fig1):
+    with pytest.raises(ValueError, match="unknown root 'v9'"):
+        tree_dfs_bijection(fig1.graph, "v9")
+
+
 # ---------------------------------------------------------------------------
 # exact path-similarity checks
 
@@ -109,6 +114,13 @@ def test_lift_single_slot_segment(fig1):
     bijection = tree_dfs_bijection(fig1.graph, "c")
     pieces = lift_segment(fig1.graph, bijection, F(1, 4), F(3, 4))
     assert len(pieces) == 1
+
+
+def test_lift_rejects_a_segment_outside_the_path(fig1):
+    bijection = tree_dfs_bijection(fig1.graph, "c")
+    for lo, hi in ((F(-1, 2), F(1)), (F(1), F(7, 2)), (F(2), F(1))):
+        with pytest.raises(ValueError, match="segment outside the path cake"):
+            lift_segment(fig1.graph, bijection, lo, hi)
 
 
 def test_lift_star_segment_two_pieces():
@@ -317,6 +329,12 @@ def test_psn_allocate_non_identical_uses_additive_solver():
     report = fairness_report(inst, allocation)
     assert report.additive_envy <= F(1, 2)
     assert all(p <= cert.bound for p in pieces)
+
+
+def test_psn_allocate_rejects_a_non_path_solver(fig1):
+    for algorithm in ("star-3eps", "no-such-solver"):
+        with pytest.raises(ValueError, match=f"unknown path solver '{algorithm}'"):
+            psn_allocate(fig1, algorithm=algorithm)
 
 
 def test_exact_check_enforces_size_cap():

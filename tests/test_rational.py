@@ -16,11 +16,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from graphcake.rational import Rational, as_pair, from_pair, pair_sum, rational
 
-pytestmark = pytest.mark.skipif(
-    not (isinstance(Rational, type) and issubclass(Rational, Fraction)),
-    reason="gmpy2's mpq is the rational backend",
-)
-
 ARITHMETIC = [operator.add, operator.sub, operator.mul, operator.truediv]
 COMPARISONS = [operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge]
 
@@ -219,6 +214,24 @@ def test_pairs_round_trip_every_accepted_type(value, kind, scale):
         got = from_pair(value.numerator * scale, value.denominator * scale)
         assert type(got) is Rational
         _assert_same(got, value)
+
+
+def test_negation_stays_rational():
+    # The fuzzed unary test above reaches __neg__ only through its random draws.
+    negated = -rational(-3, 4)
+    assert type(negated) is Rational and negated == Fraction(3, 4)
+
+
+def test_pairs_of_other_rational_types():
+    """A ``bool`` or another ``numbers.Rational``, here a ``Fraction``
+    subclass, takes the generic path and gives the same plain-int pair."""
+
+    class Ratio(Fraction):
+        pass
+
+    assert as_pair(True) == (1, 1) and as_pair(False) == (0, 1)
+    pair = as_pair(Ratio(6, -4))
+    assert pair == (-3, 2) and all(type(x) is int for x in pair)
 
 
 @given(integers, denominators, integers, denominators)

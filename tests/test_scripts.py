@@ -1,6 +1,7 @@
 """The maintenance scripts run end to end on small inputs, so a change to the
 solver table or the psn API that breaks them fails the suite."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +31,14 @@ def test_psn_census_reports_both_families():
     lines = run_script("scripts/psn_census.py", "--max-tree-vertices", "5", "--graphs", "3")
     assert lines[0] == "rooted trees: certificate bound minus exact value"
     assert "random connected graphs: certificate bound minus exact value" in lines
+
+
+def test_line_census_lists_unreached_lines_and_a_total():
+    lines = run_script("scripts/line_census.py", "-q", "-p", "no:cacheprovider", "tests/test_iterative.py")
+    listed = [line for line in lines if line.startswith("src/graphcake/")]
+    assert all(re.fullmatch(r"src/graphcake/\w+\.py:\d+: \S.*", line) for line in listed)
+    assert lines[-1] == f"{len(listed)} function-body lines unreached; pytest exit code 0"
+    # test_iterative.py never runs the star protocol, and always runs the carving loop.
+    assert any(line.endswith(": star, flipped = leaf_first(instance)") for line in listed)
+    assert not any(line.startswith("src/graphcake/iterative.py:") and "for i in range(1, n):" in line
+                   for line in listed)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from graphcake.fairness import fairness_report
 from graphcake.generate import GeneratorSpec, generate
 from graphcake.model import (
+    ContractViolation,
     Edge,
     EdgeInterval,
     Graph,
@@ -50,6 +51,11 @@ def test_leaf_first_flips_the_centre_first_spokes(fig1):
 def test_prepare_layout_rejects_a_centre_first_star(fig1):
     with pytest.raises(ValueError, match="leaf to center"):
         prepare_layout(_mirrored(fig1, {"e2"}), F(1, 2))
+
+
+def test_prepare_layout_rejects_a_non_star():
+    with pytest.raises(ValueError, match="instance graph is not a star"):
+        prepare_layout(path_instance(3), F(1, 2))
 
 
 def test_layout_star3_boundaries(fig1):
@@ -181,6 +187,35 @@ def test_finalize_leaf_gap_falls_back_to_far_holder():
     assert allocation.share_of(2).intervals == (EdgeInterval("e2", F(0), x),)
 
 
+def test_finalize_refuses_a_gap_that_borders_no_share():
+    inst = _two_edge_star_halves()
+    layout = prepare_layout(inst, F(1, 2))
+    state = Trading(
+        inst,
+        layout,
+        (Share((EdgeInterval("e1", F(0), F(1, 2)),)), Share((EdgeInterval("e2", F(0), F(1, 2)),))),
+        ("N1", "N1"),
+        2,
+    )
+    # Move the free gap [1/2, x] of e1 to start at 3/4, where nobody holds.
+    gap = state.free["e1"][0]
+    assert gap[0] == F(1, 2)
+    state.free["e1"][0] = (F(3, 4),) + gap[1:]
+    with pytest.raises(ContractViolation, match="gap must border an allocated interval"):
+        finalize(state)
+
+
+def test_finalize_with_no_center_star_left():
+    # Agent 3 values e01 at 0 and agent 4 values e02 at 0, so their zero cut
+    # targets put both boundaries at the center: no inner sliver is left.
+    inst = generate(GeneratorSpec("star", m=2, n=4, pieces=3, seed=5))
+    assert set(prepare_layout(inst, F(1, 2)).boundary.values()) == {1}
+    alloc = star_three_eps(inst, F(1, 2))
+    assert validate_allocation(inst, alloc).ok
+    report = fairness_report(inst, alloc)
+    assert report.envy_factor is not None and report.envy_factor <= F(7, 2)
+
+
 # The three owners of the leftover center star.  Each state makes the other
 # candidates (the last trader, the last segment trader, the first holder of
 # an edge) a different agent.
@@ -275,10 +310,12 @@ def test_star_three_eps_two_edge_star():
     assert report.envy_factor is not None and report.envy_factor <= F(31, 10)
 
 
-def test_epsilon_clamped_with_warning(fig1):
-    with pytest.warns(UserWarning):
-        alloc = star_three_eps(fig1, F(3, 2))
-    assert validate_allocation(fig1, alloc).ok
+def test_epsilon_outside_unit_interval_rejected(fig1):
+    one_agent = generate(GeneratorSpec("star", m=4, n=1, seed=3))
+    for epsilon in (F(0), F(-1, 2), F(1), F(3, 2)):
+        for instance in (fig1, one_agent):
+            with pytest.raises(ValueError, match=r"epsilon must be a rational in \(0, 1\)"):
+                star_three_eps(instance, epsilon)
 
 
 def test_non_star_rejected():
