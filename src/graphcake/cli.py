@@ -45,12 +45,12 @@ def _write(path: str | None, payload: bytes) -> None:
 
 
 def _epsilon(text: str) -> Rational:
-    # The solvers' own rule, applied while parsing: a bad ε is malformed input.
-    eps = parse_rational(text)
+    # The solvers' own rule, applied while parsing: a bad ε is malformed input,
+    # with one message whether the text is no rational or one outside (0, 1).
     try:
-        return checked_epsilon(eps)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        return checked_epsilon(parse_rational(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"epsilon must be a rational in (0, 1), got {text!r}") from None
 
 
 def _lift_choices() -> list[str]:
@@ -128,8 +128,8 @@ def _stored_solver(metrics: dict) -> tuple[Solver | None, Rational | None]:
         return solver, None
     try:
         return solver, _epsilon(metrics.get("epsilon"))
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise ValueError(f"metrics epsilon {metrics.get('epsilon')!r}: {exc}") from None
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"metrics {exc}") from None
 
 
 def _segment(edge: str, lo: Rational, hi: Rational) -> str:

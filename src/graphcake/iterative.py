@@ -27,6 +27,14 @@ FIXED_QUARTER = "fixed-quarter"
 ADAPTIVE_IDENTICAL = "adaptive-identical"
 
 
+def _is_adaptive(schedule: str) -> bool:
+    """True for the adaptive schedule, False for the fixed one; any other
+    value raises ``ValueError``."""
+    if schedule not in (FIXED_QUARTER, ADAPTIVE_IDENTICAL):
+        raise ValueError(f"unknown threshold schedule {schedule!r}")
+    return schedule == ADAPTIVE_IDENTICAL
+
+
 def threshold(
     schedule: str, i: int, n: int, allocated_values: list[Rational]
 ) -> Rational:
@@ -40,7 +48,7 @@ def threshold(
         raise ValueError(f"round {i} outside 1..{n - 1}")
     if len(allocated_values) != i - 1:
         raise ValueError("allocated_values must list the previous rounds")
-    if schedule == ADAPTIVE_IDENTICAL:
+    if _is_adaptive(schedule):
         xi = rational(1, 2 * n - 1)
         return (2 * i * xi - sum(allocated_values, rational(0))) / 2
     return rational(1, 4)
@@ -64,7 +72,7 @@ def iterative_divide(
     valuations and asserts its per-round value-window invariants exactly.
     """
     n = instance.n
-    adaptive = schedule == ADAPTIVE_IDENTICAL
+    adaptive = _is_adaptive(schedule)
     if adaptive and n > 1 and not instance.identical_valuations():
         raise ValueError("adaptive schedule requires identical valuations")
     if n == 1:

@@ -14,12 +14,12 @@ edge touches every other share containing the corresponding vertex.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .rational import ONE, Rational, ZERO, as_pair, from_pair, pair_sum, rational
+from .rational import ONE, Rational, ZERO, as_pair, from_pair, pair_sum, rational, reduced_pair
 
 
 class ContractViolation(AssertionError):
@@ -340,12 +340,18 @@ class StepDensity:
     ``breakpoints`` strictly increase from 0 to 1; ``values`` holds one
     nonnegative density per piece.  Construction checks and accumulates on
     integer numerators and denominators and reduces each cumulative integral
-    once.  On first use each piece's line ``prefix(x) = values[i] * x +
-    _offset[i]`` is built too.  ``integral_pair`` answers an integral with a
-    bisect and a few integer products on the pairs of one or two pieces,
-    unreduced; ``integral`` reduces that pair once, and ``eval_share`` sums
-    the pairs of a whole share before its one reduction.  The whole edge
-    [0, 1] is the stored total, with no arithmetic at all.
+    once.  On first use each piece's line ``prefix(x) = v * x + o`` is built
+    too, as integer pairs next to the integral up to the piece's right end.
+
+    Each query has one kernel on integer ``(numerator, denominator)`` pairs:
+    ``prefix_pair`` answers [0, x] with a bisect and one reduction,
+    ``integral_pair`` answers [lo, hi] from the lines of one or two pieces,
+    unreduced, and ``cut_pair`` finds a Cut's piece by cross-multiplying
+    against the cumulative pairs and reduces the position once.
+    ``prefix``, ``integral``, ``cut_from_prefix`` and ``cut_position`` wrap
+    them, and ``eval_share`` sums the pairs of a whole share before its one
+    reduction.  The whole edge [0, 1] is the stored total, with no
+    arithmetic at all.
     """
 
     breakpoints: tuple[Rational, ...]
@@ -376,8 +382,18 @@ class StepDensity:
         object.__setattr__(self, "_cum", tuple(cum))
 
     @cached_property
-    def _offset(self) -> tuple[Rational, ...]:
-        return tuple(c - v * b for c, v, b in zip(self._cum, self.values, self.breakpoints))
+    def _pieces(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
+        """Per piece ``(vn, vd, on, od, cn, cd)``: the line ``prefix(x) =
+        vn/vd * x + on/od`` and ``cn/cd``, the integral up to the piece's
+        right end; every pair reduced."""
+        pieces = []
+        for b, v, c, right in zip(self.breakpoints, self.values, self._cum, self._cum[1:]):
+            bn, bd = as_pair(b)
+            vn, vd = as_pair(v)
+            cn, cd = as_pair(c)
+            on, od = reduced_pair(cn * vd * bd - vn * bn * cd, cd * vd * bd)  # o = cum - v * b
+            pieces.append((vn, vd, on, od, *as_pair(right)))
+        return tuple(pieces)
 
     @classmethod
     def uniform(cls, value: Rational) -> "StepDensity":
@@ -393,12 +409,19 @@ class StepDensity:
             tuple(ONE - b for b in reversed(self.breakpoints)), tuple(reversed(self.values))
         )
 
+    def prefix_pair(self, x: Rational) -> tuple[int, int]:
+        """Integral over [0, x] as a reduced pair, the denominator positive."""
+        pieces = self._pieces
+        i = bisect_right(self.breakpoints, x) - 1
+        if i >= len(pieces):
+            return pieces[-1][4:]
+        vn, vd, on, od, _, _ = pieces[i]
+        xn, xd = as_pair(x)
+        return reduced_pair(vn * xn * od + on * vd * xd, vd * xd * od)
+
     def prefix(self, x: Rational) -> Rational:
         """Integral over [0, x]."""
-        i = bisect_right(self.breakpoints, x) - 1
-        if i >= len(self.values):
-            return self._cum[-1]
-        return self.values[i] * x + self._offset[i]
+        return from_pair(*self.prefix_pair(x))
 
     def integral_pair(self, lo: Rational, hi: Rational) -> tuple[int, int]:
         """Integral over [lo, hi] as an unreduced ``(numerator, denominator)``
@@ -414,13 +437,11 @@ class StepDensity:
         if i == j:  # one piece: v * (hi - lo)
             vn, vd = as_pair(self.values[i])
             return vn * (hn * ld - ln * hd), vd * hd * ld
-        # prefix(hi) - prefix(lo), each prefix(x) = values[k] * x + _offset[k]
-        offset = self._offset
-        vn, vd = as_pair(self.values[j])
-        on, od = as_pair(offset[j])
+        # prefix(hi) - prefix(lo), each on its piece's line
+        pieces = self._pieces
+        vn, vd, on, od, _, _ = pieces[j]
         high_n, high_d = vn * hn * od + on * vd * hd, vd * hd * od
-        vn, vd = as_pair(self.values[i])
-        on, od = as_pair(offset[i])
+        vn, vd, on, od, _, _ = pieces[i]
         return pair_sum(high_n, high_d, -(vn * ln * od + on * vd * ld), vd * ld * od)
 
     def integral(self, lo: Rational, hi: Rational) -> Rational:
@@ -435,29 +456,48 @@ class StepDensity:
         """
         if anchor not in ("lo", "hi"):
             raise ValueError("anchor must be 'lo' or 'hi'")
-        p_lo, p_hi = self.prefix(lo), self.prefix(hi)
-        if target < 0 or target > p_hi - p_lo:
+        ln, ld = self.prefix_pair(lo)
+        hn, hd = self.prefix_pair(hi)
+        tn, td = as_pair(target)
+        if tn < 0 or tn * ld * hd > (hn * ld - ln * hd) * td:
             raise ValueError("cut target exceeds interval value")
-        if target == 0:
+        if not tn:
             return lo if anchor == "lo" else hi
-        return self.cut_from_prefix(p_lo if anchor == "lo" else p_hi, anchor, target)
+        if anchor == "lo":
+            return self.cut_pair(ln, ld, True, tn, td)
+        return self.cut_pair(hn, hd, False, tn, td)
 
     def cut_from_prefix(self, anchor_prefix: Rational, anchor: str, target: Rational) -> Rational:
         """``cut_position`` for a caller that already knows ``prefix`` of the
-        anchor end.
+        anchor end; unchecked, as ``cut_pair`` is."""
+        return self.cut_pair(*as_pair(anchor_prefix), anchor == "lo", *as_pair(target))
 
-        Unchecked: the caller guarantees ``0 < target`` and that the target
-        fits between the anchor and the far end of its interval.
+    def cut_pair(self, an: int, ad: int, from_lo: bool, tn: int, td: int) -> Rational:
+        """The Cut from an anchor whose prefix is ``an/ad``: the position
+        nearest the anchor where the segment from it is worth exactly
+        ``tn/td``, scanning toward 1 when ``from_lo`` and toward 0 otherwise.
+
+        Unchecked: the caller guarantees positive denominators, ``0 < tn``,
+        and that the target fits between the anchor and the far end of its
+        interval.
         """
-        if anchor == "lo":
-            # Smallest x with prefix(x) == prefix(lo) + target.
-            t_abs = anchor_prefix + target
-            j = bisect_left(self._cum, t_abs)
-        else:
-            # Largest x with prefix(x) == prefix(hi) - target.
-            t_abs = anchor_prefix - target
-            j = bisect_right(self._cum, t_abs)
-        return (t_abs - self._offset[j - 1]) / self.values[j - 1]
+        # The prefix to reach, w = anchor +- target.
+        wn, wd = (an * td + tn * ad if from_lo else an * td - tn * ad), ad * td
+        # From lo, the smallest x with prefix(x) == w lies on the first piece
+        # whose right end reaches w; from hi, the largest on the first piece
+        # whose right end passes w.
+        pieces = self._pieces
+        i, j = 0, len(pieces) - 1
+        while i < j:
+            mid = (i + j) // 2
+            _, _, _, _, cn, cd = pieces[mid]
+            if (cn * wd < wn * cd) if from_lo else (cn * wd <= wn * cd):
+                i = mid + 1
+            else:
+                j = mid
+        vn, vd, on, od, _, _ = pieces[i]
+        # x = (w - o) / v
+        return from_pair((wn * od - on * wd) * vd, wd * od * vn)
 
 
 # ---------------------------------------------------------------------------

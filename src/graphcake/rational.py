@@ -9,11 +9,11 @@ build the result without a second normalization.  Every other operand type,
 and every operation not listed, falls back to ``Fraction`` itself.  The
 values are ``Fraction``'s own, so callers may pass Fraction values anywhere.
 
-``as_pair``, ``pair_sum`` and ``from_pair`` let a kernel run on integer
-``(numerator, denominator)`` pairs: it reads its operands' pairs, adds and
-multiplies plain ints without reducing, and builds one reduced value at the
-end, so a sum of k terms is reduced once instead of k times (Knuth, TAOCP
-vol. 2, 4.5.1).
+``as_pair``, ``pair_sum``, ``reduced_pair`` and ``from_pair`` let a kernel
+run on integer ``(numerator, denominator)`` pairs: it reads its operands'
+pairs, adds and multiplies plain ints without reducing, and reduces once at
+the end, to a pair or to a value, so a sum of k terms is reduced once
+instead of k times (Knuth, TAOCP vol. 2, 4.5.1).
 """
 
 from __future__ import annotations
@@ -221,6 +221,13 @@ def from_pair(numerator, denominator):
     if denominator < 0:
         g = -g
     return _build(numerator // g, denominator // g)
+
+
+def reduced_pair(numerator, denominator):
+    """``(numerator, denominator)`` in lowest terms, by one gcd; the
+    denominator must be positive."""
+    g = gcd(numerator, denominator)
+    return numerator // g, denominator // g
 
 
 def pair_sum(n1, d1, n2, d2):

@@ -14,14 +14,16 @@ per ``step()``; ``finalize`` hands out the leftovers at the fixpoint,
 Every interval ``Trading`` keeps, free or held, carries the prefix rows
 (every agent's value of [0, x]) at its ends, so a trade values what it
 splits or merges by subtracting rows it already has, and computes a row only
-for a point it has not met: each point costs one Eval per agent, once.
+for a point it has not met: each point costs one Eval per agent, once.  The
+loop's arithmetic runs on integer ``(numerator, denominator)`` pairs, and
+only what a trade stores is reduced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rational import Rational, rational
+from .rational import Rational, from_pair, pair_sum, rational, reduced_pair
 
 from .model import (
     Allocation,
@@ -161,8 +163,10 @@ def _outer_part(layout: StarLayout, iv: EdgeInterval) -> tuple[Rational, Rationa
 
 
 def _span(lo: Rational, hi: Rational, lo_row: tuple, hi_row: tuple) -> tuple:
-    """A free entry: the interval, every agent's value of it, its end rows."""
-    return (lo, hi, tuple(h - l for l, h in zip(lo_row, hi_row)), lo_row, hi_row)
+    """A free entry: the interval, every agent's value of it as an unreduced
+    pair, its end rows."""
+    return (lo, hi, tuple((hn * ld - ln * hd, hd * ld) for (ln, ld), (hn, hd) in zip(lo_row, hi_row)),
+            lo_row, hi_row)
 
 
 class Trading:
@@ -170,23 +174,28 @@ class Trading:
 
     Besides the shares, their tags ("unserved" | "N1" | "N2" per agent) and
     the last (segment) trader, it keeps what a trade needs.  A row is every
-    agent's prefix integral at one position of an edge, and every interval
-    kept carries the rows at its ends:
+    agent's prefix integral at one position of an edge, a tuple of reduced
+    ``(numerator, denominator)`` pairs, and every interval kept carries the
+    rows at its ends:
 
     - ``free``: per edge, the maximal free intervals inside the outer
       segment, in ascending position, each ``(lo, hi, values, lo_row,
-      hi_row)`` with every agent's value of it;
+      hi_row)`` with every agent's value of it as an unreduced pair, the
+      difference of the end rows;
     - ``held``: per agent, the outer parts of its share, each ``(edge id,
       lo, hi, lo_row, hi_row)``;
-    - ``own`` and ``targets``: every agent's own value and own value + eps'.
+    - ``own`` and ``targets``: every agent's own value and own value + eps',
+      as ``Rational``; bids compare a pair with a target by
+      cross-multiplying.
 
     A segment trade replaces the free entry it cuts with the remainder, or
     deletes it; every trade returns the trader's held parts to the free
     lists, each merged with the free intervals it touches, and values every
-    new entry from the rows its ends carry.  ``prefix`` (per edge, position
-    -> row) keeps every row computed and is asked only for a point no entry
-    carries: the constructor's ends, a cut position and a bundle's whole
-    edges.  So each point's row is computed (one Eval per agent) once.
+    new entry from the rows its ends carry.  ``prefix`` (per edge, a
+    position's ``(numerator, denominator)`` -> row) keeps every row computed
+    and is asked only for a point no entry carries: the constructor's ends,
+    a cut position and a bundle's whole edges.  So each point's row is
+    computed (one Eval per agent) once.
     """
 
     def __init__(
@@ -227,24 +236,26 @@ class Trading:
         self.own = [eval_share(instance, a, s, ledger) for a, s in zip(instance.agents, self.shares)]
         self.targets = [v + layout.eps_prime for v in self.own]
 
-    def _row(self, edge_id: str, x: Rational, known: tuple[int, Rational] | None = None) -> tuple:
-        """Every agent's value of [0, x] on one edge.  ``known`` is an
-        (agent index, prefix) pair that the agent's Cut already answered."""
+    def _row(self, edge_id: str, x: Rational, known: tuple[int, tuple[int, int]] | None = None) -> tuple:
+        """Every agent's value of [0, x] on one edge, as reduced pairs.
+        ``known`` is an (agent index, prefix pair) that the agent's Cut
+        already answered."""
         memo = self.prefix[edge_id]
-        row = memo.get(x)
+        key = (x._numerator, x._denominator)
+        row = memo.get(key)
         if row is None:
             instance = self.instance
-            if x == ZERO:
-                row = (ZERO,) * instance.n
+            if not key[0]:
+                row = ((0, 1),) * instance.n
             else:
-                row = [instance.valuations[a][edge_id].prefix(x) for a in instance.agents
+                row = [instance.valuations[a][edge_id].prefix_pair(x) for a in instance.agents
                        if known is None or a - 1 != known[0]]
                 if known is not None:
                     row.insert(known[0], known[1])
                 if self.ledger is not None:
                     self.ledger.record_eval(instance.n - (known is not None))
                 row = tuple(row)
-            memo[x] = row
+            memo[key] = row
         return row
 
     def _trade(self, trader: int, share: Share, held: list, tag: str, new_value: Rational) -> None:
@@ -282,28 +293,33 @@ class Trading:
         for edge_id in layout.order:
             spans = self.free[edge_id]
             for i, (lo, hi, values, lo_row, hi_row) in enumerate(spans):
-                bidders = [a for a in instance.agents if values[a - 1] >= targets[a - 1]]
+                bidders = [
+                    a for a, (vn, vd), t in zip(instance.agents, values, targets)
+                    if vn * t._denominator >= t._numerator * vd
+                ]
                 if not bidders:
                     continue
-                anchor = "lo" if lo == ZERO else "hi"
+                from_lo = lo == ZERO
                 # Every bidder's target is positive and fits, so the cuts can
                 # start from the row at the anchor end.
-                anchor_row = lo_row if anchor == "lo" else hi_row
+                anchor_row = lo_row if from_lo else hi_row
                 best = None
                 for a in bidders:
                     if self.ledger is not None:
                         self.ledger.record_cut()
                     density = instance.valuations[a][edge_id]
-                    pos = density.cut_from_prefix(anchor_row[a - 1], anchor, targets[a - 1])
+                    t = targets[a - 1]
+                    pos = density.cut_pair(*anchor_row[a - 1], from_lo, t._numerator, t._denominator)
                     # Shortest travel from the anchor wins; ties go to the first bidder.
-                    if best is None or (pos < best[0] if anchor == "lo" else pos > best[0]):
+                    if best is None or (pos < best[0] if from_lo else pos > best[0]):
                         best = (pos, a)
                 pos, trader = best
                 # The trader's Cut already answered its own prefix at pos.
-                start, target = anchor_row[trader - 1], targets[trader - 1]
-                at_pos = start + target if anchor == "lo" else start - target
+                (sn, sd), target = anchor_row[trader - 1], targets[trader - 1]
+                tn, td = target._numerator, target._denominator
+                at_pos = reduced_pair(sn * td + tn * sd if from_lo else sn * td - tn * sd, sd * td)
                 pos_row = self._row(edge_id, pos, known=(trader - 1, at_pos))
-                if anchor == "lo":
+                if from_lo:
                     piece, rest = (lo, pos, lo_row, pos_row), (pos, hi, pos_row, hi_row)
                 else:
                     piece, rest = (pos, hi, pos_row, hi_row), (lo, pos, lo_row, pos_row)
@@ -321,22 +337,25 @@ class Trading:
         untouched = [
             e for e in layout.order if all(not share.on_edge(e) for share in self.shares)
         ]
-        nothing = (ZERO,) * instance.n
-        bundle_value = {a: ZERO for a in instance.agents}
+        nothing = ((0, 1),) * instance.n
+        bundle_value = [(0, 1)] * instance.n
         chosen: list[str] = []
         for edge_id in untouched:
             chosen.append(edge_id)
             free = self.free[edge_id]
             outer_vals = free[0][2] if free else nothing
             qualifiers = []
-            for a in instance.agents:
-                bundle_value[a] += outer_vals[a - 1]
-                if bundle_value[a] >= targets[a - 1]:
-                    qualifiers.append(a)
+            for k, ((vn, vd), t) in enumerate(zip(outer_vals, targets)):
+                bn, bd = bundle_value[k] = pair_sum(*bundle_value[k], vn, vd)
+                if bn * t._denominator >= t._numerator * bd:
+                    qualifiers.append(k + 1)
             if qualifiers:
                 trader = min(qualifiers)
                 check(len(chosen) >= 2, "single-edge bundle is a segment trade in disguise")
-                whole_value = sum((self._row(e, ONE)[trader - 1] for e in chosen), ZERO)
+                wn, wd = 0, 1
+                for e in chosen:
+                    wn, wd = pair_sum(wn, wd, *self._row(e, ONE)[trader - 1])
+                whole_value = from_pair(wn, wd)
                 held = [
                     (e, lo, hi, lo_row, hi_row)
                     for e in chosen for lo, hi, _, lo_row, hi_row in self.free[e]

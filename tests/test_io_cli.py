@@ -545,6 +545,24 @@ def test_cli_zero_denominator_epsilon_exits_2(tmp_path, capsys):
             assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("epsilon", ["1/0", "abc", "0.5", "1e-3", "0", "-1"])
+def test_cli_every_bad_epsilon_prints_the_rule(tmp_path, capsys, epsilon):
+    # No rational, a zero denominator and a value outside (0, 1) all print
+    # the same rule with the text given, never the parser's function name.
+    inst_file = tmp_path / "fig1.json"
+    run_cli("gen", "--family", "fig1", "--output", str(inst_file))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", "--algorithm", "star-3eps", "--epsilon", epsilon,
+                "--instance", str(inst_file), "--output", str(tmp_path / "out.json"))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.rstrip().endswith(f"argument --epsilon: epsilon must be a rational in (0, 1), got {epsilon!r}")
+    assert "_epsilon" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def _verify_edited_allocation(tmp_path, edit):
     inst_file = tmp_path / "fig1.json"
     out_file = tmp_path / "alloc.json"

@@ -32,6 +32,18 @@ def test_threshold_argument_validation():
         threshold(FIXED_QUARTER, 2, 3, [])
 
 
+@pytest.mark.parametrize("schedule", ["bogus", "adaptive", "", None])
+def test_unknown_schedule_rejected(fig1, schedule):
+    # Both entry points reach the same check, a one-agent instance included.
+    with pytest.raises(ValueError, match="unknown threshold schedule"):
+        threshold(schedule, 1, 3, [])
+    with pytest.raises(ValueError, match="unknown threshold schedule"):
+        iterative_divide(fig1, schedule)
+    single = generate(GeneratorSpec("star", m=3, n=1, seed=1))
+    with pytest.raises(ValueError, match="unknown threshold schedule"):
+        iterative_divide(single, schedule)
+
+
 def test_single_agent_gets_everything(fig1):
     single = generate(GeneratorSpec("star", m=3, n=1, seed=1))
     alloc = iterative_divide(single, FIXED_QUARTER)

@@ -227,6 +227,59 @@ def test_integral_pairs_and_eval_share_match_a_fraction_sum(drawn, spans):
     assert type(got) is Rational and got == want
 
 
+def _fraction_cut(bp, vals, lo, hi, from_lo, target):
+    """The Cut as a plain ``Fraction`` walk over the pieces of [lo, hi] from
+    the anchor end: the first piece of positive density that covers what is
+    left of the target holds the position nearest the anchor."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    pieces = [(max(a, lo), min(b, hi), v) for a, b, v in zip(bp, bp[1:], vals) if max(a, lo) < min(b, hi)]
+    for a, b, v in pieces if from_lo else reversed(pieces):
+        worth = v * (b - a)
+        if v and worth >= target:
+            return a + target / v if from_lo else b - target / v
+        target -= worth
+    raise AssertionError("target does not fit")
+
+
+@given(typed_densities(), typed_spans(), st.integers(1, 12))
+@example((PLATEAU, [Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1)], [Fraction(2), Fraction(0), Fraction(2)]),
+         (Fraction(1, 8), rational(7, 8)), 6)  # both cuts land on the ends of the plateau
+@settings(max_examples=150, deadline=None)
+def test_prefix_and_cut_pairs_match_a_fraction_oracle(drawn, span, num):
+    """``prefix_pair`` is the reduced pair of a plain piece sum, and
+    ``cut_pair`` from either anchor's prefix pair is the oracle's Cut."""
+    density, bp, vals = drawn
+    lo, hi = span
+    for x in (lo, hi):
+        want = _fraction_integral(bp, vals, 0, x)
+        assert density.prefix_pair(x) == (want.numerator, want.denominator)
+    target = _fraction_integral(bp, vals, lo, hi) * Fraction(num, 12)
+    if not target:
+        return
+    for from_lo, anchor in ((True, lo), (False, hi)):
+        an, ad = density.prefix_pair(anchor)
+        got = density.cut_pair(an, ad, from_lo, target.numerator, target.denominator)
+        assert type(got) is Rational
+        assert got == _fraction_cut(bp, vals, lo, hi, from_lo, target)
+
+
+def test_prefix_and_cut_pair_fixed_branches():
+    # PLATEAU: density 2 on [0, 1/4], 0 on [1/4, 3/4], 2 on [3/4, 1].
+    assert PLATEAU.prefix_pair(ZERO) == (0, 1)
+    assert PLATEAU.prefix_pair(F(1, 2)) == (1, 2)
+    assert PLATEAU.prefix_pair(F(7, 8)) == (3, 4)
+    assert PLATEAU.prefix_pair(ONE) == (1, 1)  # past the last breakpoint: the total
+    assert PLATEAU.prefix(F(7, 8)) == F(3, 4)
+    # From lo the plateau's near end, from hi its far end.
+    assert PLATEAU.cut_pair(0, 1, True, 1, 2) == F(1, 4)
+    assert PLATEAU.cut_pair(1, 1, False, 1, 2) == F(3, 4)
+    # The whole edge from either end, and a cut inside the last piece.
+    assert PLATEAU.cut_pair(0, 1, True, 1, 1) == ONE
+    assert PLATEAU.cut_pair(1, 1, False, 1, 1) == ZERO
+    assert PLATEAU.cut_pair(1, 2, True, 1, 4) == F(7, 8)
+    assert PLATEAU.cut_from_prefix(F(1, 2), "lo", F(1, 4)) == F(7, 8)
+
+
 # ---------------------------------------------------------------------------
 # connectivity
 

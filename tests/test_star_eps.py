@@ -399,13 +399,36 @@ def test_trading_evaluates_only_the_prefixes_it_records(seed, monkeypatch):
     ledger = QueryLedger()
     state = Trading(inst, prepare_layout(inst, F(1, 10)), ledger=ledger)
     calls = []
-    prefix = StepDensity.prefix
-    monkeypatch.setattr(StepDensity, "prefix", lambda self, x: calls.append(x) or prefix(self, x))
+    prefix_pair = StepDensity.prefix_pair
+    monkeypatch.setattr(StepDensity, "prefix_pair", lambda self, x: calls.append(x) or prefix_pair(self, x))
     evals = ledger.evals
     while state.step():
         pass
     assert state.iteration > 0
     assert len(calls) == ledger.evals - evals
+
+
+@pytest.mark.parametrize("seed", ["fig1", 3, 7])
+def test_trading_rows_are_reduced_pairs_and_the_leaf_row_is_free(seed):
+    inst = leaf_first(_replay_star(seed))[0]
+    layout = prepare_layout(inst, F(1, 2))
+    ledger = QueryLedger()
+    state = Trading(inst, layout, ledger=ledger)
+    # A fresh state has rows at 0 and at every boundary; the row at 0 costs
+    # no Eval.
+    assert ledger.evals == inst.n * layout.m
+    while state.step():
+        pass
+    for edge_id in layout.order:
+        memo = state.prefix[edge_id]
+        assert memo[(0, 1)] == ((0, 1),) * inst.n
+        for (xn, xd), row in memo.items():
+            for agent, (n, d) in zip(inst.agents, row):
+                want = inst.density(agent, edge_id).prefix(F(xn, xd))
+                assert (n, d) == (want.numerator, want.denominator)
+        for lo, hi, values, _, _ in state.free[edge_id]:
+            for agent, (n, d) in zip(inst.agents, values):
+                assert d > 0 and F(n, d) == inst.density(agent, edge_id).integral(lo, hi)
 
 
 def _trades(state):
