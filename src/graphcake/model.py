@@ -340,18 +340,20 @@ class StepDensity:
     ``breakpoints`` strictly increase from 0 to 1; ``values`` holds one
     nonnegative density per piece.  Construction checks and accumulates on
     integer numerators and denominators and reduces each cumulative integral
-    once.  On first use each piece's line ``prefix(x) = v * x + o`` is built
-    too, as integer pairs next to the integral up to the piece's right end.
+    once.  On first use each piece's left breakpoint and its line ``prefix(x)
+    = v * x + o`` are built too, as integer pairs next to the integral up to
+    the piece's right end.
 
-    Each query has one kernel on integer ``(numerator, denominator)`` pairs:
-    ``prefix_pair`` answers [0, x] with a bisect and one reduction,
+    Each query has one kernel on integer ``(numerator, denominator)`` pairs,
+    positions included: ``prefix_at`` answers [0, x] for a position pair by
+    cross-multiplying against the breakpoint pairs and one reduction,
     ``integral_pair`` answers [lo, hi] from the lines of one or two pieces,
     unreduced, and ``cut_pair`` finds a Cut's piece by cross-multiplying
-    against the cumulative pairs and reduces the position once.
-    ``prefix``, ``integral``, ``cut_from_prefix`` and ``cut_position`` wrap
-    them, and ``eval_share`` sums the pairs of a whole share before its one
-    reduction.  The whole edge [0, 1] is the stored total, with no
-    arithmetic at all.
+    against the cumulative pairs and returns the position as a reduced pair.
+    ``prefix_pair``, ``prefix``, ``integral``, ``cut_from_prefix`` and
+    ``cut_position`` wrap them, and ``eval_share`` sums the pairs of a whole
+    share before its one reduction.  The whole edge [0, 1] is the stored
+    total, with no arithmetic at all.
     """
 
     breakpoints: tuple[Rational, ...]
@@ -382,17 +384,18 @@ class StepDensity:
         object.__setattr__(self, "_cum", tuple(cum))
 
     @cached_property
-    def _pieces(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
-        """Per piece ``(vn, vd, on, od, cn, cd)``: the line ``prefix(x) =
-        vn/vd * x + on/od`` and ``cn/cd``, the integral up to the piece's
-        right end; every pair reduced."""
+    def _pieces(self) -> tuple[tuple[int, int, int, int, int, int, int, int], ...]:
+        """Per piece ``(bn, bd, vn, vd, on, od, cn, cd)``: its left
+        breakpoint ``bn/bd``, the line ``prefix(x) = vn/vd * x + on/od`` and
+        ``cn/cd``, the integral up to the piece's right end; every pair
+        reduced."""
         pieces = []
         for b, v, c, right in zip(self.breakpoints, self.values, self._cum, self._cum[1:]):
             bn, bd = as_pair(b)
             vn, vd = as_pair(v)
             cn, cd = as_pair(c)
             on, od = reduced_pair(cn * vd * bd - vn * bn * cd, cd * vd * bd)  # o = cum - v * b
-            pieces.append((vn, vd, on, od, *as_pair(right)))
+            pieces.append((bn, bd, vn, vd, on, od, *as_pair(right)))
         return tuple(pieces)
 
     @classmethod
@@ -409,15 +412,25 @@ class StepDensity:
             tuple(ONE - b for b in reversed(self.breakpoints)), tuple(reversed(self.values))
         )
 
+    def prefix_at(self, xn: int, xd: int) -> tuple[int, int]:
+        """Integral over [0, xn/xd] as a reduced pair, the denominator
+        positive; ``xd`` must be positive."""
+        pieces = self._pieces
+        # The last piece whose left breakpoint is at or below x.
+        i, j = 0, len(pieces) - 1
+        while i < j:
+            mid = (i + j + 1) // 2
+            piece = pieces[mid]
+            if piece[0] * xd <= xn * piece[1]:
+                i = mid
+            else:
+                j = mid - 1
+        _, _, vn, vd, on, od, _, _ = pieces[i]
+        return reduced_pair(vn * xn * od + on * vd * xd, vd * xd * od)
+
     def prefix_pair(self, x: Rational) -> tuple[int, int]:
         """Integral over [0, x] as a reduced pair, the denominator positive."""
-        pieces = self._pieces
-        i = bisect_right(self.breakpoints, x) - 1
-        if i >= len(pieces):
-            return pieces[-1][4:]
-        vn, vd, on, od, _, _ = pieces[i]
-        xn, xd = as_pair(x)
-        return reduced_pair(vn * xn * od + on * vd * xd, vd * xd * od)
+        return self.prefix_at(*as_pair(x))
 
     def prefix(self, x: Rational) -> Rational:
         """Integral over [0, x]."""
@@ -439,9 +452,9 @@ class StepDensity:
             return vn * (hn * ld - ln * hd), vd * hd * ld
         # prefix(hi) - prefix(lo), each on its piece's line
         pieces = self._pieces
-        vn, vd, on, od, _, _ = pieces[j]
+        _, _, vn, vd, on, od, _, _ = pieces[j]
         high_n, high_d = vn * hn * od + on * vd * hd, vd * hd * od
-        vn, vd, on, od, _, _ = pieces[i]
+        _, _, vn, vd, on, od, _, _ = pieces[i]
         return pair_sum(high_n, high_d, -(vn * ln * od + on * vd * ld), vd * ld * od)
 
     def integral(self, lo: Rational, hi: Rational) -> Rational:
@@ -464,18 +477,19 @@ class StepDensity:
         if not tn:
             return lo if anchor == "lo" else hi
         if anchor == "lo":
-            return self.cut_pair(ln, ld, True, tn, td)
-        return self.cut_pair(hn, hd, False, tn, td)
+            return from_pair(*self.cut_pair(ln, ld, True, tn, td))
+        return from_pair(*self.cut_pair(hn, hd, False, tn, td))
 
     def cut_from_prefix(self, anchor_prefix: Rational, anchor: str, target: Rational) -> Rational:
         """``cut_position`` for a caller that already knows ``prefix`` of the
         anchor end; unchecked, as ``cut_pair`` is."""
-        return self.cut_pair(*as_pair(anchor_prefix), anchor == "lo", *as_pair(target))
+        return from_pair(*self.cut_pair(*as_pair(anchor_prefix), anchor == "lo", *as_pair(target)))
 
-    def cut_pair(self, an: int, ad: int, from_lo: bool, tn: int, td: int) -> Rational:
+    def cut_pair(self, an: int, ad: int, from_lo: bool, tn: int, td: int) -> tuple[int, int]:
         """The Cut from an anchor whose prefix is ``an/ad``: the position
         nearest the anchor where the segment from it is worth exactly
-        ``tn/td``, scanning toward 1 when ``from_lo`` and toward 0 otherwise.
+        ``tn/td``, scanning toward 1 when ``from_lo`` and toward 0 otherwise,
+        as a reduced pair with a positive denominator.
 
         Unchecked: the caller guarantees positive denominators, ``0 < tn``,
         and that the target fits between the anchor and the far end of its
@@ -490,14 +504,15 @@ class StepDensity:
         i, j = 0, len(pieces) - 1
         while i < j:
             mid = (i + j) // 2
-            _, _, _, _, cn, cd = pieces[mid]
+            _, _, _, _, _, _, cn, cd = pieces[mid]
             if (cn * wd < wn * cd) if from_lo else (cn * wd <= wn * cd):
                 i = mid + 1
             else:
                 j = mid
-        vn, vd, on, od, _, _ = pieces[i]
-        # x = (w - o) / v
-        return from_pair((wn * od - on * wd) * vd, wd * od * vn)
+        _, _, vn, vd, on, od, _, _ = pieces[i]
+        # x = (w - o) / v; the piece reaches w with positive density, so
+        # vn > 0.
+        return reduced_pair((wn * od - on * wd) * vd, wd * od * vn)
 
 
 # ---------------------------------------------------------------------------

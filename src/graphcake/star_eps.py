@@ -15,15 +15,19 @@ Every interval ``Trading`` keeps, free or held, carries the prefix rows
 (every agent's value of [0, x]) at its ends, so a trade values what it
 splits or merges by subtracting rows it already has, and computes a row only
 for a point it has not met: each point costs one Eval per agent, once.  The
-loop's arithmetic runs on integer ``(numerator, denominator)`` pairs, and
-only what a trade stores is reduced.
+loop runs on integer ``(numerator, denominator)`` pairs end to end: cut
+positions, interval ends, values and targets are pairs, compared by
+cross-multiplying, and only what a trade stores is reduced.  A segment
+trade's new share stays three fields until something reads
+``Trading.shares``, which builds it as a checked ``Share``; ``own`` holds
+``Rational`` values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rational import Rational, from_pair, pair_sum, rational, reduced_pair
+from .rational import Rational, as_pair, from_pair, pair_sum, rational, reduced_pair
 
 from .model import (
     Allocation,
@@ -162,10 +166,10 @@ def _outer_part(layout: StarLayout, iv: EdgeInterval) -> tuple[Rational, Rationa
     return (iv.lo, hi) if iv.lo < hi else None
 
 
-def _span(lo: Rational, hi: Rational, lo_row: tuple, hi_row: tuple) -> tuple:
-    """A free entry: the interval, every agent's value of it as an unreduced
-    pair, its end rows."""
-    return (lo, hi, tuple((hn * ld - ln * hd, hd * ld) for (ln, ld), (hn, hd) in zip(lo_row, hi_row)),
+def _span(lo: tuple, hi: tuple, lo_row: tuple, hi_row: tuple) -> tuple:
+    """A free entry: the interval's end pairs, every agent's value of it as
+    an unreduced pair, its end rows."""
+    return (lo, hi, tuple([(hn * ld - ln * hd, hd * ld) for (ln, ld), (hn, hd) in zip(lo_row, hi_row)]),
             lo_row, hi_row)
 
 
@@ -173,10 +177,11 @@ class Trading:
     """The trading loop's state, stepped in place by ``step``.
 
     Besides the shares, their tags ("unserved" | "N1" | "N2" per agent) and
-    the last (segment) trader, it keeps what a trade needs.  A row is every
+    the last (segment) trader, it keeps what a trade needs.  Every position
+    it keeps is a reduced ``(numerator, denominator)`` pair, so two
+    positions are equal exactly when their pairs are.  A row is every
     agent's prefix integral at one position of an edge, a tuple of reduced
-    ``(numerator, denominator)`` pairs, and every interval kept carries the
-    rows at its ends:
+    pairs, and every interval kept carries the rows at its ends:
 
     - ``free``: per edge, the maximal free intervals inside the outer
       segment, in ascending position, each ``(lo, hi, values, lo_row,
@@ -184,18 +189,22 @@ class Trading:
       difference of the end rows;
     - ``held``: per agent, the outer parts of its share, each ``(edge id,
       lo, hi, lo_row, hi_row)``;
-    - ``own`` and ``targets``: every agent's own value and own value + eps',
-      as ``Rational``; bids compare a pair with a target by
-      cross-multiplying.
+    - ``targets``: every agent's own value + eps', a reduced pair; bids
+      compare a value pair with a target by cross-multiplying;
+    - ``own``: every agent's own value, a ``Rational``.
+
+    ``shares`` reads every agent's share as a ``Share``.  A segment trade
+    stores the trader's new share as ``(edge id, lo, hi)``; ``shares``
+    builds it, checked by ``EdgeInterval``, when something first reads it.
 
     A segment trade replaces the free entry it cuts with the remainder, or
     deletes it; every trade returns the trader's held parts to the free
     lists, each merged with the free intervals it touches, and values every
     new entry from the rows its ends carry.  ``prefix`` (per edge, a
-    position's ``(numerator, denominator)`` -> row) keeps every row computed
-    and is asked only for a point no entry carries: the constructor's ends,
-    a cut position and a bundle's whole edges.  So each point's row is
-    computed (one Eval per agent) once.
+    position pair -> row) keeps every row computed and is asked only for a
+    point no entry carries: the constructor's ends, a cut position and a
+    bundle's whole edges.  So each point's row is computed (one Eval per
+    agent) once.
     """
 
     def __init__(
@@ -211,60 +220,77 @@ class Trading:
         self.instance = instance
         self.layout = layout
         self.ledger = ledger
-        self.shares = list(shares) if shares is not None else [Share.empty()] * n
+        self._shares = list(shares) if shares is not None else [Share.empty()] * n
         self.tags = list(tags) if tags is not None else ["unserved"] * n
         self.last_segment_trader = last_segment_trader
         self.last_trader: int | None = None
         self.iteration = 0
+        self._eps_prime = as_pair(layout.eps_prime)
+        self._densities = {e: [instance.valuations[a][e] for a in instance.agents] for e in layout.order}
         self.prefix: dict = {edge_id: {} for edge_id in layout.order}
         self.free: dict = {}
         self.held: list = [[] for _ in range(n)]
         for edge_id in layout.order:
             parts = []
-            for idx, share in enumerate(self.shares):
+            for idx, share in enumerate(self._shares):
                 for iv in share.on_edge(edge_id):
                     part = _outer_part(layout, iv)
                     if part is not None:
-                        lo, hi = part
+                        lo, hi = as_pair(part[0]), as_pair(part[1])
                         parts.append(part)
                         self.held[idx].append((edge_id, lo, hi, self._row(edge_id, lo), self._row(edge_id, hi)))
             outer = layout.outer(edge_id)
-            self.free[edge_id] = [
-                _span(lo, hi, self._row(edge_id, lo), self._row(edge_id, hi))
-                for lo, hi in complement_spans(parts, outer.lo, outer.hi)
-            ]
-        self.own = [eval_share(instance, a, s, ledger) for a, s in zip(instance.agents, self.shares)]
-        self.targets = [v + layout.eps_prime for v in self.own]
+            self.free[edge_id] = []
+            for lo, hi in complement_spans(parts, outer.lo, outer.hi):
+                lo, hi = as_pair(lo), as_pair(hi)
+                self.free[edge_id].append(_span(lo, hi, self._row(edge_id, lo), self._row(edge_id, hi)))
+        self.own = [eval_share(instance, a, s, ledger) for a, s in zip(instance.agents, self._shares)]
+        self.targets = [self._plus_eps_prime(*as_pair(v)) for v in self.own]
 
-    def _row(self, edge_id: str, x: Rational, known: tuple[int, tuple[int, int]] | None = None) -> tuple:
-        """Every agent's value of [0, x] on one edge, as reduced pairs.
-        ``known`` is an (agent index, prefix pair) that the agent's Cut
-        already answered."""
+    @property
+    def shares(self) -> list[Share]:
+        """Every agent's share; a pending segment share is built here."""
+        shares = self._shares
+        for idx, share in enumerate(shares):
+            if type(share) is tuple:
+                edge_id, lo, hi = share
+                shares[idx] = Share((EdgeInterval(edge_id, from_pair(*lo), from_pair(*hi)),))
+        return shares
+
+    def _plus_eps_prime(self, vn: int, vd: int) -> tuple[int, int]:
+        en, ed = self._eps_prime
+        return reduced_pair(vn * ed + en * vd, vd * ed)
+
+    def _row(self, edge_id: str, x: tuple[int, int], known: tuple[int, tuple[int, int]] | None = None) -> tuple:
+        """Every agent's value of [0, x] on one edge, as reduced pairs, for a
+        position pair ``x``.  ``known`` is an (agent index, prefix pair) that
+        the agent's Cut already answered."""
         memo = self.prefix[edge_id]
-        key = (x._numerator, x._denominator)
-        row = memo.get(key)
+        row = memo.get(x)
         if row is None:
-            instance = self.instance
-            if not key[0]:
-                row = ((0, 1),) * instance.n
+            densities = self._densities[edge_id]
+            xn, xd = x
+            if not xn:
+                row = ((0, 1),) * len(densities)
             else:
-                row = [instance.valuations[a][edge_id].prefix_pair(x) for a in instance.agents
-                       if known is None or a - 1 != known[0]]
-                if known is not None:
-                    row.insert(known[0], known[1])
+                skip, answer = known if known is not None else (-1, None)
+                row = tuple([answer if k == skip else density.prefix_at(xn, xd)
+                             for k, density in enumerate(densities)])
                 if self.ledger is not None:
-                    self.ledger.record_eval(instance.n - (known is not None))
-                row = tuple(row)
-            memo[key] = row
+                    self.ledger.record_eval(len(densities) - (known is not None))
+            memo[x] = row
         return row
 
-    def _trade(self, trader: int, share: Share, held: list, tag: str, new_value: Rational) -> None:
-        """Give the trader ``share``, worth ``new_value`` to it.  The caller
-        has taken ``held``, the share's outer parts, out of the free lists;
-        the trader's old outer parts rejoin them here."""
+    def _trade(self, trader: int, share, held: list, tag: str, new_value: tuple[int, int]) -> None:
+        """Give the trader ``share`` (a ``Share``, or ``(edge id, lo, hi)``
+        for one segment), worth the reduced pair ``new_value`` to it.  The
+        caller has taken ``held``, the share's outer parts, out of the free
+        lists; the trader's old outer parts rejoin them here."""
         idx = trader - 1
-        check(new_value >= self.targets[idx], "trade must gain at least eps'")
-        self.shares[idx] = share
+        vn, vd = new_value
+        tn, td = self.targets[idx]
+        check(vn * td >= tn * vd, "trade must gain at least eps'")
+        self._shares[idx] = share
         self.tags[idx] = tag
         if tag == "N1":
             self.last_segment_trader = trader
@@ -272,7 +298,13 @@ class Trading:
         self.iteration += 1
         for edge_id, lo, hi, lo_row, hi_row in self.held[idx]:
             spans = self.free[edge_id]
-            i = next((k for k, entry in enumerate(spans) if hi <= entry[0]), len(spans))
+            hn, hd = hi
+            for i, entry in enumerate(spans):
+                en, ed = entry[0]
+                if hn * ed <= en * hd:
+                    break
+            else:
+                i = len(spans)
             if i < len(spans) and spans[i][0] == hi:
                 _, hi, _, _, hi_row = spans.pop(i)
             if i > 0 and spans[i - 1][1] == lo:
@@ -280,8 +312,8 @@ class Trading:
                 lo, _, _, lo_row, _ = spans.pop(i)
             spans.insert(i, _span(lo, hi, lo_row, hi_row))
         self.held[idx] = held
-        self.own[idx] = new_value
-        self.targets[idx] = new_value + self.layout.eps_prime
+        self.own[idx] = from_pair(vn, vd)
+        self.targets[idx] = self._plus_eps_prime(vn, vd)
 
     def step(self) -> bool:
         """Make one trade; False when no agent can improve by eps' any more."""
@@ -292,14 +324,15 @@ class Trading:
         # the leaf, any other span from its center-side end.
         for edge_id in layout.order:
             spans = self.free[edge_id]
+            densities = self._densities[edge_id]
             for i, (lo, hi, values, lo_row, hi_row) in enumerate(spans):
                 bidders = [
-                    a for a, (vn, vd), t in zip(instance.agents, values, targets)
-                    if vn * t._denominator >= t._numerator * vd
+                    a for a, (vn, vd), (tn, td) in zip(instance.agents, values, targets)
+                    if vn * td >= tn * vd
                 ]
                 if not bidders:
                     continue
-                from_lo = lo == ZERO
+                from_lo = not lo[0]
                 # Every bidder's target is positive and fits, so the cuts can
                 # start from the row at the anchor end.
                 anchor_row = lo_row if from_lo else hi_row
@@ -307,36 +340,33 @@ class Trading:
                 for a in bidders:
                     if self.ledger is not None:
                         self.ledger.record_cut()
-                    density = instance.valuations[a][edge_id]
-                    t = targets[a - 1]
-                    pos = density.cut_pair(*anchor_row[a - 1], from_lo, t._numerator, t._denominator)
+                    pn, pd = pos = densities[a - 1].cut_pair(*anchor_row[a - 1], from_lo, *targets[a - 1])
                     # Shortest travel from the anchor wins; ties go to the first bidder.
-                    if best is None or (pos < best[0] if from_lo else pos > best[0]):
-                        best = (pos, a)
+                    if best is None or (pn * bd < bn * pd if from_lo else pn * bd > bn * pd):
+                        best, bn, bd = (pos, a), pn, pd
                 pos, trader = best
                 # The trader's Cut already answered its own prefix at pos.
                 (sn, sd), target = anchor_row[trader - 1], targets[trader - 1]
-                tn, td = target._numerator, target._denominator
+                tn, td = target
                 at_pos = reduced_pair(sn * td + tn * sd if from_lo else sn * td - tn * sd, sd * td)
                 pos_row = self._row(edge_id, pos, known=(trader - 1, at_pos))
                 if from_lo:
                     piece, rest = (lo, pos, lo_row, pos_row), (pos, hi, pos_row, hi_row)
                 else:
                     piece, rest = (pos, hi, pos_row, hi_row), (lo, pos, lo_row, pos_row)
-                if rest[0] < rest[1]:
+                # Reduced pairs: the rest has length unless its ends are equal.
+                if rest[0] != rest[1]:
                     spans[i] = _span(*rest)
                 else:
                     del spans[i]
-                share = Share((EdgeInterval(edge_id, piece[0], piece[1]),))
-                self._trade(trader, share, [(edge_id, *piece)], "N1", target)
+                self._trade(trader, (edge_id, piece[0], piece[1]), [(edge_id, *piece)], "N1", target)
                 return True
 
         # Whole-edge trade: bundle fully-unallocated outer segments.  An
         # untouched edge's free list is its whole outer segment, if that has
         # length.
-        untouched = [
-            e for e in layout.order if all(not share.on_edge(e) for share in self.shares)
-        ]
+        shares = self.shares
+        untouched = [e for e in layout.order if all(not share.on_edge(e) for share in shares)]
         nothing = ((0, 1),) * instance.n
         bundle_value = [(0, 1)] * instance.n
         chosen: list[str] = []
@@ -345,17 +375,16 @@ class Trading:
             free = self.free[edge_id]
             outer_vals = free[0][2] if free else nothing
             qualifiers = []
-            for k, ((vn, vd), t) in enumerate(zip(outer_vals, targets)):
+            for k, ((vn, vd), (tn, td)) in enumerate(zip(outer_vals, targets)):
                 bn, bd = bundle_value[k] = pair_sum(*bundle_value[k], vn, vd)
-                if bn * t._denominator >= t._numerator * bd:
+                if bn * td >= tn * bd:
                     qualifiers.append(k + 1)
             if qualifiers:
                 trader = min(qualifiers)
                 check(len(chosen) >= 2, "single-edge bundle is a segment trade in disguise")
                 wn, wd = 0, 1
                 for e in chosen:
-                    wn, wd = pair_sum(wn, wd, *self._row(e, ONE)[trader - 1])
-                whole_value = from_pair(wn, wd)
+                    wn, wd = pair_sum(wn, wd, *self._row(e, (1, 1))[trader - 1])
                 held = [
                     (e, lo, hi, lo_row, hi_row)
                     for e in chosen for lo, hi, _, lo_row, hi_row in self.free[e]
@@ -363,7 +392,7 @@ class Trading:
                 for e in chosen:
                     self.free[e] = []
                 share = canonical_share(self.instance.graph, [EdgeInterval(e, ZERO, ONE) for e in chosen])
-                self._trade(trader, share, held, "N2", whole_value)
+                self._trade(trader, share, held, "N2", reduced_pair(wn, wd))
                 return True
         return False
 
@@ -433,6 +462,7 @@ def finalize(trading: Trading) -> Allocation:
         ):
             continue
         for lo, hi, *_ in trading.free[edge_id]:
+            lo, hi = from_pair(*lo), from_pair(*hi)
             recipient = _holder(trading.shares, edge_id, hi if lo == ZERO else lo)
             check(recipient is not None, "gap must border an allocated interval")
             shares[recipient].append(EdgeInterval(edge_id, lo, hi))
@@ -489,7 +519,7 @@ def star_three_eps(
     layout = prepare_layout(star, epsilon, ledger)
     epsilon = layout.epsilon
     n, m = instance.n, layout.m
-    iteration_cap = rational(16 * n * n * m) / epsilon
+    iteration_cap = 16 * n * n * m * epsilon.denominator // epsilon.numerator  # floor(16 n^2 m / eps)
     trading = Trading(star, layout, ledger=ledger)
     while trading.step():
         check(trading.iteration <= iteration_cap, "trading loop exceeded its bound")

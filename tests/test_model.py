@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -247,7 +248,8 @@ def _fraction_cut(bp, vals, lo, hi, from_lo, target):
 @settings(max_examples=150, deadline=None)
 def test_prefix_and_cut_pairs_match_a_fraction_oracle(drawn, span, num):
     """``prefix_pair`` is the reduced pair of a plain piece sum, and
-    ``cut_pair`` from either anchor's prefix pair is the oracle's Cut."""
+    ``cut_pair`` from either anchor's prefix pair is the oracle's Cut as a
+    reduced pair."""
     density, bp, vals = drawn
     lo, hi = span
     for x in (lo, hi):
@@ -259,8 +261,58 @@ def test_prefix_and_cut_pairs_match_a_fraction_oracle(drawn, span, num):
     for from_lo, anchor in ((True, lo), (False, hi)):
         an, ad = density.prefix_pair(anchor)
         got = density.cut_pair(an, ad, from_lo, target.numerator, target.denominator)
-        assert type(got) is Rational
-        assert got == _fraction_cut(bp, vals, lo, hi, from_lo, target)
+        want = _fraction_cut(bp, vals, lo, hi, from_lo, target)
+        assert got == (want.numerator, want.denominator)
+
+
+@st.composite
+def plateau_densities(draw):
+    """Densities whose pieces are often worthless, and the same density as
+    plain ``Fraction`` lists."""
+    denom = draw(st.sampled_from([6, 12, 35, 64]))
+    interior = sorted(draw(st.sets(st.integers(1, denom - 1), max_size=5)))
+    bp = [Fraction(0), *(Fraction(i, denom) for i in interior), Fraction(1)]
+    vals = [draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(3, 4), Fraction(5, 7)])) for _ in bp[1:]]
+    return StepDensity(tuple(map(rational, bp)), tuple(map(rational, vals))), bp, vals
+
+
+def _is_reduced(pair):
+    n, d = pair
+    return type(n) is int and type(d) is int and d > 0 and gcd(n, d) == 1
+
+
+@given(plateau_densities(), st.integers(0, 97), st.integers(0, 40), st.integers(0, 40), st.integers(1, 12))
+@example((PLATEAU, [Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1)], [Fraction(2), Fraction(0), Fraction(2)]),
+         0, 0, 3, 6)  # [0, 1]: half the value ends on either end of the plateau
+@example((PLATEAU, [Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1)], [Fraction(2), Fraction(0), Fraction(2)]),
+         48, 5, 6, 12)  # [1/2, 7/8]: from inside the plateau across it, and from 7/8 to its end
+@settings(max_examples=200, deadline=None)
+def test_pair_position_kernels_match_fraction_arithmetic(drawn, point, i, j, num):
+    """``prefix_at`` at positions on and between breakpoints, and
+    ``cut_pair`` from either end of a span, equal plain ``Fraction``
+    arithmetic as reduced pairs with positive denominators; the ``Rational``
+    entry points return the same values."""
+    density, bp, vals = drawn
+    xs = [*bp, *((a + b) / 2 for a, b in zip(bp, bp[1:])), Fraction(point, 97)]
+    for x in xs:
+        want = _fraction_integral(bp, vals, 0, x)
+        got = density.prefix_at(x.numerator, x.denominator)
+        assert _is_reduced(got) and got == (want.numerator, want.denominator)
+        assert density.prefix_pair(rational(x)) == got
+        prefix = density.prefix(x)
+        assert type(prefix) is Rational and prefix == want
+    lo, hi = sorted((xs[i % len(xs)], xs[j % len(xs)]))
+    target = _fraction_integral(bp, vals, lo, hi) * Fraction(num, 12)
+    if not target:
+        return
+    for from_lo, anchor, end in ((True, lo, "lo"), (False, hi, "hi")):
+        want = _fraction_cut(bp, vals, lo, hi, from_lo, target)
+        got = density.cut_pair(*density.prefix_at(anchor.numerator, anchor.denominator), from_lo,
+                               target.numerator, target.denominator)
+        assert _is_reduced(got) and got == (want.numerator, want.denominator)
+        for wrapped in (density.cut_position(lo, hi, end, target),
+                        density.cut_from_prefix(density.prefix(anchor), end, target)):
+            assert type(wrapped) is Rational and wrapped == want
 
 
 def test_prefix_and_cut_pair_fixed_branches():
@@ -268,15 +320,18 @@ def test_prefix_and_cut_pair_fixed_branches():
     assert PLATEAU.prefix_pair(ZERO) == (0, 1)
     assert PLATEAU.prefix_pair(F(1, 2)) == (1, 2)
     assert PLATEAU.prefix_pair(F(7, 8)) == (3, 4)
-    assert PLATEAU.prefix_pair(ONE) == (1, 1)  # past the last breakpoint: the total
+    assert PLATEAU.prefix_pair(ONE) == (1, 1)  # the last breakpoint: the total
     assert PLATEAU.prefix(F(7, 8)) == F(3, 4)
+    # On a breakpoint, the piece that starts there answers.
+    assert PLATEAU.prefix_at(1, 4) == PLATEAU.prefix_at(3, 4) == (1, 2)
+    assert PLATEAU.prefix_at(2, 8) == (1, 2)  # an unreduced position pair
     # From lo the plateau's near end, from hi its far end.
-    assert PLATEAU.cut_pair(0, 1, True, 1, 2) == F(1, 4)
-    assert PLATEAU.cut_pair(1, 1, False, 1, 2) == F(3, 4)
+    assert PLATEAU.cut_pair(0, 1, True, 1, 2) == (1, 4)
+    assert PLATEAU.cut_pair(1, 1, False, 1, 2) == (3, 4)
     # The whole edge from either end, and a cut inside the last piece.
-    assert PLATEAU.cut_pair(0, 1, True, 1, 1) == ONE
-    assert PLATEAU.cut_pair(1, 1, False, 1, 1) == ZERO
-    assert PLATEAU.cut_pair(1, 2, True, 1, 4) == F(7, 8)
+    assert PLATEAU.cut_pair(0, 1, True, 1, 1) == (1, 1)
+    assert PLATEAU.cut_pair(1, 1, False, 1, 1) == (0, 1)
+    assert PLATEAU.cut_pair(1, 2, True, 1, 4) == (7, 8)
     assert PLATEAU.cut_from_prefix(F(1, 2), "lo", F(1, 4)) == F(7, 8)
 
 

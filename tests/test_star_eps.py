@@ -16,6 +16,7 @@ from graphcake.model import (
     validate_allocation,
 )
 from graphcake.queries import QueryLedger
+from graphcake.rational import Rational
 from graphcake.solvers import SOLVERS
 from graphcake.star_eps import (
     Trading,
@@ -197,10 +198,11 @@ def test_finalize_refuses_a_gap_that_borders_no_share():
         ("N1", "N1"),
         2,
     )
-    # Move the free gap [1/2, x] of e1 to start at 3/4, where nobody holds.
+    # Move the free gap [1/2, x] of e1 to start at 3/4, where nobody holds;
+    # positions are reduced (numerator, denominator) pairs.
     gap = state.free["e1"][0]
-    assert gap[0] == F(1, 2)
-    state.free["e1"][0] = (F(3, 4),) + gap[1:]
+    assert gap[0] == (1, 2)
+    state.free["e1"][0] = ((3, 4),) + gap[1:]
     with pytest.raises(ContractViolation, match="gap must border an allocated interval"):
         finalize(state)
 
@@ -399,8 +401,8 @@ def test_trading_evaluates_only_the_prefixes_it_records(seed, monkeypatch):
     ledger = QueryLedger()
     state = Trading(inst, prepare_layout(inst, F(1, 10)), ledger=ledger)
     calls = []
-    prefix_pair = StepDensity.prefix_pair
-    monkeypatch.setattr(StepDensity, "prefix_pair", lambda self, x: calls.append(x) or prefix_pair(self, x))
+    prefix_at = StepDensity.prefix_at
+    monkeypatch.setattr(StepDensity, "prefix_at", lambda self, xn, xd: calls.append((xn, xd)) or prefix_at(self, xn, xd))
     evals = ledger.evals
     while state.step():
         pass
@@ -428,7 +430,32 @@ def test_trading_rows_are_reduced_pairs_and_the_leaf_row_is_free(seed):
                 assert (n, d) == (want.numerator, want.denominator)
         for lo, hi, values, _, _ in state.free[edge_id]:
             for agent, (n, d) in zip(inst.agents, values):
-                assert d > 0 and F(n, d) == inst.density(agent, edge_id).integral(lo, hi)
+                assert d > 0 and F(n, d) == inst.density(agent, edge_id).integral(F(*lo), F(*hi))
+
+
+@pytest.mark.parametrize("seed", ["fig1", 3, 7, 10])
+def test_trading_public_state_keeps_its_types(seed):
+    """After every step ``shares`` are ``Share``s with ``Rational`` ends and
+    ``own`` are ``Rational``s, each agent's own value of its share; reading
+    ``shares`` mid-run changes no later trade and no ledger count."""
+    inst = leaf_first(_replay_star(seed))[0]
+    layout = prepare_layout(inst, F(1, 2))
+    runs = []
+    for read_every in (None, 1, 5):
+        ledger = QueryLedger()
+        state = Trading(inst, layout, ledger=ledger)
+        trades = []
+        while state.step():
+            trader = state.last_trader
+            trades.append((trader, state.tags[trader - 1], state.own[trader - 1]))
+            if read_every and state.iteration % read_every == 0:
+                for agent, share, own in zip(inst.agents, state.shares, state.own):
+                    assert type(share) is Share and type(own) is Rational
+                    assert all(type(iv.lo) is Rational and type(iv.hi) is Rational for iv in share.intervals)
+                    assert own == eval_share(inst, agent, share)
+        runs.append((trades, list(state.shares), state.tags, ledger.evals, ledger.cuts))
+    assert runs[0][0]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def _trades(state):
