@@ -15,13 +15,20 @@ so no cycle search is needed), builds the int adjacency once and returns
 that int tree; ``divide`` indexes plain lists by node and sub-edge number,
 and reads a node's key only for its trace.  The values below each node are
 sums of Eval answers kept as unreduced integer pairs (``rational.pair_sum``),
-compared with ``beta`` by cross-multiplication; only a cut target is
-reduced to a rational.
+summed in one pass over the tree per valuation group, on flat lists indexed
+by node and sub-edge, and compared with ``beta`` by cross-multiplication;
+only a cut target is reduced to a rational.
+
+The core, ``_divide``, takes the subcake's values from its caller and
+returns, next to the two shares, each agent's values of them, which its
+final check computes anyway.  ``iterative_divide`` carries these into its
+next round; the public ``divide`` values the subcake itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .rational import Rational, as_pair, from_pair, pair_sum
 from .model import (
@@ -203,8 +210,33 @@ def divide(
     agents = tuple(sorted(agents))
     if not agents:
         raise ValueError("agent set must be nonempty")
-    totals = eval_share_each(instance, agents, subcake, ledger)
-    if not (0 < beta <= max(totals.values())):
+    totals = eval_share_each(instance, agents, subcake)
+    first, remainder, _values = _divide(instance, subcake, agents, totals, beta, root, ledger, trace)
+    return first, remainder
+
+
+def _divide(
+    instance: Instance,
+    subcake: Share,
+    agents: tuple[int, ...],
+    totals: Mapping[int, Rational],
+    beta: Rational,
+    root,
+    ledger=None,
+    trace: list | None = None,
+) -> tuple[Share, Share, dict[int, tuple[Rational, Rational]]]:
+    """The core of ``divide``, for a caller that already holds the subcake's
+    values.
+
+    ``agents`` is sorted and nonempty, and ``totals[a]`` is agent ``a``'s
+    value of ``subcake``, computed from its intervals.  Returns (first,
+    remainder, values), where ``values[a]`` is agent ``a``'s (value of first,
+    value of remainder), the pair the final check computes.  The ledger
+    counts the totals as Evals, as if they were asked here.
+    """
+    if ledger is not None:
+        ledger.record_eval(len(agents) * len(subcake.intervals))
+    if not (0 < beta <= max(totals[a] for a in agents)):
         raise ValueError(f"beta {beta} outside (0, max subcake value]")
 
     # Agents sharing a valuation value everything alike, so the geometry below
@@ -215,54 +247,60 @@ def divide(
 
     tree = decycle(instance, subcake, root)
     intervals = tree.intervals
-    # Eval answers and their sums below stay unreduced integer pairs; only a
-    # cut target is reduced to a rational.
-    edge_value = [
-        {a: instance.density(a, iv.edge).integral_pair(iv.lo, iv.hi) for a in leads} for iv in intervals
-    ]
+    order = tree.order
+    children = tree.children
     if ledger is not None:
         ledger.record_eval(len(agents) * len(intervals))
     beta_n, beta_d = as_pair(beta)
 
+    # Per lead, flat lists of unreduced integer pairs: ``through[k][s]`` is
+    # sub-edge ``s`` and everything below it, ``below[k][v]`` everything below
+    # node ``v``; only a cut target is reduced to a rational.
+    through: list[list] = []
+    below: list[list] = []
+    for a in leads:
+        valuation = instance.valuations[a]
+        edge_value = [valuation[iv.edge].integral_pair(iv.lo, iv.hi) for iv in intervals]
+        through_a: list = [None] * len(intervals)
+        below_a: list = [None] * len(tree.keys)
+        for node in reversed(order):
+            acc_n, acc_d = 0, 1
+            for child, s in children[node]:
+                pair = through_a[s] = pair_sum(*below_a[child], *edge_value[s])
+                acc_n, acc_d = pair_sum(acc_n, acc_d, *pair)
+            below_a[node] = (acc_n, acc_d)
+        through.append(through_a)
+        below.append(below_a)
+
     def reaches(value: tuple[int, int]) -> bool:
         return value[0] * beta_d >= beta_n * value[1]
-
-    below: list = [None] * len(tree.keys)  # everything below a node
-    through: list = [None] * len(intervals)  # a sub-edge and everything below it
-    for node in reversed(tree.order):
-        acc = dict.fromkeys(leads, (0, 1))
-        for child, s in tree.children[node]:
-            through[s] = {a: pair_sum(*below[child][a], *edge_value[s][a]) for a in leads}
-            acc = {a: pair_sum(*acc[a], *through[s][a]) for a in leads}
-        below[node] = acc
 
     # Walk from the root towards any child subtree still worth >= beta.
     v = tree.root
     while True:
         descend = None
-        for child, _s in tree.children[v]:
-            if any(reaches(below[child][a]) for a in leads):
+        for child, _s in children[v]:
+            if any(reaches(below_a[child]) for below_a in below):
                 descend = child
                 break
         if descend is None:
             break
         v = descend
 
-    branches = [(child, s, through[s]) for child, s in tree.children[v]]
-
-    case1 = next((b for b in branches if any(reaches(b[2][a]) for a in leads)), None)
+    branches = children[v]
+    case1 = next((b for b in branches if any(reaches(through_a[b[1]]) for through_a in through)), None)
 
     if case1 is not None:
-        w, s, branch = case1
+        w, s = case1
         iv = intervals[s]
         anchor = "lo" if tree.lo[s] == w else "hi"
         best_pos = best_dist = witness = None
-        for a in leads:
-            if not reaches(branch[a]):
+        for k, a in enumerate(leads):
+            if not reaches(through[k][s]):
                 continue
             if ledger is not None:
                 ledger.record_cut(len(groups[a]))
-            target = beta - from_pair(*below[w][a])
+            target = beta - from_pair(*below[k][w])
             pos = cut(instance, a, iv, anchor, target).position
             distance = pos - iv.lo if anchor == "lo" else iv.hi - pos
             if best_pos is None or distance < best_dist:
@@ -281,23 +319,23 @@ def divide(
         if trace is not None:
             trace.append({"at": tree.keys[v], "case": 1, "cut": (iv.edge, best_pos), "witness": witness})
     else:
-        acc = dict.fromkeys(leads, (0, 1))
+        acc = [(0, 1)] * len(leads)
         witness = None
         first_edges = set()
-        for taken_children, (child, s, branch) in enumerate(branches, start=1):
+        for taken_children, (child, s) in enumerate(branches, start=1):
             first_edges.add(s)
             first_edges.update(_subtree_edges(tree, child))
-            acc = {a: pair_sum(*acc[a], *branch[a]) for a in leads}
-            qualifiers = [a for a in leads if reaches(acc[a])]
-            if qualifiers:
-                witness = min(qualifiers)
+            acc = [pair_sum(*acc[k], *through[k][s]) for k in range(len(leads))]
+            # ``leads`` ascend, so the first to reach is the smallest.
+            witness = next((a for a, value in zip(leads, acc) if reaches(value)), None)
+            if witness is not None:
                 break
         check(witness is not None, "subtree walk must reach the threshold")
         first_intervals = [x for i, x in enumerate(intervals) if i in first_edges]
         remainder_intervals = [x for i, x in enumerate(intervals) if i not in first_edges]
         if not remainder_intervals:
             # Remainder degenerates to the split node itself.
-            s = tree.children[v][0][1]
+            s = children[v][0][1]
             pos = intervals[s].lo if tree.lo[s] == v else intervals[s].hi
             remainder_intervals = [EdgeInterval(intervals[s].edge, pos, pos)]
         if trace is not None:
@@ -307,11 +345,15 @@ def divide(
     first = canonical_share(graph, first_intervals)
     remainder = canonical_share(graph, remainder_intervals)
 
+    values: dict[int, tuple[Rational, Rational]] = {}
     reached = False
-    for a in leads:
+    for a, group in groups.items():
         fv = eval_share(instance, a, first)
+        rv = eval_share(instance, a, remainder)
         reached = reached or fv >= beta
         check(fv < 2 * beta, f"first share worth {fv} >= 2*beta to agent {a}")
-        check(fv + eval_share(instance, a, remainder) == totals[a], "divide must partition values")
+        check(fv + rv == totals[a], "divide must partition values")
+        for member in group:
+            values[member] = (fv, rv)
     check(reached, "no agent values the first share at beta")
-    return first, remainder
+    return first, remainder, values

@@ -214,7 +214,8 @@ def save_instance(instance: Instance) -> bytes:
 def load_instance(raw: bytes | str) -> Instance:
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # A RecursionError is nesting deeper than the decoder's stack allows.
         raise ValueError(f"malformed JSON: {exc}") from exc
     return instance_from_dict(data)
 
@@ -272,6 +273,7 @@ def save_allocation(instance: Instance, allocation: Allocation, metrics: dict | 
 def load_allocation(instance: Instance, raw: bytes | str) -> tuple[Allocation, dict]:
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # A RecursionError is nesting deeper than the decoder's stack allows.
         raise ValueError(f"malformed JSON: {exc}") from exc
     return allocation_from_dict(instance, data)

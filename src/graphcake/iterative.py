@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from .rational import Rational, rational
 
-from .divide import divide
+from .divide import _divide
 from .model import (
     Allocation,
     Instance,
     Share,
     check,
-    eval_share,
     eval_share_each,
     full_cake,
 )
@@ -70,6 +69,13 @@ def iterative_divide(
     nobody values the remainder at the threshold (fixed schedule only) the
     recipient takes an empty share.  The adaptive schedule requires identical
     valuations and asserts its per-round value-window invariants exactly.
+
+    Each piece is valued once per round: the whole cake up front, and then
+    each round's divide returns every agent's values of the share it carves
+    and of the new remainder, from its own partition check.  Those values
+    pick the recipient, feed the adaptive windows and are the next round's
+    remainder worth.  The ledger still counts each value as asked again
+    where it is reused.
     """
     n = instance.n
     adaptive = _is_adaptive(schedule)
@@ -84,26 +90,32 @@ def iterative_divide(
     shares: dict[int, Share] = {}
     allocated_values: list[Rational] = []
     xi = rational(1, 2 * n - 1)
+    # The remainder's value to each agent: the whole cake is valued once, and
+    # each later round's values come back from the previous round's divide.
+    worth = eval_share_each(instance, remaining, remainder)
 
     for i in range(1, n):
         beta = threshold(schedule, i, n, allocated_values)
-        worth = eval_share_each(instance, remaining, remainder, ledger)
+        if ledger is not None:
+            ledger.record_eval(len(remaining) * len(remainder.intervals))
         qualified = [a for a in remaining if worth[a] >= beta]
         if adaptive:
             # Round 1 starts exactly at 1/(2n-1); later rounds stay above it.
             check(beta == xi if i == 1 else beta > xi, f"adaptive threshold {beta} too small")
             check(qualified, "adaptive schedule must always find a qualified agent")
         if qualified:
-            first, remainder = divide(instance, remainder, tuple(remaining), beta, root, ledger)
-            worth = eval_share_each(instance, remaining, first, ledger)
-            recipient = min(a for a in remaining if worth[a] >= beta)
+            first, remainder, values = _divide(instance, remainder, tuple(remaining), worth, beta, root, ledger)
+            if ledger is not None:
+                ledger.record_eval(len(remaining) * len(first.intervals))
+            recipient = min(a for a in remaining if values[a][0] >= beta)
+            worth = {a: rv for a, (_fv, rv) in values.items()}
         else:
             first = Share.empty()
             recipient = min(remaining)
         shares[recipient] = first
         remaining.remove(recipient)
         if adaptive:
-            value = eval_share(instance, instance.agents[0], first)
+            value = values[recipient][0]
             allocated_values.append(value)
             running = sum(allocated_values, rational(0))
             check(
@@ -120,7 +132,7 @@ def iterative_divide(
     last = remaining[0]
     shares[last] = remainder
     if adaptive:
-        final = eval_share(instance, instance.agents[0], remainder)
+        final = worth[last]
         check(
             xi < final <= (3 - _pow2(-(n - 2))) * xi,
             f"final share value {final} breaks its window",

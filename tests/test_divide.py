@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import networkx as nx
@@ -5,25 +6,31 @@ import pytest
 
 from graphcake.divide import (
     _build_intervals,
+    _divide,
     _resolve_root,
     _subtree_edges,
     decycle,
     divide,
 )
+from graphcake.iterative import ADAPTIVE_IDENTICAL, FIXED_QUARTER, iterative_divide
 from graphcake.model import (
+    ContractViolation,
     Edge,
     EdgeInterval,
     Graph,
     Instance,
     PointOnEdge,
     Share,
+    StepDensity,
     check,
     eval_share,
+    eval_share_each,
     full_cake,
     is_connected,
     node_sort_key,
     point_node,
     share_covers_node,
+    vertex_at,
 )
 from graphcake.generate import GeneratorSpec, generate
 
@@ -446,6 +453,69 @@ def test_divide_trace_case2_counts_taken_children(fig1):
 def test_divide_determinism(fig1):
     runs = [divide(fig1, full_cake(fig1.graph), (1, 2), F(1, 4), "c") for _ in range(3)]
     assert all(r == runs[0] for r in runs)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda inst: divide(inst, full_cake(inst.graph), (1, 2), F(1, 4), "a"),
+    lambda inst: iterative_divide(inst, FIXED_QUARTER),
+    lambda inst: iterative_divide(inst, ADAPTIVE_IDENTICAL),
+], ids=["divide", "fixed-quarter", "adaptive-identical"])
+def test_partition_check_sees_a_sub_edge_the_tree_lost(monkeypatch, solve):
+    """The totals come from the subcake's own intervals, not from the tree, so
+    a sub-edge lost before ``decycle`` builds the tree breaks the check."""
+    divide_module = importlib.import_module("graphcake.divide")
+    build = divide_module._build_intervals
+    monkeypatch.setattr(divide_module, "_build_intervals", lambda *args: build(*args)[:-1])
+    with pytest.raises(ContractViolation, match="divide must partition values"):
+        solve(triangle_instance(n=2))
+
+
+def test_divide_core_expands_each_lead_values_to_its_group():
+    """Agents 1 and 3 share a valuation, agent 2 has its own; the core values
+    the shares once per lead and hands agent 3 agent 1's pair."""
+    graph = Graph(("a", "b"), (Edge("e1", ("a", "b")),))
+    even = {"e1": uniform_density(1)}
+    low = {"e1": StepDensity((F(0), F(1, 2), F(1)), (F(2), F(0)))}
+    inst = Instance(graph, (1, 2, 3), {1: even, 2: low, 3: dict(even)})
+    assert inst.valuation_groups((1, 2, 3)) == {1: [1, 3], 2: [2]}
+    subcake = full_cake(graph)
+    totals = eval_share_each(inst, (1, 2, 3), subcake)
+    first, rest, got = _divide(inst, subcake, (1, 2, 3), totals, F(1, 4), "a")
+    assert first.intervals == (EdgeInterval("e1", F(3, 4), F(1)),)
+    assert got == {1: (F(1, 4), F(3, 4)), 3: (F(1, 4), F(3, 4)), 2: (F(0), F(1))}
+
+
+def test_divide_core_returns_the_values_of_its_shares():
+    """Every (first, remainder) pair the core returns is ``eval_share`` of the
+    shares it returns, for every agent asked, and the shares are the public
+    ``divide``'s."""
+    rng = random.Random(2021)
+    kinds = set()
+    for seed in range(80):
+        identical = seed % 2 == 1
+        interior = seed % 4 < 2
+        instance = generate(GeneratorSpec(
+            "random-connected", m=2 + seed % 9, n=2 + seed % 4, pieces=1 + seed % 3,
+            identical=identical, seed=seed,
+        ))
+        subcake = random_subcake(rng, instance)
+        agents = tuple(sorted(rng.sample(instance.agents, rng.randint(1, instance.n))))
+        totals = eval_share_each(instance, agents, subcake)
+        beta = max(totals.values()) * F(rng.randint(1, 16), 16)
+        if beta == 0:
+            continue
+        iv = subcake.intervals[rng.randrange(len(subcake.intervals))]
+        if interior:
+            root = PointOnEdge(iv.edge, (iv.lo + iv.hi) / 2)
+        else:
+            root = vertex_at(instance.graph, iv.edge, iv.lo) or vertex_at(instance.graph, iv.edge, iv.hi)
+        first, rest, got = _divide(instance, subcake, agents, totals, beta, root)
+        assert sorted(got) == list(agents)
+        for a in agents:
+            assert got[a] == (eval_share(instance, a, first), eval_share(instance, a, rest))
+        assert divide(instance, subcake, agents, beta, root) == (first, rest)
+        kinds.add((identical, interior))
+    assert len(kinds) == 4
 
 
 # ---------------------------------------------------------------------------

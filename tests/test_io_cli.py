@@ -1148,6 +1148,30 @@ def test_cli_verify_malformed_allocation_json_exits_2(tmp_path, capsys):
     assert err.startswith("error: malformed JSON: ") and err.count("\n") == 1
 
 
+DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
+
+
+def test_cli_solve_deeply_nested_instance_json_exits_2(tmp_path, capsys):
+    inst_file = tmp_path / "nested.json"
+    inst_file.write_text(DEEPLY_NESTED)
+    code, err = _exit_and_stderr(capsys, "solve", "--algorithm", "iterative-divide",
+                                 "--instance", str(inst_file), "--output", str(tmp_path / "out.json"))
+    assert code == 2
+    assert err.startswith("error: malformed JSON: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_cli_verify_deeply_nested_allocation_json_exits_2(tmp_path, capsys):
+    inst_file, alloc_file = tmp_path / "fig1.json", tmp_path / "alloc.json"
+    run_cli("gen", "--family", "fig1", "--output", str(inst_file))
+    alloc_file.write_text(DEEPLY_NESTED)
+    capsys.readouterr()
+    code, err = _exit_and_stderr(capsys, "verify", "--instance", str(inst_file),
+                                 "--allocation", str(alloc_file))
+    assert code == 2
+    assert err.startswith("error: malformed JSON: ") and err.count("\n") == 1
+
+
 def _everything_to_agent_1(instance, epsilon, ledger, trace):
     """A valid allocation that breaks iterative-divide's 1/2 additive-envy bound."""
     return Allocation((full_cake(instance.graph),) + (Share.empty(),) * (instance.n - 1))

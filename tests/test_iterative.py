@@ -10,7 +10,9 @@ from graphcake.iterative import (
     iterative_divide,
     threshold,
 )
-from graphcake.model import eval_share, validate_allocation
+from graphcake.divide import divide
+from graphcake.model import Allocation, Share, eval_share, eval_share_each, full_cake, validate_allocation
+from graphcake.queries import QueryLedger
 
 from conftest import F, single_edge_instance
 
@@ -109,3 +111,39 @@ def test_deterministic_output():
     a1 = iterative_divide(inst, FIXED_QUARTER)
     a2 = iterative_divide(inst, FIXED_QUARTER)
     assert a1 == a2
+
+
+def recomputing_fixed_quarter(instance, ledger):
+    """The fixed-quarter loop valuing every piece afresh each round through
+    the public ``divide``: the remainder before dividing, the first share
+    after it."""
+    root = min(instance.graph.vertices)
+    remainder = full_cake(instance.graph)
+    remaining = list(instance.agents)
+    shares = {}
+    for _ in range(1, instance.n):
+        worth = eval_share_each(instance, remaining, remainder, ledger)
+        if any(worth[a] >= F(1, 4) for a in remaining):
+            first, remainder = divide(instance, remainder, remaining, F(1, 4), root, ledger)
+            worth = eval_share_each(instance, remaining, first, ledger)
+            recipient = min(a for a in remaining if worth[a] >= F(1, 4))
+        else:
+            first, recipient = Share.empty(), min(remaining)
+        shares[recipient] = first
+        remaining.remove(recipient)
+    shares[remaining[0]] = remainder
+    return Allocation(tuple(shares[a] for a in instance.agents))
+
+
+@pytest.mark.parametrize("family, seed", [("random-connected", 23), ("tree", 15), ("star", 35)])
+def test_fixed_rounds_without_a_qualifier_carry_the_worth_on(family, seed):
+    """In these instances some round finds nobody valuing the remainder at
+    1/4; the carried values go on unchanged to the next round, so the
+    allocation and the query counts equal a loop that values every piece
+    afresh."""
+    inst = generate(GeneratorSpec(family, m=3 + seed % 8, n=3 + seed % 4, pieces=1 + seed % 3, seed=seed))
+    carried, fresh = QueryLedger(), QueryLedger()
+    alloc = iterative_divide(inst, FIXED_QUARTER, carried)
+    assert any(share.is_empty for share in alloc.shares)
+    assert alloc == recomputing_fixed_quarter(inst, fresh)
+    assert (carried.evals, carried.cuts) == (fresh.evals, fresh.cuts)
