@@ -208,9 +208,9 @@ def recursive_balance(
 ) -> Allocation:
     """Balance until the value ratio is at most 2 + epsilon.
 
-    Asserts after every pass: the allocation stays valid, total value is
-    conserved, the pseudo ratio-4 condition holds, and the maximum share
-    value never increases.
+    Asserts after every pass: its shares fall in the windows of its case,
+    the allocation stays valid, total value is conserved, the pseudo ratio-4
+    condition holds, and the maximum share value never increases.
     """
     if not instance.identical_valuations():
         raise ValueError("balancing requires identical valuations")
@@ -228,6 +228,7 @@ def recursive_balance(
         new_shares, outcome = balance_path(
             instance, tuple(allocation.shares[i] for i in chain), epsilon, ledger
         )
+        verify_balance_outcome(outcome, epsilon)
         shares = list(allocation.shares)
         for i, share in zip(chain, new_shares):
             shares[i] = share

@@ -14,9 +14,7 @@ edge touches every other share containing the corresponding vertex.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .rational import ONE, Rational, ZERO, as_pair, from_pair, pair_sum, rational, reduced_pair
@@ -338,27 +336,28 @@ class StepDensity:
     """Piecewise-constant density over one edge.
 
     ``breakpoints`` strictly increase from 0 to 1; ``values`` holds one
-    nonnegative density per piece.  Construction checks and accumulates on
-    integer numerators and denominators and reduces each cumulative integral
-    once.  On first use each piece's left breakpoint and its line ``prefix(x)
-    = v * x + o`` are built too, as integer pairs next to the integral up to
-    the piece's right end.
+    nonnegative density per piece.  Construction checks them on integer
+    numerators and denominators and builds one table, every entry a reduced
+    integer pair: per piece its left breakpoint, its line ``prefix(x) = v * x
+    + o`` and the integral up to its right end.
 
-    Each query has one kernel on integer ``(numerator, denominator)`` pairs,
-    positions included: ``prefix_at`` answers [0, x] for a position pair by
-    cross-multiplying against the breakpoint pairs and one reduction,
-    ``integral_pair`` answers [lo, hi] from the lines of one or two pieces,
-    unreduced, and ``cut_pair`` finds a Cut's piece by cross-multiplying
-    against the cumulative pairs and returns the position as a reduced pair.
-    ``prefix_pair``, ``prefix``, ``integral``, ``cut_from_prefix`` and
-    ``cut_position`` wrap them, and ``eval_share`` sums the pairs of a whole
-    share before its one reduction.  The whole edge [0, 1] is the stored
-    total, with no arithmetic at all.
+    Every query answers from that table on integer ``(numerator,
+    denominator)`` pairs.  ``prefix_at`` (the integral over [0, x]) and
+    ``integral_pair`` (over [lo, hi], unreduced) find their pieces by
+    position, through one search that cross-multiplies against the left
+    breakpoints; the whole edge [0, 1] is the last piece's integral, with no
+    arithmetic at all.  ``cut_pair`` finds a Cut's piece by value, against
+    the integrals up to each right end.  ``integral`` and ``cut_position``
+    are their ``Rational`` entry points, and ``eval_share`` sums the pairs of
+    a whole share before its one reduction.
     """
 
     breakpoints: tuple[Rational, ...]
     values: tuple[Rational, ...]
-    _cum: tuple[Rational, ...] = field(init=False, repr=False, compare=False)
+    # Per piece (bn, bd, vn, vd, on, od, cn, cd): the left breakpoint bn/bd,
+    # the line prefix(x) = vn/vd * x + on/od and the integral cn/cd up to
+    # the piece's right end.
+    _pieces: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = list(map(as_pair, self.breakpoints))
@@ -373,30 +372,13 @@ class StepDensity:
         for vn, _ in weights:
             if vn < 0:
                 raise ValueError("densities must be nonnegative")
-        cum = [ZERO]
+        pieces = []
         cn, cd = 0, 1
         for (bn, bd), (rn, rd), (vn, vd) in zip(points, points[1:], weights):
-            # cum + v * (right - left), over one common denominator
-            pd = vd * rd * bd
-            total = from_pair(cn * pd + vn * (rn * bd - bn * rd) * cd, cd * pd)
-            cum.append(total)
-            cn, cd = as_pair(total)
-        object.__setattr__(self, "_cum", tuple(cum))
-
-    @cached_property
-    def _pieces(self) -> tuple[tuple[int, int, int, int, int, int, int, int], ...]:
-        """Per piece ``(bn, bd, vn, vd, on, od, cn, cd)``: its left
-        breakpoint ``bn/bd``, the line ``prefix(x) = vn/vd * x + on/od`` and
-        ``cn/cd``, the integral up to the piece's right end; every pair
-        reduced."""
-        pieces = []
-        for b, v, c, right in zip(self.breakpoints, self.values, self._cum, self._cum[1:]):
-            bn, bd = as_pair(b)
-            vn, vd = as_pair(v)
-            cn, cd = as_pair(c)
             on, od = reduced_pair(cn * vd * bd - vn * bn * cd, cd * vd * bd)  # o = cum - v * b
-            pieces.append((bn, bd, vn, vd, on, od, *as_pair(right)))
-        return tuple(pieces)
+            cn, cd = reduced_pair(vn * rn * od + on * vd * rd, vd * rd * od)  # v * r + o
+            pieces.append((bn, bd, vn, vd, on, od, cn, cd))
+        object.__setattr__(self, "_pieces", tuple(pieces))
 
     @classmethod
     def uniform(cls, value: Rational) -> "StepDensity":
@@ -404,7 +386,7 @@ class StepDensity:
 
     @property
     def total(self) -> Rational:
-        return self._cum[-1]
+        return from_pair(*self._pieces[-1][6:])
 
     def mirrored(self) -> "StepDensity":
         """The same density read from the other end: position x becomes 1 - x."""
@@ -412,12 +394,11 @@ class StepDensity:
             tuple(ONE - b for b in reversed(self.breakpoints)), tuple(reversed(self.values))
         )
 
-    def prefix_at(self, xn: int, xd: int) -> tuple[int, int]:
-        """Integral over [0, xn/xd] as a reduced pair, the denominator
-        positive; ``xd`` must be positive."""
+    def _index(self, xn: int, xd: int, start: int = 0) -> int:
+        """The last piece, from ``start`` on, whose left breakpoint is at or
+        below ``xn/xd``; ``xd`` must be positive."""
         pieces = self._pieces
-        # The last piece whose left breakpoint is at or below x.
-        i, j = 0, len(pieces) - 1
+        i, j = start, len(pieces) - 1
         while i < j:
             mid = (i + j + 1) // 2
             piece = pieces[mid]
@@ -425,33 +406,28 @@ class StepDensity:
                 i = mid
             else:
                 j = mid - 1
-        _, _, vn, vd, on, od, _, _ = pieces[i]
+        return i
+
+    def prefix_at(self, xn: int, xd: int) -> tuple[int, int]:
+        """Integral over [0, xn/xd] as a reduced pair, the denominator
+        positive; ``xd`` must be positive."""
+        _, _, vn, vd, on, od, _, _ = self._pieces[self._index(xn, xd)]
         return reduced_pair(vn * xn * od + on * vd * xd, vd * xd * od)
-
-    def prefix_pair(self, x: Rational) -> tuple[int, int]:
-        """Integral over [0, x] as a reduced pair, the denominator positive."""
-        return self.prefix_at(*as_pair(x))
-
-    def prefix(self, x: Rational) -> Rational:
-        """Integral over [0, x]."""
-        return from_pair(*self.prefix_pair(x))
 
     def integral_pair(self, lo: Rational, hi: Rational) -> tuple[int, int]:
         """Integral over [lo, hi] as an unreduced ``(numerator, denominator)``
         pair, the denominator positive."""
         ln, ld = as_pair(lo)
         hn, hd = as_pair(hi)
+        pieces = self._pieces
         if not ln and hn == hd:
-            return as_pair(self._cum[-1])
-        bp = self.breakpoints
-        last = len(self.values) - 1
-        i = min(bisect_right(bp, lo) - 1, last)
-        j = min(bisect_right(bp, hi, i) - 1, last)
+            return pieces[-1][6:]
+        i = self._index(ln, ld)
+        j = self._index(hn, hd, i)
         if i == j:  # one piece: v * (hi - lo)
-            vn, vd = as_pair(self.values[i])
+            _, _, vn, vd, _, _, _, _ = pieces[i]
             return vn * (hn * ld - ln * hd), vd * hd * ld
         # prefix(hi) - prefix(lo), each on its piece's line
-        pieces = self._pieces
         _, _, vn, vd, on, od, _, _ = pieces[j]
         high_n, high_d = vn * hn * od + on * vd * hd, vd * hd * od
         _, _, vn, vd, on, od, _, _ = pieces[i]
@@ -469,8 +445,8 @@ class StepDensity:
         """
         if anchor not in ("lo", "hi"):
             raise ValueError("anchor must be 'lo' or 'hi'")
-        ln, ld = self.prefix_pair(lo)
-        hn, hd = self.prefix_pair(hi)
+        ln, ld = self.prefix_at(*as_pair(lo))
+        hn, hd = self.prefix_at(*as_pair(hi))
         tn, td = as_pair(target)
         if tn < 0 or tn * ld * hd > (hn * ld - ln * hd) * td:
             raise ValueError("cut target exceeds interval value")
@@ -479,11 +455,6 @@ class StepDensity:
         if anchor == "lo":
             return from_pair(*self.cut_pair(ln, ld, True, tn, td))
         return from_pair(*self.cut_pair(hn, hd, False, tn, td))
-
-    def cut_from_prefix(self, anchor_prefix: Rational, anchor: str, target: Rational) -> Rational:
-        """``cut_position`` for a caller that already knows ``prefix`` of the
-        anchor end; unchecked, as ``cut_pair`` is."""
-        return from_pair(*self.cut_pair(*as_pair(anchor_prefix), anchor == "lo", *as_pair(target)))
 
     def cut_pair(self, an: int, ad: int, from_lo: bool, tn: int, td: int) -> tuple[int, int]:
         """The Cut from an anchor whose prefix is ``an/ad``: the position
@@ -595,12 +566,6 @@ class Allocation:
 
 # ---------------------------------------------------------------------------
 # Robertson-Webb queries
-
-
-def eval_interval(instance: Instance, agent: int, interval: EdgeInterval, ledger=None) -> Rational:
-    if ledger is not None:
-        ledger.record_eval()
-    return instance.density(agent, interval.edge).integral(interval.lo, interval.hi)
 
 
 def eval_share(instance: Instance, agent: int, share: Share, ledger=None) -> Rational:

@@ -43,7 +43,6 @@ from .model import (
     checked_epsilon,
     complement_spans,
     cut,
-    eval_interval,
     eval_share,
     full_cake,
     uncovered_share,
@@ -145,7 +144,7 @@ def prepare_layout(instance: Instance, epsilon: Rational, ledger=None) -> StarLa
         whole = EdgeInterval(edge_id, ZERO, ONE)
         candidates = []
         for agent in instance.agents:
-            target = min(cap, eval_interval(instance, agent, whole, ledger))
+            target = min(cap, eval_share(instance, agent, Share((whole,)), ledger))
             candidates.append(cut(instance, agent, whole, "hi", target, ledger).position)
         boundary[edge_id] = max(candidates)
 

@@ -170,9 +170,25 @@ def test_recursive_balance_tightens_engineered_chain():
     assert validate_allocation(inst, out).ok
 
 
+def test_recursive_balance_checks_every_pass_window(monkeypatch):
+    """A ``divide`` that cuts at half the threshold leaves the pass's first
+    share outside its case window, and the pass check stops it there."""
+    inst = generate(GeneratorSpec("random-connected", m=8, n=4, identical=True, seed=2))
+    log = []
+    recursive_balance(inst, identical_four_ef(inst), F(1, 10), log=log)
+    assert log  # the seeded allocation needs at least one pass
+    divide = balance.divide
+    monkeypatch.setattr(balance, "divide", lambda instance, share, agents, beta, root, ledger=None:
+                        divide(instance, share, agents, beta / 2, root, ledger))
+    with pytest.raises(ContractViolation, match="outside window"):
+        identical_two_eps(inst, F(1, 10))
+
+
 def test_recursive_balance_respects_call_cap(monkeypatch):
-    # A pass that changes nothing runs the loop into its bound 5n²/ε = 800.
+    # A pass that changes nothing runs the loop into its bound 5n²/ε = 800;
+    # with no outcome, the pass check has nothing to check.
     monkeypatch.setattr(balance, "balance_path", lambda instance, shares, epsilon, ledger: (shares, None))
+    monkeypatch.setattr(balance, "verify_balance_outcome", lambda outcome, epsilon: None)
     inst = path_instance(8, n=4)
     alloc = Allocation((
         Share((EdgeInterval("e1", F(0), F(1)),)),

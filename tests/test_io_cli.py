@@ -1092,6 +1092,26 @@ def test_python_m_graphcake_runs_the_cli(tmp_path):
     assert done.stdout == out.read_bytes()
 
 
+@pytest.mark.parametrize("algorithm", tuple(SOLVERS))
+def test_solve_output_does_not_depend_on_the_hash_seed(tmp_path, algorithm):
+    """Two ``solve`` processes with different string-hash seeds write the
+    same bytes: no set or dict order of strings reaches an allocation."""
+    inst_file = tmp_path / "star.json"
+    assert run_cli("gen", "--family", "star", "--edges", "4", "--agents", "3", "--seed", "2",
+                   "--identical", "--output", str(inst_file)) == 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for hash_seed in ("0", "12345"):
+        done = subprocess.run(
+            [sys.executable, "-m", "graphcake", "solve", "--algorithm", algorithm, "--instance", str(inst_file)],
+            cwd=tmp_path, capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed},
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 def _verify_star_shares(tmp_path, shares):
     """``verify`` on a 3-edge star (leaves at position 0, the centre at 1)
     against a metrics-free allocation listing each agent's segments."""

@@ -16,7 +16,6 @@ from graphcake.model import (
     canonical_share,
     complement_spans,
     cut,
-    eval_interval,
     eval_share,
     is_connected,
     point_node,
@@ -29,7 +28,7 @@ from graphcake.model import (
 )
 from graphcake.generate import GeneratorSpec, generate
 from graphcake.model import Allocation
-from graphcake.rational import ONE, ZERO, Rational, rational
+from graphcake.rational import ONE, ZERO, Rational, as_pair, rational
 
 from conftest import F, density_value_oracle, star_instance
 
@@ -101,6 +100,15 @@ def densities(draw):
 
 PLATEAU = StepDensity((F(0), F(1, 4), F(3, 4), F(1)), (F(2), F(0), F(2)))
 
+# Breakpoints over the primes 2^31 - 1 and 2^32 - 5 and densities over 97,
+# with a plateau: large coprime denominators for every cross-multiplication
+# of the kernels.  As ``typed_densities`` draws it, with ``Fraction`` lists.
+BIG_BP = [Fraction(0), Fraction(715827882, 2**31 - 1), Fraction(1431655764, 2**31 - 1),
+          Fraction(3 * 10**9, 2**32 - 5), Fraction(1)]
+BIG_VALS = [Fraction(131, 97), Fraction(0), Fraction(300, 97), Fraction(1, 97)]
+BIG = (StepDensity(tuple(map(rational, BIG_BP)), tuple(map(rational, BIG_VALS))), BIG_BP, BIG_VALS)
+COPRIME = 10**9 + 7  # a prime denominator for positions between breakpoints
+
 
 @given(densities(), st.integers(0, 16), st.integers(0, 16), st.integers(0, 12))
 @example(PLATEAU, 0, 16, 6)     # both anchors land on the ends of the plateau
@@ -118,8 +126,8 @@ def test_cut_eval_round_trip(density, a, b, num):
         else:
             assert density.integral(pos, hi) == target
         if target > 0:
-            anchor_prefix = density.prefix(lo if anchor == "lo" else hi)
-            assert density.cut_from_prefix(anchor_prefix, anchor, target) == pos
+            an, ad = density.prefix_at(*as_pair(lo if anchor == "lo" else hi))
+            assert density.cut_pair(an, ad, anchor == "lo", *as_pair(target)) == as_pair(pos)
 
 
 @given(densities(), st.integers(0, 12), st.integers(0, 12))
@@ -203,6 +211,9 @@ def _fraction_integral(bp, vals, lo, hi):
 @given(typed_densities(), st.lists(typed_spans(), min_size=1, max_size=5))
 @example((PLATEAU, [Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1)], [Fraction(2), Fraction(0), Fraction(2)]),
          [(0, 1), (Fraction(1, 4), rational(3, 4)), (rational(1, 8), Fraction(7, 8)), (1, 1)])
+@example(BIG, [(BIG_BP[1], BIG_BP[2]), (rational(BIG_BP[2]), BIG_BP[3]), (0, BIG_BP[3]), (BIG_BP[1], 1)])
+@example(BIG, [(Fraction(1, COPRIME), Fraction(COPRIME - 1, COPRIME)), (0, Fraction(5 * 10**8, COPRIME)),
+               (rational(6 * 10**8, COPRIME), BIG_BP[3]), (BIG_BP[1], rational(9 * 10**8, COPRIME))])
 @settings(max_examples=150, deadline=None)
 def test_integral_pairs_and_eval_share_match_a_fraction_sum(drawn, spans):
     """The unreduced pair, its reduction and a share's one-reduction sum all
@@ -245,21 +256,24 @@ def _fraction_cut(bp, vals, lo, hi, from_lo, target):
 @given(typed_densities(), typed_spans(), st.integers(1, 12))
 @example((PLATEAU, [Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1)], [Fraction(2), Fraction(0), Fraction(2)]),
          (Fraction(1, 8), rational(7, 8)), 6)  # both cuts land on the ends of the plateau
+@example(BIG, (BIG_BP[1], Fraction(9 * 10**8, COPRIME)), 5)
+@example(BIG, (rational(1, COPRIME), rational(BIG_BP[3])), 11)
+@example(BIG, (BIG_BP[2], BIG_BP[3]), 12)  # the whole piece between two breakpoints
 @settings(max_examples=150, deadline=None)
 def test_prefix_and_cut_pairs_match_a_fraction_oracle(drawn, span, num):
-    """``prefix_pair`` is the reduced pair of a plain piece sum, and
+    """``prefix_at`` is the reduced pair of a plain piece sum, and
     ``cut_pair`` from either anchor's prefix pair is the oracle's Cut as a
     reduced pair."""
     density, bp, vals = drawn
     lo, hi = span
     for x in (lo, hi):
         want = _fraction_integral(bp, vals, 0, x)
-        assert density.prefix_pair(x) == (want.numerator, want.denominator)
+        assert density.prefix_at(*as_pair(x)) == (want.numerator, want.denominator)
     target = _fraction_integral(bp, vals, lo, hi) * Fraction(num, 12)
     if not target:
         return
     for from_lo, anchor in ((True, lo), (False, hi)):
-        an, ad = density.prefix_pair(anchor)
+        an, ad = density.prefix_at(*as_pair(anchor))
         got = density.cut_pair(an, ad, from_lo, target.numerator, target.denominator)
         want = _fraction_cut(bp, vals, lo, hi, from_lo, target)
         assert got == (want.numerator, want.denominator)
@@ -286,6 +300,9 @@ def _is_reduced(pair):
          0, 0, 3, 6)  # [0, 1]: half the value ends on either end of the plateau
 @example((PLATEAU, [Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1)], [Fraction(2), Fraction(0), Fraction(2)]),
          48, 5, 6, 12)  # [1/2, 7/8]: from inside the plateau across it, and from 7/8 to its end
+@example(BIG, 50, 5, 9, 7)  # from inside the first piece to inside the plateau
+@example(BIG, 50, 2, 8, 12)  # from the plateau's far end to inside the last piece
+@example(BIG, 50, 9, 3, 5)  # from inside the plateau across a breakpoint over 2^32 - 5
 @settings(max_examples=200, deadline=None)
 def test_pair_position_kernels_match_fraction_arithmetic(drawn, point, i, j, num):
     """``prefix_at`` at positions on and between breakpoints, and
@@ -298,8 +315,7 @@ def test_pair_position_kernels_match_fraction_arithmetic(drawn, point, i, j, num
         want = _fraction_integral(bp, vals, 0, x)
         got = density.prefix_at(x.numerator, x.denominator)
         assert _is_reduced(got) and got == (want.numerator, want.denominator)
-        assert density.prefix_pair(rational(x)) == got
-        prefix = density.prefix(x)
+        prefix = density.integral(0, x)
         assert type(prefix) is Rational and prefix == want
     lo, hi = sorted((xs[i % len(xs)], xs[j % len(xs)]))
     target = _fraction_integral(bp, vals, lo, hi) * Fraction(num, 12)
@@ -310,18 +326,17 @@ def test_pair_position_kernels_match_fraction_arithmetic(drawn, point, i, j, num
         got = density.cut_pair(*density.prefix_at(anchor.numerator, anchor.denominator), from_lo,
                                target.numerator, target.denominator)
         assert _is_reduced(got) and got == (want.numerator, want.denominator)
-        for wrapped in (density.cut_position(lo, hi, end, target),
-                        density.cut_from_prefix(density.prefix(anchor), end, target)):
-            assert type(wrapped) is Rational and wrapped == want
+        wrapped = density.cut_position(lo, hi, end, target)
+        assert type(wrapped) is Rational and wrapped == want
 
 
 def test_prefix_and_cut_pair_fixed_branches():
     # PLATEAU: density 2 on [0, 1/4], 0 on [1/4, 3/4], 2 on [3/4, 1].
-    assert PLATEAU.prefix_pair(ZERO) == (0, 1)
-    assert PLATEAU.prefix_pair(F(1, 2)) == (1, 2)
-    assert PLATEAU.prefix_pair(F(7, 8)) == (3, 4)
-    assert PLATEAU.prefix_pair(ONE) == (1, 1)  # the last breakpoint: the total
-    assert PLATEAU.prefix(F(7, 8)) == F(3, 4)
+    assert PLATEAU.prefix_at(0, 1) == (0, 1)
+    assert PLATEAU.prefix_at(1, 2) == (1, 2)
+    assert PLATEAU.prefix_at(7, 8) == (3, 4)
+    assert PLATEAU.prefix_at(1, 1) == (1, 1)  # the last breakpoint: the total
+    assert PLATEAU.integral(ZERO, F(7, 8)) == F(3, 4)
     # On a breakpoint, the piece that starts there answers.
     assert PLATEAU.prefix_at(1, 4) == PLATEAU.prefix_at(3, 4) == (1, 2)
     assert PLATEAU.prefix_at(2, 8) == (1, 2)  # an unreduced position pair
@@ -332,7 +347,7 @@ def test_prefix_and_cut_pair_fixed_branches():
     assert PLATEAU.cut_pair(0, 1, True, 1, 1) == (1, 1)
     assert PLATEAU.cut_pair(1, 1, False, 1, 1) == (0, 1)
     assert PLATEAU.cut_pair(1, 2, True, 1, 4) == (7, 8)
-    assert PLATEAU.cut_from_prefix(F(1, 2), "lo", F(1, 4)) == F(7, 8)
+    assert PLATEAU.cut_position(F(1, 2), ONE, "lo", F(1, 4)) == F(7, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +711,9 @@ def test_unknown_edge_id_rejected(fig1):
 
 def test_unknown_agent_rejected(fig1):
     with pytest.raises(ValueError, match="unknown agent 3 or edge 'e1'"):
-        eval_interval(fig1, 3, iv("e1", 0, 1))
+        eval_share(fig1, 3, Share((iv("e1", 0, 1),)))
+    with pytest.raises(ValueError, match="unknown agent 3 or edge 'e1'"):
+        cut(fig1, 3, iv("e1", 0, 1), "lo", F(1, 6))
 
 
 def test_cut_anchor_validation(fig1):

@@ -426,7 +426,7 @@ def test_trading_rows_are_reduced_pairs_and_the_leaf_row_is_free(seed):
         assert memo[(0, 1)] == ((0, 1),) * inst.n
         for (xn, xd), row in memo.items():
             for agent, (n, d) in zip(inst.agents, row):
-                want = inst.density(agent, edge_id).prefix(F(xn, xd))
+                want = inst.density(agent, edge_id).integral(F(0), F(xn, xd))
                 assert (n, d) == (want.numerator, want.denominator)
         for lo, hi, values, _, _ in state.free[edge_id]:
             for agent, (n, d) in zip(inst.agents, values):

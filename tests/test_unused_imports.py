@@ -1,7 +1,8 @@
 """Every imported name is used: a stdlib-only ``ast`` scan of the package
 (except ``__init__.py``, whose imports are its exports), the tests and the
 scripts.  Every module-level private function or class of the package is
-referenced in its own module."""
+referenced in its own module, and every method of a package class is named
+somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,42 @@ def test_no_unreferenced_private_defs():
         if (names := unreferenced_private_defs(path.read_text()))
     }
     assert found == {}
+
+
+def unreferenced_methods(sources) -> list[str]:
+    """Non-dunder methods of the classes with no explicit base in ``sources``
+    whose name appears in none of them as a Name node or an attribute.
+
+    The check goes by name, not by call graph: any Name or attribute
+    anywhere that spells a method's name counts as a use, so a wrapper
+    called only by another wrapper escapes it.  Classes with a base are
+    skipped, since their methods may be called by the base (``Rational``'s
+    operators, an ``argparse`` parser's ``error``)."""
+    used, methods = set(), []
+    for tree in map(ast.parse, sources):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and not node.bases:
+                methods += [
+                    (f"{node.name}.{item.name}", item.name, item.lineno)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                ]
+    return [f"{qual} (line {line})" for qual, name, line in methods if name not in used]
+
+
+def test_unreferenced_methods_detects_and_spares():
+    classes = (
+        "class A:\n    def __init__(self):\n        pass\n\n    def dead(self):\n        pass\n\n"
+        "    def used(self):\n        pass\n\n\nclass B(Base):\n    def error(self):\n        pass\n"
+    )
+    assert unreferenced_methods([classes, "A().used()\n"]) == ["A.dead (line 5)"]
+
+
+def test_no_unreferenced_methods():
+    sources = [path.read_text() for path in sorted((ROOT / "src/graphcake").glob("*.py"))]
+    assert unreferenced_methods(sources) == []
