@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .rational import Rational, rational
 
-from .divide import divide
+from .divide import _divide
 from .fairness import pseudo_ratio
 from .iterative import identical_four_ef
 from .model import (
@@ -39,15 +39,22 @@ def _share_values(instance: Instance, allocation: Allocation, ledger=None) -> li
     return [eval_share(instance, mu, s, ledger) for s in allocation.shares]
 
 
-def min_max_path(instance: Instance, allocation: Allocation, ledger=None) -> list[int]:
+def min_max_path(
+    instance: Instance, allocation: Allocation, ledger=None, values: list[Rational] | None = None
+) -> list[int]:
     """Share indices of a shortest contact-graph path from a minimum share to
     a maximum share, e.g. ``[1, 0]``; ``[start]`` when they coincide.
 
     A shortest path never repeats a share, so the four chain conditions hold
     by construction.  Ties on the endpoints go to the smallest index, and
-    the breadth-first search expands neighbors in index order.
+    the breadth-first search expands neighbors in index order.  ``values``,
+    when given, are the shares' values, which are then not evaluated again;
+    the ledger counts them as Evals either way.
     """
-    values = _share_values(instance, allocation, ledger)
+    if values is None:
+        values = _share_values(instance, allocation, ledger)
+    elif ledger is not None:
+        ledger.record_eval(sum(len(s.intervals) for s in allocation.shares))
     start = values.index(min(values))
     goal = values.index(max(values))
     if start == goal:
@@ -124,39 +131,49 @@ def balance_path(
     "case2" (index i) when shares i and i + 1 together stay small enough to
     be refilled from the maximum share instead, and "case3" when the walk
     reaches the maximum share.
+
+    The valuations must be identical.  Each share is valued once: the chain
+    up front, and each re-cut's two shares by the ``divide`` core's own
+    check, which is handed the value of the share it splits.  The ledger
+    still counts a value as asked again where the walk reuses it.
     """
     graph = instance.graph
     mu = instance.agents[0]
     d = len(shares)
     work = list(shares)
-    old_values = tuple(eval_share(instance, mu, s, ledger) for s in shares)
+    values = [eval_share(instance, mu, s, ledger) for s in shares]
+    old_values = tuple(values)
     gamma = old_values[-1]
     agents = tuple(instance.agents)
+
+    def recut(i: int, j: int, subcake: Share, value: Rational, beta: Rational, root) -> None:
+        totals = dict.fromkeys(agents, value)
+        work[i], work[j], got, _pairs = _divide(instance, subcake, agents, totals, beta, root, ledger)
+        values[i], values[j] = got[mu]
 
     low = gamma / (2 + epsilon)
     kind, index = "case3", None
     for i in range(d - 1):
-        if eval_share(instance, mu, work[i], ledger) >= low:
+        if ledger is not None:
+            ledger.record_eval(len(work[i].intervals))
+        if values[i] >= low:
             kind, index = ("case1", i + 1) if i > 0 else ("noop", None)
             break
         union = canonical_share(graph, work[i].intervals + work[i + 1].intervals)
-        if eval_share(instance, mu, union, ledger) < 2 * low:
+        union_value = eval_share(instance, mu, union, ledger)
+        if union_value < 2 * low:
             # Impossible at the last step: that union contains the maximum share.
             check(i + 1 < d - 1, "under-filled union cannot include the maximum share")
-            work[i] = union
-            root = _root_point(graph, work[d - 1])
-            work[i + 1], work[d - 1] = divide(
-                instance, work[d - 1], agents, gamma / 3, root, ledger
-            )
+            work[i], values[i] = union, union_value
+            recut(i + 1, d - 1, work[d - 1], gamma, gamma / 3, _root_point(graph, work[d - 1]))
             kind, index = "case2", i + 1
             break
         if i == d - 2:
             root = _root_point(graph, work[d - 1])
         else:
             root = _contact_point(graph, work[i + 1], work[i + 2])
-        work[i], work[i + 1] = divide(instance, union, agents, low, root, ledger)
-    new_values = tuple(eval_share(instance, mu, s) for s in work)
-    return tuple(work), BalanceOutcome(kind, index, gamma, old_values, new_values)
+        recut(i, i + 1, union, union_value, low, root)
+    return tuple(work), BalanceOutcome(kind, index, gamma, old_values, tuple(values))
 
 
 def verify_balance_outcome(outcome: BalanceOutcome, epsilon: Rational) -> None:
@@ -210,7 +227,10 @@ def recursive_balance(
 
     Asserts after every pass: its shares fall in the windows of its case,
     the allocation stays valid, total value is conserved, the pseudo ratio-4
-    condition holds, and the maximum share value never increases.
+    condition holds, and the maximum share value never increases.  The
+    shares are valued once up front; after that each pass's outcome carries
+    the values of the shares it re-cut, into these checks and into the next
+    pass's ``min_max_path``.
     """
     if not instance.identical_valuations():
         raise ValueError("balancing requires identical valuations")
@@ -223,20 +243,22 @@ def recursive_balance(
     while max(values) > (2 + epsilon) * min(values):
         check(calls < max_calls, f"balancing exceeded {max_calls} passes")
         previous_max = max(values)
-        chain = min_max_path(instance, allocation, ledger)
+        chain = min_max_path(instance, allocation, ledger, values)
         check(len(chain) >= 2, "balancing requires distinct min and max shares")
         new_shares, outcome = balance_path(
             instance, tuple(allocation.shares[i] for i in chain), epsilon, ledger
         )
         verify_balance_outcome(outcome, epsilon)
         shares = list(allocation.shares)
-        for i, share in zip(chain, new_shares):
+        for i, share, value in zip(chain, new_shares, outcome.new_values):
             shares[i] = share
+            values[i] = value
         allocation = Allocation(tuple(shares))
         calls += 1
         if log is not None:
             log.append(outcome)
-        values = _share_values(instance, allocation, ledger)
+        if ledger is not None:
+            ledger.record_eval(sum(len(s.intervals) for s in shares))
         report = validate_allocation(instance, allocation)
         check(report.ok, f"balancing broke the allocation: {report}")
         check(sum(values) == 1, "balancing must conserve total value")

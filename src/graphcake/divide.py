@@ -20,9 +20,14 @@ by node and sub-edge, and compared with ``beta`` by cross-multiplication;
 only a cut target is reduced to a rational.
 
 The core, ``_divide``, takes the subcake's values from its caller and
-returns, next to the two shares, each agent's values of them, which its
-final check computes anyway.  ``iterative_divide`` carries these into its
-next round; the public ``divide`` values the subcake itself.
+returns, next to the two shares, each agent's values of them and its
+integral of each remainder interval, which its final check computes anyway.
+Both shares come out in the tree's (edge, lo) order, so a share that needs
+no merge passes ``canonical_share`` unchanged, and the next round's tree
+over that remainder has the same intervals in the same order; its edge
+values are then the carried integrals.  ``iterative_divide`` and the
+balancing passes carry these values forward; the public ``divide`` values
+the subcake itself.
 """
 
 from __future__ import annotations
@@ -71,8 +76,9 @@ class SubcakeTree:
 def _build_intervals(instance: Instance, subcake: Share, root_point: PointOnEdge | None) -> list[EdgeInterval]:
     """Intervals of the subcake, sorted by (edge, lo, hi).
 
-    ``canonical_share`` returns that order and splitting the root's interval
-    in place keeps it.
+    ``canonical_share`` returns that order (a canonical subcake's own
+    intervals, unchanged), and splitting the root's interval in place keeps
+    it.
     """
     intervals = list(canonical_share(instance.graph, subcake.intervals).intervals)
     if root_point is not None:
@@ -211,7 +217,7 @@ def divide(
     if not agents:
         raise ValueError("agent set must be nonempty")
     totals = eval_share_each(instance, agents, subcake)
-    first, remainder, _values = _divide(instance, subcake, agents, totals, beta, root, ledger, trace)
+    first, remainder, _values, _pairs = _divide(instance, subcake, agents, totals, beta, root, ledger, trace)
     return first, remainder
 
 
@@ -224,15 +230,23 @@ def _divide(
     root,
     ledger=None,
     trace: list | None = None,
-) -> tuple[Share, Share, dict[int, tuple[Rational, Rational]]]:
+    pairs: Mapping[int, list[tuple[int, int]]] | None = None,
+) -> tuple[Share, Share, dict[int, tuple[Rational, Rational]], dict[int, list[tuple[int, int]]]]:
     """The core of ``divide``, for a caller that already holds the subcake's
     values.
 
     ``agents`` is sorted and nonempty, and ``totals[a]`` is agent ``a``'s
-    value of ``subcake``, computed from its intervals.  Returns (first,
-    remainder, values), where ``values[a]`` is agent ``a``'s (value of first,
-    value of remainder), the pair the final check computes.  The ledger
-    counts the totals as Evals, as if they were asked here.
+    value of ``subcake``, computed from its intervals.  ``pairs``, when
+    given, holds each agent's ``integral_pair`` of every interval of
+    ``subcake``, in order; they serve as the tree's edge values when the
+    tree's sub-edges are exactly those intervals (a vertex root, or a root
+    at an interval end), and otherwise every sub-edge is integrated afresh.
+
+    Returns (first, remainder, values, remainder_pairs): ``values[a]`` is
+    agent ``a``'s (value of first, value of remainder), and
+    ``remainder_pairs[a]`` its integral pair of each interval of remainder,
+    both computed by the final check.  The ledger counts the totals as
+    Evals, as if they were asked here.
     """
     if ledger is not None:
         ledger.record_eval(len(agents) * len(subcake.intervals))
@@ -258,9 +272,13 @@ def _divide(
     # node ``v``; only a cut target is reduced to a rational.
     through: list[list] = []
     below: list[list] = []
+    carried = pairs is not None and intervals == list(subcake.intervals)
     for a in leads:
         valuation = instance.valuations[a]
-        edge_value = [valuation[iv.edge].integral_pair(iv.lo, iv.hi) for iv in intervals]
+        if carried:
+            edge_value = pairs[a]
+        else:
+            edge_value = [valuation[iv.edge].integral_pair(iv.lo, iv.hi) for iv in intervals]
         through_a: list = [None] * len(intervals)
         below_a: list = [None] * len(tree.keys)
         for node in reversed(order):
@@ -311,11 +329,12 @@ def _divide(
         else:
             taken = EdgeInterval(iv.edge, best_pos, iv.hi)
             rest = EdgeInterval(iv.edge, iv.lo, best_pos)
+        # Both shares keep the tree's (edge, lo) order, the cut interval's
+        # parts in its own slot, so a canonical subcake yields canonical
+        # shares unless a part is a single point or touches a neighbour.
         first_edges = set(_subtree_edges(tree, w))
-        first_intervals = [x for i, x in enumerate(intervals) if i in first_edges] + [taken]
-        remainder_intervals = [
-            x for i, x in enumerate(intervals) if i != s and i not in first_edges
-        ] + [rest]
+        first_intervals = [taken if i == s else x for i, x in enumerate(intervals) if i == s or i in first_edges]
+        remainder_intervals = [rest if i == s else x for i, x in enumerate(intervals) if i not in first_edges]
         if trace is not None:
             trace.append({"at": tree.keys[v], "case": 1, "cut": (iv.edge, best_pos), "witness": witness})
     else:
@@ -346,14 +365,21 @@ def _divide(
     remainder = canonical_share(graph, remainder_intervals)
 
     values: dict[int, tuple[Rational, Rational]] = {}
+    remainder_pairs: dict[int, list[tuple[int, int]]] = {}
     reached = False
     for a, group in groups.items():
         fv = eval_share(instance, a, first)
-        rv = eval_share(instance, a, remainder)
+        valuation = instance.valuations[a]
+        rest_pairs = [valuation[iv.edge].integral_pair(iv.lo, iv.hi) for iv in remainder.intervals]
+        rn, rd = 0, 1
+        for pair in rest_pairs:
+            rn, rd = pair_sum(rn, rd, *pair)
+        rv = from_pair(rn, rd)
         reached = reached or fv >= beta
         check(fv < 2 * beta, f"first share worth {fv} >= 2*beta to agent {a}")
         check(fv + rv == totals[a], "divide must partition values")
         for member in group:
             values[member] = (fv, rv)
+            remainder_pairs[member] = rest_pairs
     check(reached, "no agent values the first share at beta")
-    return first, remainder, values
+    return first, remainder, values, remainder_pairs

@@ -74,8 +74,10 @@ def iterative_divide(
     each round's divide returns every agent's values of the share it carves
     and of the new remainder, from its own partition check.  Those values
     pick the recipient, feed the adaptive windows and are the next round's
-    remainder worth.  The ledger still counts each value as asked again
-    where it is reused.
+    remainder worth.  The check's integral of each remainder interval comes
+    back too and is handed to the next round's divide, whose tree over that
+    remainder (rooted at a vertex) has exactly those intervals.  The ledger
+    still counts each value as asked again where it is reused.
     """
     n = instance.n
     adaptive = _is_adaptive(schedule)
@@ -93,6 +95,7 @@ def iterative_divide(
     # The remainder's value to each agent: the whole cake is valued once, and
     # each later round's values come back from the previous round's divide.
     worth = eval_share_each(instance, remaining, remainder)
+    pairs = None
 
     for i in range(1, n):
         beta = threshold(schedule, i, n, allocated_values)
@@ -104,7 +107,9 @@ def iterative_divide(
             check(beta == xi if i == 1 else beta > xi, f"adaptive threshold {beta} too small")
             check(qualified, "adaptive schedule must always find a qualified agent")
         if qualified:
-            first, remainder, values = _divide(instance, remainder, tuple(remaining), worth, beta, root, ledger)
+            first, remainder, values, pairs = _divide(
+                instance, remainder, tuple(remaining), worth, beta, root, ledger, pairs=pairs
+            )
             if ledger is not None:
                 ledger.record_eval(len(remaining) * len(first.intervals))
             recipient = min(a for a in remaining if values[a][0] >= beta)

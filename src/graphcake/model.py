@@ -291,13 +291,31 @@ def share_components(graph: Graph, share: Share) -> list[Share]:
     return sorted(pieces, key=lambda s: s.intervals)
 
 
+def _is_canonical(intervals: Sequence[EdgeInterval]) -> bool:
+    """True iff the intervals are sorted by (edge, lo), same-edge intervals
+    are strictly apart, and none is a single point."""
+    prev = None
+    for iv in intervals:
+        if not iv.lo < iv.hi:
+            return False
+        if prev is not None and (iv.edge < prev.edge or (iv.edge == prev.edge and iv.lo <= prev.hi)):
+            return False
+        prev = iv
+    return True
+
+
 def canonical_share(graph: Graph, intervals: Iterable[EdgeInterval]) -> Share:
     """Sort, merge same-edge runs, and drop redundant degenerate points.
 
     The represented point set is preserved exactly: a single point survives
     only when no interval of positive length, and no single point kept
-    before it, already covers it.
+    before it, already covers it.  Input that is already in that form with
+    no single point (sorted by edge and position, same-edge intervals
+    strictly apart) passes one linear check and comes back as is.
     """
+    intervals = tuple(intervals)
+    if _is_canonical(intervals):
+        return Share(intervals)
     by_edge: dict[str, list[EdgeInterval]] = {}
     for iv in intervals:
         by_edge.setdefault(iv.edge, []).append(iv)

@@ -171,23 +171,28 @@ def test_recursive_balance_tightens_engineered_chain():
 
 
 def test_recursive_balance_checks_every_pass_window(monkeypatch):
-    """A ``divide`` that cuts at half the threshold leaves the pass's first
-    share outside its case window, and the pass check stops it there."""
+    """A ``divide`` core that cuts at half the threshold leaves the pass's
+    first share outside its case window, and the pass check stops it there."""
     inst = generate(GeneratorSpec("random-connected", m=8, n=4, identical=True, seed=2))
     log = []
     recursive_balance(inst, identical_four_ef(inst), F(1, 10), log=log)
     assert log  # the seeded allocation needs at least one pass
-    divide = balance.divide
-    monkeypatch.setattr(balance, "divide", lambda instance, share, agents, beta, root, ledger=None:
-                        divide(instance, share, agents, beta / 2, root, ledger))
+    core = balance._divide
+    monkeypatch.setattr(balance, "_divide", lambda instance, share, agents, totals, beta, root, ledger=None:
+                        core(instance, share, agents, totals, beta / 2, root, ledger))
     with pytest.raises(ContractViolation, match="outside window"):
         identical_two_eps(inst, F(1, 10))
 
 
 def test_recursive_balance_respects_call_cap(monkeypatch):
     # A pass that changes nothing runs the loop into its bound 5n²/ε = 800;
-    # with no outcome, the pass check has nothing to check.
-    monkeypatch.setattr(balance, "balance_path", lambda instance, shares, epsilon, ledger: (shares, None))
+    # its "noop" outcome hands back the chain's own values, and the pass
+    # check, which rejects a "noop", is switched off.
+    def unchanged(instance, shares, epsilon, ledger):
+        values = tuple(share_values(instance, shares))
+        return shares, BalanceOutcome("noop", None, values[-1], values, values)
+
+    monkeypatch.setattr(balance, "balance_path", unchanged)
     monkeypatch.setattr(balance, "verify_balance_outcome", lambda outcome, epsilon: None)
     inst = path_instance(8, n=4)
     alloc = Allocation((

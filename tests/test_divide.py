@@ -470,6 +470,68 @@ def test_partition_check_sees_a_sub_edge_the_tree_lost(monkeypatch, solve):
         solve(triangle_instance(n=2))
 
 
+def fresh_pairs(instance, share, agents):
+    """Each agent's ``integral_pair`` of every interval of ``share``."""
+    return {
+        a: [instance.density(a, iv.edge).integral_pair(iv.lo, iv.hi) for iv in share.intervals]
+        for a in agents
+    }
+
+
+def multigraph_instance(rng, n, identical):
+    """``n`` agents on a ``random_multigraph_instance`` graph, each valuing
+    every edge uniformly with its own random weights, or all sharing one."""
+    graph = random_multigraph_instance(rng).graph
+
+    def valuation():
+        weights = [rng.randint(1, 4) for _ in graph.edges]
+        return {e.id: uniform_density(F(w, sum(weights))) for e, w in zip(graph.edges, weights)}
+
+    shared = valuation()
+    agents = tuple(range(1, n + 1))
+    return Instance(graph, agents, {a: shared if identical else valuation() for a in agents})
+
+
+def test_iterative_rounds_carry_each_remainders_integrals(monkeypatch):
+    """Under both schedules, on random-connected instances and on multigraphs
+    with self-loops and parallel edges, every per-interval list the core
+    hands back equals ``integral_pair`` recomputed on that remainder's
+    intervals, and the next round gets that remainder with that list."""
+    iterative_module = importlib.import_module("graphcake.iterative")
+    core = iterative_module._divide
+    calls = []
+
+    def recording(instance, subcake, agents, totals, beta, root, ledger=None, trace=None, pairs=None):
+        out = core(instance, subcake, agents, totals, beta, root, ledger, trace, pairs)
+        calls.append((subcake, pairs, out))
+        return out
+
+    monkeypatch.setattr(iterative_module, "_divide", recording)
+    rng = random.Random(1998)
+    instances = [
+        generate(GeneratorSpec(
+            "random-connected", m=2 + seed % 12, n=2 + seed % 5, pieces=1 + seed % 3,
+            identical=seed % 2 == 1, seed=seed,
+        ))
+        for seed in range(30)
+    ] + [multigraph_instance(rng, 2 + k % 4, k % 2 == 1) for k in range(40)]
+    handed = loops = 0
+    for instance in instances:
+        loops += any(e.endpoints[0] == e.endpoints[1] for e in instance.graph.edges)
+        schedules = (FIXED_QUARTER, ADAPTIVE_IDENTICAL) if instance.identical_valuations() else (FIXED_QUARTER,)
+        for schedule in schedules:
+            calls.clear()
+            iterative_divide(instance, schedule)
+            assert calls and calls[0][1] is None
+            for k, (_subcake, _pairs, (_first, rest, values, pairs)) in enumerate(calls):
+                assert pairs == fresh_pairs(instance, rest, values)
+                if k + 1 < len(calls):
+                    assert calls[k + 1][0] is rest and calls[k + 1][1] is pairs
+                    handed += 1
+    assert handed > 150
+    assert loops > 15
+
+
 def test_divide_core_expands_each_lead_values_to_its_group():
     """Agents 1 and 3 share a valuation, agent 2 has its own; the core values
     the shares once per lead and hands agent 3 agent 1's pair."""
@@ -480,17 +542,24 @@ def test_divide_core_expands_each_lead_values_to_its_group():
     assert inst.valuation_groups((1, 2, 3)) == {1: [1, 3], 2: [2]}
     subcake = full_cake(graph)
     totals = eval_share_each(inst, (1, 2, 3), subcake)
-    first, rest, got = _divide(inst, subcake, (1, 2, 3), totals, F(1, 4), "a")
+    first, rest, got, pairs = _divide(inst, subcake, (1, 2, 3), totals, F(1, 4), "a")
     assert first.intervals == (EdgeInterval("e1", F(3, 4), F(1)),)
     assert got == {1: (F(1, 4), F(3, 4)), 3: (F(1, 4), F(3, 4)), 2: (F(0), F(1))}
+    assert rest.intervals == (EdgeInterval("e1", F(0), F(3, 4)),)
+    assert {a: [F(*pair) for pair in p] for a, p in pairs.items()} == {1: [F(3, 4)], 3: [F(3, 4)], 2: [F(1)]}
+    assert pairs[3] is pairs[1]
 
 
 def test_divide_core_returns_the_values_of_its_shares():
     """Every (first, remainder) pair the core returns is ``eval_share`` of the
     shares it returns, for every agent asked, and the shares are the public
-    ``divide``'s."""
+    ``divide``'s.  The per-interval pairs it returns are the remainder's
+    integrals; handed to a second round on that remainder, they give the
+    same result as integrating afresh, whether the tree keeps the
+    remainder's intervals (a vertex root) or splits one (an interior root)."""
     rng = random.Random(2021)
     kinds = set()
+    second_rounds = set()
     for seed in range(80):
         identical = seed % 2 == 1
         interior = seed % 4 < 2
@@ -509,13 +578,24 @@ def test_divide_core_returns_the_values_of_its_shares():
             root = PointOnEdge(iv.edge, (iv.lo + iv.hi) / 2)
         else:
             root = vertex_at(instance.graph, iv.edge, iv.lo) or vertex_at(instance.graph, iv.edge, iv.hi)
-        first, rest, got = _divide(instance, subcake, agents, totals, beta, root)
+        first, rest, got, pairs = _divide(instance, subcake, agents, totals, beta, root)
         assert sorted(got) == list(agents)
         for a in agents:
             assert got[a] == (eval_share(instance, a, first), eval_share(instance, a, rest))
+        assert pairs == fresh_pairs(instance, rest, agents)
         assert divide(instance, subcake, agents, beta, root) == (first, rest)
         kinds.add((identical, interior))
+
+        rest_totals = {a: rv for a, (_fv, rv) in got.items()}
+        rest_beta = max(rest_totals.values()) * F(rng.randint(1, 16), 16)
+        if rest_beta == 0:
+            continue
+        carried = _divide(instance, rest, agents, rest_totals, rest_beta, root, pairs=pairs)
+        assert carried == _divide(instance, rest, agents, rest_totals, rest_beta, root)
+        assert carried[3] == fresh_pairs(instance, carried[1], agents)
+        second_rounds.add(decycle(instance, rest, root).intervals == list(rest.intervals))
     assert len(kinds) == 4
+    assert second_rounds == {True, False}
 
 
 # ---------------------------------------------------------------------------

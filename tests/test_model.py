@@ -635,6 +635,49 @@ def test_canonical_share_covers_every_input_endpoint(intervals):
             assert not share_covers_node(CANON_GRAPH, others, point_node(CANON_GRAPH, x.edge, x.lo))
 
 
+def sort_and_merge(graph, intervals):
+    """``canonical_share`` by sorting and merging every input: the oracle for
+    the linear check that returns canonical input as is."""
+    by_edge = {}
+    for x in intervals:
+        by_edge.setdefault(x.edge, []).append(x)
+    merged = []
+    for edge_id in sorted(by_edge):
+        run = None
+        for x in sorted(by_edge[edge_id], key=lambda y: (y.lo, y.hi)):
+            if run is None:
+                run = x
+            elif x.lo <= run.hi:
+                if x.hi > run.hi:
+                    run = EdgeInterval(edge_id, run.lo, x.hi)
+            else:
+                merged.append(run)
+                run = x
+        if run is not None:
+            merged.append(run)
+    result = [x for x in merged if not x.degenerate]
+    for x in merged:
+        if x.degenerate and not share_covers_node(graph, Share(tuple(result)), point_node(graph, x.edge, x.lo)):
+            result.append(x)
+    return Share(tuple(sorted(result, key=lambda y: (y.edge, y.lo, y.hi))))
+
+
+@given(canon_intervals)
+@example([iv("e2", 0, 1), iv("e1", 0, 1)])  # edges out of order
+@example([iv("e1", 0, F(1, 2)), iv("e1", F(1, 2), 1)])  # touching on one edge: merged
+@example([iv("e3", F(1, 4), F(1, 4))])  # a lone point
+@example([iv("e1", 0, 1), iv("e2", 0, 0)])  # a point e1 covers through vertex b
+@example([iv("e1", 0, F(1, 4)), iv("e1", F(1, 2), 1), iv("e5", F(1, 4), F(3, 4))])  # canonical
+@settings(max_examples=300, deadline=None)
+def test_canonical_share_matches_sort_and_merge(intervals):
+    share = canonical_share(CANON_GRAPH, intervals)
+    assert share == sort_and_merge(CANON_GRAPH, intervals)
+    again = canonical_share(CANON_GRAPH, share.intervals)
+    assert again == share
+    if not any(x.degenerate for x in share.intervals):
+        assert again.intervals is share.intervals
+
+
 def test_uncovered_share(fig1):
     taken = Share((iv("e1", 0, F(1, 2)),))
     rest = uncovered_share(fig1.graph, [taken])
