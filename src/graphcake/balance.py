@@ -48,13 +48,11 @@ def min_max_path(
     A shortest path never repeats a share, so the four chain conditions hold
     by construction.  Ties on the endpoints go to the smallest index, and
     the breadth-first search expands neighbors in index order.  ``values``,
-    when given, are the shares' values, which are then not evaluated again;
-    the ledger counts them as Evals either way.
+    when given, are the shares' values, which are then neither evaluated
+    nor recorded again.
     """
     if values is None:
         values = _share_values(instance, allocation, ledger)
-    elif ledger is not None:
-        ledger.record_eval(sum(len(s.intervals) for s in allocation.shares))
     start = values.index(min(values))
     goal = values.index(max(values))
     if start == goal:
@@ -133,9 +131,9 @@ def balance_path(
     reaches the maximum share.
 
     The valuations must be identical.  Each share is valued once: the chain
-    up front, and each re-cut's two shares by the ``divide`` core's own
-    check, which is handed the value of the share it splits.  The ledger
-    still counts a value as asked again where the walk reuses it.
+    up front, each union when the walk forms it, and each re-cut's two
+    shares by the ``divide`` core's own check, which is handed the value of
+    the share it splits.  A value the walk reuses is not recorded again.
     """
     graph = instance.graph
     mu = instance.agents[0]
@@ -154,8 +152,6 @@ def balance_path(
     low = gamma / (2 + epsilon)
     kind, index = "case3", None
     for i in range(d - 1):
-        if ledger is not None:
-            ledger.record_eval(len(work[i].intervals))
         if values[i] >= low:
             kind, index = ("case1", i + 1) if i > 0 else ("noop", None)
             break
@@ -257,8 +253,6 @@ def recursive_balance(
         calls += 1
         if log is not None:
             log.append(outcome)
-        if ledger is not None:
-            ledger.record_eval(sum(len(s.intervals) for s in shares))
         report = validate_allocation(instance, allocation)
         check(report.ok, f"balancing broke the allocation: {report}")
         check(sum(values) == 1, "balancing must conserve total value")

@@ -21,7 +21,7 @@ from .io import (
     save_instance,
 )
 from .model import ContractViolation, checked_epsilon, share_components, validate_allocation
-from .psn import psn_allocate, psn_certificate
+from .psn import path_solver, psn_allocate, psn_certificate
 from .queries import QueryLedger
 from .solvers import DEFAULT_EPSILON, SOLVERS, Solver, contract
 
@@ -61,12 +61,13 @@ def _lift_names() -> list[str]:
     return [f"psn-lift/{choice}" for choice in _lift_choices()]
 
 
-def _claims(solver: Solver, instance, epsilon: Rational | None, report, validity) -> dict:
-    """The metrics fields that ``solve`` writes and ``verify`` recomputes."""
+def _claims(solver: Solver, instance, epsilon: Rational | None, report) -> dict:
+    """The metrics fields that ``solve`` and ``psn-lift`` write and
+    ``verify`` recomputes; ``solve`` adds ``valid``.  A psn-lift file
+    claims its path solver's contract, on the graph's fairness report."""
     return {
         "epsilon": format_rational(epsilon) if solver.needs_epsilon else None,
         "contract": contract(solver, instance.n, epsilon, report),
-        "valid": validity.ok,
     }
 
 
@@ -104,7 +105,7 @@ def _solve(args) -> int:
             sys.stderr.write(json.dumps(line, sort_keys=True) + "\n")
     report = fairness_report(instance, allocation)
     validity = validate_allocation(instance, allocation)
-    claims = _claims(solver, instance, args.epsilon, report, validity)
+    claims = {**_claims(solver, instance, args.epsilon, report), "valid": validity.ok}
     metrics = {"algorithm": args.algorithm, "fairness": report.as_dict(), "queries": ledger.as_dict(), **claims}
     _write(args.output, save_allocation(instance, allocation, metrics))
     if not (validity.ok and claims["contract"]["satisfied"]):
@@ -113,15 +114,18 @@ def _solve(args) -> int:
     return 0
 
 
-def _stored_solver(metrics: dict) -> tuple[Solver | None, Rational | None]:
-    """The table entry and ε a stored metrics block names.  Files without an
-    algorithm and psn-lift outputs give ``(None, None)``; any other name, or
-    a solver's ε that is not a rational in (0, 1), is malformed input."""
+def _stored_solver(instance, metrics: dict) -> tuple[Solver | None, Rational | None]:
+    """The table entry and ε a stored metrics block names; a psn-lift output
+    names its path solver.  Files without an algorithm give ``(None,
+    None)``; any other name, or a solver's ε that is not a rational in
+    (0, 1), is malformed input."""
     name = metrics.get("algorithm")
-    # A list comparison, not a set lookup: the stored name may be any JSON value.
-    if "algorithm" not in metrics or name in _lift_names():
+    if "algorithm" not in metrics:
         return None, None
-    if not isinstance(name, str) or name not in SOLVERS:
+    # A list comparison, not a set lookup: the stored name may be any JSON value.
+    if name in _lift_names():
+        name = path_solver(instance, name.removeprefix("psn-lift/"))
+    elif not isinstance(name, str) or name not in SOLVERS:
         raise ValueError(f"metrics name an unknown algorithm {name!r}")
     solver = SOLVERS[name]
     if not solver.needs_epsilon:
@@ -139,7 +143,7 @@ def _segment(edge: str, lo: Rational, hi: Rational) -> str:
 def _verify(args) -> int:
     instance = load_instance(_read(args.instance))
     allocation, metrics = load_allocation(instance, _read(args.allocation))
-    solver, epsilon = _stored_solver(metrics)
+    solver, epsilon = _stored_solver(instance, metrics)
     lifted = metrics.get("algorithm") in _lift_names()
     validity = validate_allocation(instance, allocation)
     report = fairness_report(instance, allocation)
@@ -168,7 +172,9 @@ def _verify(args) -> int:
     if claimed is not None and claimed != report.as_dict():
         failures.append("stored fairness metrics do not match recomputation")
     if solver is not None:
-        claims = _claims(solver, instance, epsilon, report, validity)
+        claims = _claims(solver, instance, epsilon, report)
+        if not lifted:
+            claims["valid"] = validity.ok
         failures += _mismatches(metrics, claims)
         if not claims["contract"]["satisfied"]:
             failures.append(f"contracted bound violated: {claims['contract']}")
@@ -216,14 +222,19 @@ def _psn_lift(args) -> int:
         instance, epsilon=args.epsilon, algorithm=args.algorithm, ledger=ledger
     )
     report = fairness_report(instance, allocation)
+    claims = _claims(SOLVERS[path_solver(instance, args.algorithm)], instance, args.epsilon, report)
     metrics = {
         "algorithm": f"psn-lift/{args.algorithm}",
         "certificate": cert.as_dict(),
         "pieces": {str(a): p for a, p in zip(instance.agents, pieces)},
         "fairness": report.as_dict(),
         "queries": ledger.as_dict(),
+        **claims,
     }
     _write(args.output, save_allocation(instance, allocation, metrics))
+    if not claims["contract"]["satisfied"]:
+        sys.stderr.write("contracted bound violated; this is a bug\n")
+        return 1
     return 0
 
 

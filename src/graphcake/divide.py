@@ -245,11 +245,10 @@ def _divide(
     Returns (first, remainder, values, remainder_pairs): ``values[a]`` is
     agent ``a``'s (value of first, value of remainder), and
     ``remainder_pairs[a]`` its integral pair of each interval of remainder,
-    both computed by the final check.  The ledger counts the totals as
-    Evals, as if they were asked here.
+    both computed by the final check.  The ledger records, per agent, the
+    sub-edge integrals unless carried, the Cuts, and the check's values of
+    both shares, which callers use; the totals only feed checks.
     """
-    if ledger is not None:
-        ledger.record_eval(len(agents) * len(subcake.intervals))
     if not (0 < beta <= max(totals[a] for a in agents)):
         raise ValueError(f"beta {beta} outside (0, max subcake value]")
 
@@ -263,8 +262,6 @@ def _divide(
     intervals = tree.intervals
     order = tree.order
     children = tree.children
-    if ledger is not None:
-        ledger.record_eval(len(agents) * len(intervals))
     beta_n, beta_d = as_pair(beta)
 
     # Per lead, flat lists of unreduced integer pairs: ``through[k][s]`` is
@@ -273,6 +270,8 @@ def _divide(
     through: list[list] = []
     below: list[list] = []
     carried = pairs is not None and intervals == list(subcake.intervals)
+    if ledger is not None and not carried:
+        ledger.record_eval(len(agents) * len(intervals))
     for a in leads:
         valuation = instance.valuations[a]
         if carried:
@@ -382,4 +381,6 @@ def _divide(
             values[member] = (fv, rv)
             remainder_pairs[member] = rest_pairs
     check(reached, "no agent values the first share at beta")
+    if ledger is not None:
+        ledger.record_eval(len(agents) * (len(first.intervals) + len(remainder.intervals)))
     return first, remainder, values, remainder_pairs

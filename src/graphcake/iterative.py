@@ -9,7 +9,7 @@ the value ratio by 4 - 2^-(n-3).
 
 from __future__ import annotations
 
-from .rational import Rational, rational
+from .rational import ONE, Rational, rational
 
 from .divide import _divide
 from .model import (
@@ -17,7 +17,6 @@ from .model import (
     Instance,
     Share,
     check,
-    eval_share_each,
     full_cake,
 )
 
@@ -70,14 +69,14 @@ def iterative_divide(
     recipient takes an empty share.  The adaptive schedule requires identical
     valuations and asserts its per-round value-window invariants exactly.
 
-    Each piece is valued once per round: the whole cake up front, and then
-    each round's divide returns every agent's values of the share it carves
-    and of the new remainder, from its own partition check.  Those values
-    pick the recipient, feed the adaptive windows and are the next round's
-    remainder worth.  The check's integral of each remainder interval comes
-    back too and is handed to the next round's divide, whose tree over that
-    remainder (rooted at a vertex) has exactly those intervals.  The ledger
-    still counts each value as asked again where it is reused.
+    Each piece is valued once: the whole cake is worth exactly 1 to every
+    agent, and each round's divide returns every agent's values of the share
+    it carves and of the new remainder, from its own partition check.  Those
+    values pick the recipient, feed the adaptive windows and are the next
+    round's remainder worth.  The check's integral of each remainder
+    interval comes back too and is handed to the next round's divide, whose
+    tree over that remainder (rooted at a vertex) has exactly those
+    intervals.  The queries are recorded where divide computes them.
     """
     n = instance.n
     adaptive = _is_adaptive(schedule)
@@ -92,15 +91,13 @@ def iterative_divide(
     shares: dict[int, Share] = {}
     allocated_values: list[Rational] = []
     xi = rational(1, 2 * n - 1)
-    # The remainder's value to each agent: the whole cake is valued once, and
-    # each later round's values come back from the previous round's divide.
-    worth = eval_share_each(instance, remaining, remainder)
+    # The remainder's value to each agent: 1 for the whole cake, since every
+    # valuation sums to 1, and then what the previous round's divide returns.
+    worth = dict.fromkeys(remaining, ONE)
     pairs = None
 
     for i in range(1, n):
         beta = threshold(schedule, i, n, allocated_values)
-        if ledger is not None:
-            ledger.record_eval(len(remaining) * len(remainder.intervals))
         qualified = [a for a in remaining if worth[a] >= beta]
         if adaptive:
             # Round 1 starts exactly at 1/(2n-1); later rounds stay above it.
@@ -110,8 +107,6 @@ def iterative_divide(
             first, remainder, values, pairs = _divide(
                 instance, remainder, tuple(remaining), worth, beta, root, ledger, pairs=pairs
             )
-            if ledger is not None:
-                ledger.record_eval(len(remaining) * len(first.intervals))
             recipient = min(a for a in remaining if values[a][0] >= beta)
             worth = {a: rv for a, (_fv, rv) in values.items()}
         else:

@@ -329,6 +329,19 @@ def _share_to_path_range(share: Share) -> tuple[Rational, Rational]:
     return lo, hi
 
 
+def path_solver(instance: Instance, algorithm: str) -> str:
+    """The solver ``psn_allocate`` runs for ``algorithm``: ``auto`` is
+    identical-4ef for identical valuations (the path cake keeps them) and
+    iterative-divide otherwise; a name that is no path solver raises
+    ``ValueError``."""
+    if algorithm == "auto":
+        algorithm = "identical-4ef" if instance.identical_valuations() else "iterative-divide"
+    solver = SOLVERS.get(algorithm)
+    if solver is None or not solver.on_path:
+        raise ValueError(f"unknown path solver {algorithm!r}")
+    return algorithm
+
+
 def psn_allocate(
     instance: Instance,
     epsilon: Rational = DEFAULT_EPSILON,
@@ -341,13 +354,9 @@ def psn_allocate(
     guarantee transfers verbatim; each agent ends with at most
     certificate-bound many connected pieces.
     """
+    solver = SOLVERS[path_solver(instance, algorithm)]
     bijection, cert = psn_certificate(instance.graph)
     flat = path_instance(instance, bijection)
-    if algorithm == "auto":
-        algorithm = "identical-4ef" if flat.identical_valuations() else "iterative-divide"
-    solver = SOLVERS.get(algorithm)
-    if solver is None or not solver.on_path:
-        raise ValueError(f"unknown path solver {algorithm!r}")
     flat_allocation = solver.run(flat, epsilon, ledger, None)
 
     lifted = []

@@ -9,10 +9,13 @@ from dataclasses import dataclass
 class QueryLedger:
     """Counts of Eval and Cut queries issued during one solve.
 
-    Queries are counted as issued per agent: an Eval per agent and interval
-    evaluated, a Cut per agent asked to cut.  Agents that share one
-    valuation are answered from one evaluation but still count once each.
-    Counts only ever increase.
+    A query is recorded where its answer is computed for the algorithm's
+    use: an Eval per agent and interval valued, a Cut per agent asked to
+    cut.  Agents that share one valuation are answered from one evaluation
+    but still count once each.  A value the solver already holds, carried
+    from an earlier step or known exactly by arithmetic, is not recorded
+    again, nor is a re-valuation made only to check a guarantee.  Counts
+    only ever increase.
     """
 
     evals: int = 0

@@ -42,10 +42,27 @@ class StubGroup:
         return min(iv.edge for iv in self.stubs)
 
 
+def _peel(star: Instance, frontier: dict, worth: dict, quota: Rational, ledger=None) -> Share | None:
+    """Cut a leaf-anchored segment worth exactly ``quota`` off the smallest
+    edge whose residual ``[frontier[e], 1]``, worth ``worth[e]``, carries that
+    much, or return None.  The Cut is exact, so the residual's worth drops by
+    exactly ``quota`` and is not valued again."""
+    candidates = [edge_id for edge_id, value in worth.items() if value >= quota]
+    if not candidates:
+        return None
+    edge_id = min(candidates)
+    lo = frontier[edge_id]
+    pos = cut(star, star.agents[0], EdgeInterval(edge_id, lo, ONE), "lo", quota, ledger).position
+    frontier[edge_id] = pos
+    worth[edge_id] -= quota
+    return canonical_share(star.graph, [EdgeInterval(edge_id, lo, pos)])
+
+
 def star_identical_2ef(instance: Instance, ledger=None) -> Allocation:
     """Allocation of an identical-valuations star with value ratio <= 2.
 
-    Spokes may run either way: the bag filling runs on ``leaf_first(instance)``."""
+    Spokes may run either way: the bag filling runs on ``leaf_first(instance)``.
+    Each edge is valued once; the stubs are valued again only to check them."""
     if not instance.identical_valuations():
         raise ValueError("bag filling requires identical valuations")
     star, flipped = leaf_first(instance)
@@ -58,28 +75,18 @@ def star_identical_2ef(instance: Instance, ledger=None) -> Allocation:
     quota = rational(1, n)
 
     # Peel leaf-anchored segments of value exactly 1/n.  `frontier` tracks the
-    # leaf-side end of the unpeeled remainder [frontier, 1] of each edge.
+    # leaf-side end of the unpeeled remainder [frontier, 1] of each edge, and
+    # `worth` that remainder's value.
     frontier = {e.id: ZERO for e in graph.edges}
-    peels: list[tuple[int, Share]] = []
-    unserved = list(instance.agents)
 
     def residual(edge_id: str) -> EdgeInterval:
         return EdgeInterval(edge_id, frontier[edge_id], ONE)
 
-    while unserved:
-        candidates = [
-            e.id
-            for e in graph.edges
-            if eval_share(star, mu, Share((residual(e.id),)), ledger) >= quota
-        ]
-        if not candidates:
-            break
-        edge_id = min(candidates)
-        seg = residual(edge_id)
-        pos = cut(star, mu, seg, "lo", quota, ledger).position
-        frontier[edge_id] = pos
-        recipient = unserved.pop(0)
-        peels.append((recipient, canonical_share(graph, [EdgeInterval(edge_id, seg.lo, pos)])))
+    worth = {e.id: eval_share(star, mu, Share((residual(e.id),)), ledger) for e in graph.edges}
+    peels: list[tuple[int, Share]] = []
+    unserved = list(instance.agents)
+    while unserved and (share := _peel(star, frontier, worth, quota, ledger)) is not None:
+        peels.append((unserved.pop(0), share))
 
     shares: dict[int, Share] = dict(peels)
     k = len(unserved)
@@ -95,8 +102,8 @@ def star_identical_2ef(instance: Instance, ledger=None) -> Allocation:
         groups = []
         for e in graph.edges:
             iv = residual(e.id)
-            v = eval_share(star, mu, Share((iv,)), ledger)
-            check(v < quota, f"stub on {iv.edge} still worth {v} >= 1/n")
+            v = eval_share(star, mu, Share((iv,)))
+            check(v == worth[e.id] < quota, f"stub on {iv.edge} worth {v}, carried {worth[e.id]}, not below 1/n")
             groups.append(StubGroup((iv,), v))
         total = sum((g.value for g in groups), rational(0))
         check(total == rational(k, n), f"stub total {total} != k/n")

@@ -99,16 +99,19 @@ def run_balance_batch():
     return out
 
 
-def run_star_identical_batch():
-    out = []
-    for seed in range(100):
-        spec = GeneratorSpec(
+def star_identical_specs():
+    """Criterion 5's hundred identical-valuation stars."""
+    return [
+        GeneratorSpec(
             "star", m=1 + seed % 10, n=1 + seed % 8, pieces=1 + seed % 4,
             identical=True, seed=3000 + seed,
         )
-        instance = generate(spec)
-        out.append((instance, star_identical_2ef(instance)))
-    return out
+        for seed in range(100)
+    ]
+
+
+def run_star_identical_batch():
+    return [(instance, star_identical_2ef(instance)) for instance in map(generate, star_identical_specs())]
 
 
 PROP1_POOL = []

@@ -812,16 +812,16 @@ def pin_instances(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command, algorithm, instance, digest", [
-    ("solve", "iterative-divide", "graph", "46e783cdf0602d3310371811b8c34d64ceb9b003ca00f7b686aeac7ad2c3203a"),
-    ("solve", "identical-4ef", "graph-identical", "ee770a107f0c537464237942fafb1e53aae6c4b3b6dc146e54a7e76fa4cb1507"),
+    ("solve", "iterative-divide", "graph", "f782a96a900904fe662743c34037bcaf8b22b664dff3e95835d8da0cd2a07653"),
+    ("solve", "identical-4ef", "graph-identical", "1d2b174b37b59e4b4dda59304f580942d2b227b7a936173c8f2e497d9c6a905b"),
     ("solve", "star-3eps", "star", "0e04f4badd04e6a9fc61743fd2cdab436844ad9ca4922e749824a441c527929f"),
-    ("solve", "identical-2eps", "graph-identical", "55db748f04d3d9ac27977603d5848ee31c0cb5dc55278fb58757df4f386b00ad"),
-    ("solve", "star-identical-2ef", "star-identical", "ab3c52e50c3a33ebe4cc7549af90c20ddfabb4361c1c6750c844c0201bc3b0ee"),
-    ("psn-lift", "iterative-divide", "graph", "71b3decf37adc2139fe64639d08f14eab278e9d644622e1413bba82fae5a9141"),
-    ("psn-lift", "identical-4ef", "graph-identical", "5f6ad58aec44406172ede5826670e0f11d1f4fd86130285c4f239dae3d46a04d"),
-    ("psn-lift", "identical-2eps", "graph-identical", "f8dccc0a44c74dd9e060da22cfb31fcf9618ef4b506ffa43073e8d68113f5cdc"),
-    ("psn-lift", "auto", "graph", "5ca60510aa667969adc7498118d0e4ff4085b4bcb3812467bfb04abf7890670e"),
-    ("psn-lift", "auto", "graph-identical", "d39e8f7a53f08202580c85e39bd0caf42b6cafe19f407050dc6a5e4eb9f45334"),
+    ("solve", "identical-2eps", "graph-identical", "48083095f4ad3ffe94044423408e33fd99283c02062bc456aa3a14b1a786c897"),
+    ("solve", "star-identical-2ef", "star-identical", "337cdedfebeb3b3989dae09664b5cb803f18005e826c9167fbc07607ca9c5531"),
+    ("psn-lift", "iterative-divide", "graph", "a9b59ec1e660513d71529b43270816f1cabdb092117df02231caaff951062035"),
+    ("psn-lift", "identical-4ef", "graph-identical", "4035e37849968ca1d61c6323e7d0817e46203f0d4eaf60d356aa578308327085"),
+    ("psn-lift", "identical-2eps", "graph-identical", "6ecff43d6346f7b4066c647062d353e05fef9dede82e8e528bd8999843167ef3"),
+    ("psn-lift", "auto", "graph", "5bf93e299d8107755ded3cfffb78f2aa596da43cbd06f162ed8bdc4ba412db32"),
+    ("psn-lift", "auto", "graph-identical", "25e261da4636df51db68d7d3233c6d3a5d8e1473ce1d1c70dc086c5e1427cc32"),
 ])
 def test_cli_output_bytes_pinned(pin_instances, tmp_path, command, algorithm, instance, digest):
     """The sha256 of each solver's allocation file, metrics block included,
@@ -1040,12 +1040,52 @@ def test_cli_verify_rejects_pieces_above_the_bound(tmp_path):
         "certificate": psn_certificate(instance.graph)[1].as_dict(),
         "pieces": {"1": 3, "2": 1},
         "fairness": fairness_report(instance, allocation).as_dict(),
+        "epsilon": None,
+        "contract": {"kind": "envy-factor", "bound": "2", "satisfied": True},
     }
     assert metrics["certificate"]["bound"] == 2
     alloc_file.write_bytes(save_allocation(instance, allocation, metrics))
     code, failures = _verify_file(inst_file, alloc_file, tmp_path)
     assert code == 1
     assert failures == ["pieces {'1': 3} above the certified bound 2"]
+
+
+@pytest.mark.parametrize("tamper", [_flip_satisfied, _lower_bound])
+@pytest.mark.parametrize("algorithm, instance", [("auto", "graph"), ("identical-2eps", "graph-identical")])
+def test_cli_verify_rejects_a_tampered_lift_contract(pin_instances, tmp_path, algorithm, instance, tamper):
+    """A psn-lift file claims its path solver's ε and contract, on the
+    graph's fairness report; verify recomputes both."""
+    inst_file, alloc_file = pin_instances[instance], tmp_path / "lift.json"
+    assert run_cli("psn-lift", "--algorithm", algorithm, "--epsilon", "1/2",
+                   "--instance", str(inst_file), "--output", str(alloc_file)) == 0
+    assert _verify_file(inst_file, alloc_file, tmp_path) == (0, [])
+    payload = json.loads(alloc_file.read_text())
+    tamper(payload["metrics"])
+    alloc_file.write_text(json.dumps(payload))
+    code, failures = _verify_file(inst_file, alloc_file, tmp_path)
+    assert code == 1
+    assert failures and all(f.startswith("stored contract does not match") for f in failures)
+
+
+def test_cli_verify_rejects_a_lift_bound_that_fails(pin_instances, tmp_path):
+    """A psn-lift file whose stored claims match recomputation still fails
+    when its path solver's bound does not hold: one agent takes the whole
+    cake."""
+    inst_file, alloc_file = pin_instances["graph"], tmp_path / "lift.json"
+    instance = load_instance(inst_file.read_bytes())
+    allocation = Allocation((full_cake(instance.graph),) + (Share.empty(),) * (instance.n - 1))
+    metrics = {
+        "algorithm": "psn-lift/auto",
+        "certificate": psn_certificate(instance.graph)[1].as_dict(),
+        "pieces": {"1": 1, "2": 0, "3": 0},
+        "fairness": fairness_report(instance, allocation).as_dict(),
+        "epsilon": None,
+        "contract": {"kind": "additive-envy", "bound": "1/2", "satisfied": False},
+    }
+    alloc_file.write_bytes(save_allocation(instance, allocation, metrics))
+    code, failures = _verify_file(inst_file, alloc_file, tmp_path)
+    assert code == 1
+    assert len(failures) == 1 and failures[0].startswith("contracted bound violated")
 
 
 # ---------------------------------------------------------------------------
@@ -1217,6 +1257,21 @@ def test_cli_solve_reports_a_solver_bug_with_exit_1(tmp_path, capsys, monkeypatc
     assert code == 1
     assert got == err
     assert out.exists() == output
+
+
+def test_cli_psn_lift_reports_a_broken_bound_with_exit_1(tmp_path, capsys, monkeypatch):
+    """A path solver that breaks its bound: psn-lift still writes the lifted
+    allocation, claiming the contract unsatisfied, and exits 1 with one
+    stderr line."""
+    inst_file, out = tmp_path / "fig1.json", tmp_path / "lift.json"
+    run_cli("gen", "--family", "fig1", "--output", str(inst_file))
+    monkeypatch.setitem(SOLVERS, "iterative-divide",
+                        dataclasses.replace(SOLVERS["iterative-divide"], run=_everything_to_agent_1))
+    capsys.readouterr()
+    code, err = _exit_and_stderr(capsys, "psn-lift", "--algorithm", "iterative-divide",
+                                 "--instance", str(inst_file), "--output", str(out))
+    assert (code, err) == (1, "contracted bound violated; this is a bug\n")
+    assert json.loads(out.read_text())["metrics"]["contract"]["satisfied"] is False
 
 
 def test_cli_verify_reports_a_metric_bug_with_exit_1(tmp_path, monkeypatch):

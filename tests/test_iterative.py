@@ -139,11 +139,13 @@ def recomputing_fixed_quarter(instance, ledger):
 def test_fixed_rounds_without_a_qualifier_carry_the_worth_on(family, seed):
     """In these instances some round finds nobody valuing the remainder at
     1/4; the carried values go on unchanged to the next round, so the
-    allocation and the query counts equal a loop that values every piece
-    afresh."""
+    allocation equals a loop that values every piece afresh.  That loop
+    asks the same Cuts and more Evals: the carried values are not asked
+    again."""
     inst = generate(GeneratorSpec(family, m=3 + seed % 8, n=3 + seed % 4, pieces=1 + seed % 3, seed=seed))
     carried, fresh = QueryLedger(), QueryLedger()
     alloc = iterative_divide(inst, FIXED_QUARTER, carried)
     assert any(share.is_empty for share in alloc.shares)
     assert alloc == recomputing_fixed_quarter(inst, fresh)
-    assert (carried.evals, carried.cuts) == (fresh.evals, fresh.cuts)
+    assert carried.cuts == fresh.cuts
+    assert carried.evals < fresh.evals

@@ -99,13 +99,14 @@ def _counts(solver, instance, *args):
 
 
 # Exact (evals, cuts) per solve: the ledger counts every agent's queries even
-# where agents sharing a valuation are answered from one evaluation.
+# where agents sharing a valuation are answered from one evaluation, and
+# records no value the solver already holds.
 DIVIDE_COUNTS = [
     # instance, iterative_divide, identical_four_ef, identical_two_eps(1/10)
-    (None, (20, 2), (20, 2), (23, 2)),
-    (1, (979, 0), (1134, 0), (1164, 0)),
-    (2, (1015, 5), (1214, 9), (1468, 9)),
-    (3, (1074, 12), (1116, 0), (1146, 0)),
+    (None, (14, 2), (12, 2), (15, 2)),
+    (1, (441, 0), (506, 0), (536, 0)),
+    (2, (456, 5), (539, 9), (728, 9)),
+    (3, (485, 12), (498, 0), (528, 0)),
 ]
 
 
@@ -117,7 +118,34 @@ def test_divide_based_solvers_query_counts_are_pinned(fig1, seed, iterative, ide
     assert _counts(identical_two_eps, inst, F(1, 10)) == identical2
 
 
-@pytest.mark.parametrize("seed, counts", [(None, (6, 0)), (1, (18, 4)), (2, (15, 3)), (3, (15, 3))])
+def test_divide_based_solvers_count_each_answer_once_on_fig1(fig1):
+    """fig1 is a three-edge star with two agents sharing one valuation, so
+    each carving is one divide round on the whole cake, whose tree has the
+    three edges as its sub-edges.  Nothing is carried into that round and
+    the whole cake is worth 1 without asking, so the round integrates
+    2 agents x 3 sub-edges = 6 Evals, asks both agents of the one cutting
+    group to cut (2 Cuts), and its check values the first share and the
+    remainder for both agents, 2 x (|first| + |remainder|) Evals."""
+    # iterative-divide at 1/4: first = e1 [0, 3/4], remainder = e1 [3/4, 1],
+    # e2 and e3, so 6 + 2 x (1 + 3) = 14.
+    alloc = iterative_divide(fig1)
+    assert [len(s.intervals) for s in alloc.shares] == [1, 3]
+    assert _counts(iterative_divide, fig1) == (6 + 2 * (1 + 3), 2)
+    # identical-4ef at 1/3: first = e1, remainder = e2 and e3, so
+    # 6 + 2 x (1 + 2) = 12.
+    alloc = identical_four_ef(fig1)
+    assert [len(s.intervals) for s in alloc.shares] == [1, 2]
+    assert _counts(identical_four_ef, fig1) == (6 + 2 * (1 + 2), 2)
+    # identical-2eps: that carving, then the balancer values both shares
+    # once for one agent of the shared valuation (1 + 2 intervals); their
+    # ratio 2 is within 2 + 1/10, so no pass runs: 12 + 3 = 15.
+    assert identical_two_eps(fig1, F(1, 10)) == alloc
+    assert _counts(identical_two_eps, fig1, F(1, 10)) == (6 + 2 * (1 + 2) + (1 + 2), 2)
+
+
+# One Eval per edge of the three-edge star, the only time an edge is valued,
+# and one Cut per peel.
+@pytest.mark.parametrize("seed, counts", [(None, (3, 0)), (1, (3, 4)), (2, (3, 3)), (3, (3, 3))])
 def test_star_identical_query_counts_are_pinned(fig1, seed, counts):
     inst = fig1 if seed is None else _loaded("star", 3, 5, seed)
     assert _counts(star_identical_2ef, inst) == counts

@@ -3,14 +3,18 @@ import pytest
 from graphcake.generate import GeneratorSpec, generate
 from graphcake.model import (
     Edge,
+    EdgeInterval,
     Graph,
     Instance,
+    Share,
     eval_share,
     validate_allocation,
 )
-from graphcake.star_identical import star_identical_2ef
+from graphcake.star_eps import leaf_first
+from graphcake.star_identical import _peel, star_identical_2ef
 
 from conftest import F, star_instance, uniform_density
+from test_acceptance import star_identical_specs
 
 
 def values(instance, allocation):
@@ -87,3 +91,24 @@ def test_peel_values_are_exact_quotas():
     assert vals[-1] <= 2 * vals[0]
     # Three of the four shares are exact 1/n peels.
     assert sum(1 for v in vals if v == F(1, 4)) >= 3
+
+
+def test_peels_carry_each_residuals_value():
+    """Over criterion 5's stars, the value the peel loop carries for each
+    residual [frontier, 1] equals a fresh Eval of it after every peel."""
+    peels = 0
+    for spec in star_identical_specs():
+        star, _ = leaf_first(generate(spec))
+        mu, quota = star.agents[0], F(1, star.n)
+        frontier = {e.id: F(0) for e in star.graph.edges}
+
+        def fresh(edge_id):
+            return eval_share(star, mu, Share((EdgeInterval(edge_id, frontier[edge_id], F(1)),)))
+
+        worth = {e.id: fresh(e.id) for e in star.graph.edges}
+        for _ in range(star.n):
+            if _peel(star, frontier, worth, quota) is None:
+                break
+            peels += 1
+            assert worth == {edge_id: fresh(edge_id) for edge_id in worth}
+    assert peels > 100

@@ -118,3 +118,34 @@ def test_unreferenced_methods_detects_and_spares():
 def test_no_unreferenced_methods():
     sources = [path.read_text() for path in sorted((ROOT / "src/graphcake").glob("*.py"))]
     assert unreferenced_methods(sources) == []
+
+
+# The modules that answer queries: only they record them in a ledger.
+LEDGER_WRITERS = {"model.py", "divide.py", "star_eps.py", "queries.py"}
+
+
+def ledger_records(source: str) -> list[str]:
+    """Each naming of ``record_eval`` or ``record_cut``, as a name, an
+    attribute or a definition."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        if name in ("record_eval", "record_cut"):
+            found.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_ledger_records_detects_and_spares():
+    source = "def f(ledger):\n    ledger.record_cut()\n    eval_share(ledger)\n    return record_eval\n"
+    assert ledger_records(source) == ["record_cut (line 2)", "record_eval (line 4)"]
+
+
+def test_only_query_answering_modules_record_queries():
+    found = {
+        path.name: names
+        for path in sorted((ROOT / "src/graphcake").glob("*.py"))
+        if path.name not in LEDGER_WRITERS and (names := ledger_records(path.read_text()))
+    }
+    assert found == {}
