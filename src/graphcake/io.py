@@ -251,7 +251,7 @@ def allocation_from_dict(instance: Instance, data: dict) -> tuple[Allocation, di
             if agent in shares:
                 raise ValueError(f"allocation lists agent {agent!r} twice")
             intervals = [
-                EdgeInterval(t["edge"], parse(t["from"]), parse(t["to"]))
+                EdgeInterval(_json_id(t["edge"], str, "allocation edge id"), parse(t["from"]), parse(t["to"]))
                 for t in _json_list(entry["share"], "share")
             ]
             shares[agent] = canonical_share(instance.graph, intervals)

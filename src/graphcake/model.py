@@ -241,6 +241,8 @@ def _component_labels(graph: Graph, ivs: Sequence[EdgeInterval]) -> list[int]:
     for idx, iv in enumerate(ivs):
         by_edge.setdefault(iv.edge, []).append(idx)
     for idxs in by_edge.values():
+        if len(idxs) == 1:
+            continue
         idxs.sort(key=lambda i: (ivs[i].lo, ivs[i].hi))
         run_end = ivs[idxs[0]].hi
         run_root = idxs[0]

@@ -10,6 +10,8 @@ edges hang as pendant leaves.
 
 from __future__ import annotations
 
+import math
+
 from .rational import Rational, rational
 from dataclasses import dataclass
 from itertools import combinations
@@ -264,18 +266,29 @@ def lift_segment(graph: Graph, bijection: EdgeBijection, lo: Rational, hi: Ratio
     """Connected pieces of the preimage of path range [lo, hi].
 
     Only positive-length slot overlaps contribute (a segment endpoint that
-    grazes a slot boundary adds no material).  Pieces joined through shared
-    graph vertices count as one; piece values sum to the segment's value for
-    every agent because the mapping only relabels positions.
+    grazes a slot boundary adds no material), so only slots floor(lo) to
+    ceil(hi) - 1 are visited, and every slot strictly between the two end
+    slots lifts to its whole edge.  Each edge fills exactly one slot, so no
+    two intervals share an edge: sorted by edge id they are already
+    canonical, and ``canonical_share`` accepts them in one linear check (a
+    hand-built layout that repeats an edge still goes through its merge).
+    Pieces joined through shared graph vertices count as one; piece values
+    sum to the segment's value for every agent because the mapping only
+    relabels positions.
     """
     if not (0 <= lo <= hi <= bijection.m):
         raise ValueError("segment outside the path cake")
+    first, last = math.floor(lo), math.ceil(hi) - 1
     intervals: list[EdgeInterval] = []
-    for slot in range(bijection.m):
-        a = max(lo - slot, ZERO)
-        b = min(hi - slot, ONE)
+    for slot in range(first, last + 1):
+        if first < slot < last:
+            intervals.append(EdgeInterval(bijection.entries[slot].edge, ZERO, ONE))
+            continue
+        a = lo - slot if slot == first else ZERO
+        b = hi - slot if slot == last else ONE
         if a < b:
             intervals.append(bijection.slot_interval(slot, a, b))
+    intervals.sort(key=lambda iv: iv.edge)
     whole = canonical_share(graph, intervals)
     return share_components(graph, whole)
 

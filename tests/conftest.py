@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,24 @@ def star_instance(m, n=2, leaf_weights=None):
     leaf_weights = leaf_weights or [F(1, m)] * m
     val = {e.id: uniform_density(w) for e, w in zip(edges, leaf_weights)}
     return Instance(graph, tuple(range(1, n + 1)), {i: val for i in range(1, n + 1)})
+
+
+# Vertex ids on both sides of "pendant", and two that a pendant leaf name
+# would clash with.
+MULTIGRAPH_NAMES = ("0", "a", "m", "pendant", "pendant e1", "pendant e2'", "pf", "q", "v00", "z")
+
+
+def multigraph(seed):
+    """A connected multigraph on 1-6 of the names above with up to 8 edges,
+    self-loops and parallel edges included."""
+    rng = random.Random(seed)
+    vertices = rng.sample(MULTIGRAPH_NAMES, rng.randint(1, 6))
+    pairs = [(vertices[rng.randrange(k)], vertices[k]) for k in range(1, len(vertices))]
+    while not pairs or len(pairs) < rng.randint(len(vertices), 8):
+        pairs.append((rng.choice(vertices), rng.choice(vertices)))
+    rng.shuffle(pairs)
+    ids = rng.sample(range(1, 10), len(pairs))
+    return Graph(tuple(vertices), tuple(Edge(f"e{k}", pair) for k, pair in zip(ids, pairs)))
 
 
 def _mirrored(instance, edge_ids):

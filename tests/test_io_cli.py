@@ -715,6 +715,18 @@ def test_cli_verify_rejects_non_integer_agent_id(tmp_path, capsys, agent):
     assert err.count("\n") == 1 and "agent id must be an integer" in err
 
 
+@pytest.mark.parametrize("edge", [[], 1, None])
+def test_cli_verify_rejects_non_string_share_edge(tmp_path, capsys, edge):
+    """A one-interval share on a list-valued edge used to reach validation
+    and raise TypeError there."""
+    def edit(agents):
+        agents[0]["share"] = [{"edge": edge, "from": "0", "to": "1"}]
+
+    assert _verify_edited_allocation(tmp_path, edit) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "allocation edge id must be a string" in err
+
+
 def test_cli_psn_certificate(tmp_path):
     tree_file = tmp_path / "tree.json"
     cert_file = tmp_path / "cert.json"

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -30,7 +32,7 @@ from graphcake.generate import GeneratorSpec, generate
 from graphcake.model import Allocation
 from graphcake.rational import ONE, ZERO, Rational, as_pair, rational
 
-from conftest import F, density_value_oracle, star_instance
+from conftest import F, density_value_oracle, multigraph, star_instance
 
 
 def iv(edge, lo, hi):
@@ -380,30 +382,40 @@ def test_degenerate_interval_as_connectivity_witness(fig1):
     assert is_connected(fig1.graph, Share(()))
 
 
-def _brute_force_connected(graph, share):
-    ivs = share.intervals
-    if len(ivs) <= 1:
+def _touch(graph, x, y):
+    """Two intervals touch when they share a point of one edge or an end
+    vertex; a self-loop's positions 0 and 1 are the same vertex."""
+    if x.edge == y.edge and max(x.lo, y.lo) <= min(x.hi, y.hi):
         return True
+    ex, ey = graph.edge(x.edge).endpoints, graph.edge(y.edge).endpoints
+    xv = {ex[0]} if x.lo == 0 else set()
+    xv |= {ex[1]} if x.hi == 1 else set()
+    yv = {ey[0]} if y.lo == 0 else set()
+    yv |= {ey[1]} if y.hi == 1 else set()
+    return bool(xv & yv)
 
-    def touch(x, y):
-        if x.edge == y.edge:
-            return max(x.lo, y.lo) <= min(x.hi, y.hi)
-        ex, ey = graph.edge(x.edge).endpoints, graph.edge(y.edge).endpoints
-        xv = {ex[0]} if x.lo == 0 else set()
-        xv |= {ex[1]} if x.hi == 1 else set()
-        yv = {ey[0]} if y.lo == 0 else set()
-        yv |= {ey[1]} if y.hi == 1 else set()
-        return bool(xv & yv)
 
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(len(ivs)):
-            if j not in reached and touch(ivs[i], ivs[j]):
-                reached.add(j)
-                frontier.append(j)
-    return len(reached) == len(ivs)
+def _brute_force_components(graph, ivs):
+    """Index sets of the connected components of ``_touch``."""
+    unreached = set(range(len(ivs)))
+    components = []
+    while unreached:
+        start = min(unreached)
+        reached = {start}
+        frontier = [start]
+        while frontier:
+            i = frontier.pop()
+            for j in range(len(ivs)):
+                if j not in reached and _touch(graph, ivs[i], ivs[j]):
+                    reached.add(j)
+                    frontier.append(j)
+        unreached -= reached
+        components.append(reached)
+    return components
+
+
+def _brute_force_connected(graph, share):
+    return len(_brute_force_components(graph, share.intervals)) <= 1
 
 
 def test_is_connected_matches_brute_force_on_random_shares():
@@ -420,6 +432,34 @@ def test_is_connected_matches_brute_force_on_random_shares():
             ivs.append(EdgeInterval(e, a, b))
         share = Share(tuple(ivs))
         assert is_connected(graph, share) == _brute_force_connected(graph, share)
+
+
+def test_share_components_match_brute_force_on_multigraphs():
+    """The pieces are the components of ``_touch``, on shares of 1-8
+    intervals that put one interval on some edges and several (overlapping,
+    touching or single points) on others."""
+    rng = random.Random(11)
+    seen = Counter()
+    for seed in range(400):
+        graph = multigraph(seed)
+        edge_ids = rng.sample([e.id for e in graph.edges], rng.randint(1, min(3, len(graph.edges))))
+        ivs = []
+        for _ in range(rng.randint(1, 8)):
+            a, b = sorted((F(rng.randint(0, 4), 4), F(rng.randint(0, 4), 4)))
+            ivs.append(EdgeInterval(rng.choice(edge_ids), a, b))
+        expected = sorted(
+            (canonical_share(graph, [ivs[i] for i in sorted(c)]) for c in _brute_force_components(graph, ivs)),
+            key=lambda s: s.intervals,
+        )
+        assert share_components(graph, Share(tuple(ivs))) == expected
+        per_edge = Counter(iv.edge for iv in ivs)
+        seen["one interval on an edge"] += 1 in per_edge.values()
+        seen["single point"] += any(iv.lo == iv.hi for iv in ivs)
+        for x, y in itertools.combinations(ivs, 2):
+            if x.edge == y.edge:
+                seen["overlapping"] += max(x.lo, y.lo) < min(x.hi, y.hi)
+                seen["touching"] += max(x.lo, y.lo) == min(x.hi, y.hi)
+    assert min(seen.values()) >= 50 and len(seen) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 import hashlib
 import itertools
-import random
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from graphcake.cli import main
 from graphcake.fairness import fairness_report
 from graphcake.generate import GeneratorSpec, generate
 from graphcake.io import save_instance
-from graphcake.model import Edge, Graph, Instance, eval_share
+from graphcake.model import Edge, Graph, Instance, canonical_share, eval_share, share_components
 from graphcake.psn import (
+    EdgeBijection,
+    OrientedEdge,
     graph_is_acyclic,
     lift_segment,
     min_diameter_spanning_tree,
@@ -21,7 +23,7 @@ from graphcake.psn import (
     tree_dfs_bijection,
 )
 
-from conftest import F, path_instance as make_path_instance, star_instance, uniform_density
+from conftest import F, multigraph, path_instance as make_path_instance, star_instance, uniform_density
 
 
 def star_graph(m):
@@ -145,6 +147,66 @@ def test_lift_preserves_values(fig1):
         )
         lifted_val = sum(eval_share(fig1, agent, p) for p in pieces)
         assert lifted_val == flat_val
+
+
+def _lift_every_slot(graph, bijection, lo, hi):
+    """Reference lift: the preimage of [lo, hi] gathered over every slot of
+    the path, then merged and split into components."""
+    intervals = []
+    for slot in range(bijection.m):
+        a = max(lo - slot, F(0))
+        b = min(hi - slot, F(1))
+        if a < b:
+            intervals.append(bijection.slot_interval(slot, a, b))
+    return share_components(graph, canonical_share(graph, intervals))
+
+
+@st.composite
+def _layouts(draw):
+    """A multigraph with self-loops and parallel edges, or a generated tree,
+    with up to 8 edges each, laid out by its certificate or in a random slot
+    order and orientation."""
+    if draw(st.booleans()):
+        graph = multigraph(draw(st.integers(0, 10**6)))
+    else:
+        spec = GeneratorSpec("tree", m=draw(st.integers(1, 8)), n=1, seed=draw(st.integers(0, 10**6)))
+        graph = generate(spec).graph
+    if draw(st.booleans()):
+        return graph, psn_certificate(graph)[0]
+    ids = draw(st.permutations([e.id for e in graph.edges]))
+    flips = draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+    return graph, EdgeBijection(tuple(OrientedEdge(e, r) for e, r in zip(ids, flips)))
+
+
+@st.composite
+def _segments(draw):
+    """A layout and a segment with both ends on the quarter grid of [0, m]."""
+    graph, bijection = draw(_layouts())
+    lo, hi = sorted(draw(st.lists(st.integers(0, 4 * bijection.m), min_size=2, max_size=2)))
+    return graph, bijection, F(lo, 4), F(hi, 4)
+
+
+_EXAMPLE_TREE = fig5_tree()
+_EXAMPLE_LAYOUT = tree_dfs_bijection(_EXAMPLE_TREE, "v00")
+
+
+@settings(max_examples=300, deadline=None)
+@example(case=(_EXAMPLE_TREE, _EXAMPLE_LAYOUT, F(15), F(15)))
+@example(case=(_EXAMPLE_TREE, _EXAMPLE_LAYOUT, F(9, 4), F(11, 4)))
+@given(case=_segments())
+def test_lift_matches_the_every_slot_reference(case):
+    graph, bijection, lo, hi = case
+    assert lift_segment(graph, bijection, lo, hi) == _lift_every_slot(graph, bijection, lo, hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(layout=_layouts())
+def test_exact_psn_is_the_reference_lifts_largest_piece_count(layout):
+    graph, bijection = layout
+    points = [F(k, 2) for k in range(2 * bijection.m + 1)]
+    assert psn_exact_check(graph, bijection) == max(
+        len(_lift_every_slot(graph, bijection, a, b)) for a, b in itertools.combinations(points, 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -347,23 +409,6 @@ def test_exact_check_enforces_size_cap():
 # ---------------------------------------------------------------------------
 # pinned layout bytes
 
-# Vertex ids on both sides of "pendant", and two that a pendant leaf name
-# would clash with.
-MULTIGRAPH_NAMES = ("0", "a", "m", "pendant", "pendant e1", "pendant e2'", "pf", "q", "v00", "z")
-
-
-def _multigraph(seed):
-    """A connected multigraph on 1-6 of the names above with up to 8 edges,
-    self-loops and parallel edges included."""
-    rng = random.Random(seed)
-    vertices = rng.sample(MULTIGRAPH_NAMES, rng.randint(1, 6))
-    pairs = [(vertices[rng.randrange(k)], vertices[k]) for k in range(1, len(vertices))]
-    while not pairs or len(pairs) < rng.randint(len(vertices), 8):
-        pairs.append((rng.choice(vertices), rng.choice(vertices)))
-    rng.shuffle(pairs)
-    ids = rng.sample(range(1, 10), len(pairs))
-    return Graph(tuple(vertices), tuple(Edge(f"e{k}", pair) for k, pair in zip(ids, pairs)))
-
 
 def _uniform_instance(graph):
     density = {e.id: uniform_density(F(1, len(graph.edges))) for e in graph.edges}
@@ -376,7 +421,7 @@ LAYOUT_PIN_GRAPHS = {
     "star": lambda: [star_graph(m) for m in range(1, 13)],
     "random-connected": lambda: [generate(GeneratorSpec("random-connected", m=m, n=1, seed=s)).graph
                                  for m in range(1, 31) for s in range(4)],
-    "multigraph": lambda: [_multigraph(seed) for seed in range(150)],
+    "multigraph": lambda: [multigraph(seed) for seed in range(150)],
 }
 
 
