@@ -41,7 +41,6 @@ from .fairness import (
     brute_force_egalitarian,
     fairness_report,
     prop1_check,
-    pseudo_ef_factor,
 )
 from .generate import GeneratorSpec, fig1_instance, generate
 from .queries import QueryLedger

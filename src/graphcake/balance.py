@@ -34,25 +34,15 @@ from .model import (
 )
 
 
-def _share_values(instance: Instance, allocation: Allocation, ledger=None) -> list[Rational]:
-    mu = instance.agents[0]
-    return [eval_share(instance, mu, s, ledger) for s in allocation.shares]
-
-
-def min_max_path(
-    instance: Instance, allocation: Allocation, ledger=None, values: list[Rational] | None = None
-) -> list[int]:
+def min_max_path(instance: Instance, allocation: Allocation, values: list[Rational]) -> list[int]:
     """Share indices of a shortest contact-graph path from a minimum share to
     a maximum share, e.g. ``[1, 0]``; ``[start]`` when they coincide.
 
     A shortest path never repeats a share, so the four chain conditions hold
     by construction.  Ties on the endpoints go to the smallest index, and
-    the breadth-first search expands neighbors in index order.  ``values``,
-    when given, are the shares' values, which are then neither evaluated
-    nor recorded again.
+    the breadth-first search expands neighbors in index order.  ``values``
+    are the shares' values, which the caller holds; nothing is evaluated.
     """
-    if values is None:
-        values = _share_values(instance, allocation, ledger)
     start = values.index(min(values))
     goal = values.index(max(values))
     if start == goal:
@@ -117,6 +107,7 @@ class BalanceOutcome:
 def balance_path(
     instance: Instance,
     shares: tuple[Share, ...],
+    values: list[Rational],
     epsilon: Rational,
     ledger=None,
 ) -> tuple[tuple[Share, ...], BalanceOutcome]:
@@ -130,16 +121,17 @@ def balance_path(
     be refilled from the maximum share instead, and "case3" when the walk
     reaches the maximum share.
 
-    The valuations must be identical.  Each share is valued once: the chain
-    up front, each union when the walk forms it, and each re-cut's two
-    shares by the ``divide`` core's own check, which is handed the value of
-    the share it splits.  A value the walk reuses is not recorded again.
+    The valuations must be identical.  ``values`` are the chain shares'
+    values, which the caller holds.  A union's value is the sum of its two
+    shares' values, exact because chain shares are disjoint up to points,
+    and each re-cut's two shares are valued by the ``divide`` core's own
+    check, which is handed that value.  The walk itself values nothing.
     """
     graph = instance.graph
     mu = instance.agents[0]
     d = len(shares)
     work = list(shares)
-    values = [eval_share(instance, mu, s, ledger) for s in shares]
+    values = list(values)
     old_values = tuple(values)
     gamma = old_values[-1]
     agents = tuple(instance.agents)
@@ -156,7 +148,7 @@ def balance_path(
             kind, index = ("case1", i + 1) if i > 0 else ("noop", None)
             break
         union = canonical_share(graph, work[i].intervals + work[i + 1].intervals)
-        union_value = eval_share(instance, mu, union, ledger)
+        union_value = values[i] + values[i + 1]
         if union_value < 2 * low:
             # Impossible at the last step: that union contains the maximum share.
             check(i + 1 < d - 1, "under-filled union cannot include the maximum share")
@@ -226,23 +218,24 @@ def recursive_balance(
     condition holds, and the maximum share value never increases.  The
     shares are valued once up front; after that each pass's outcome carries
     the values of the shares it re-cut, into these checks and into the next
-    pass's ``min_max_path``.
+    pass's ``min_max_path`` and ``balance_path``.
     """
     if not instance.identical_valuations():
         raise ValueError("balancing requires identical valuations")
     epsilon = checked_epsilon(epsilon)
     n = instance.n
     max_calls = int(rational(5 * n * n) / epsilon)
-    values = _share_values(instance, allocation, ledger)
+    mu = instance.agents[0]
+    values = [eval_share(instance, mu, s, ledger) for s in allocation.shares]
     check(is_pseudo_four_ef(values), "balancing needs a pseudo ratio-4 input")
     calls = 0
     while max(values) > (2 + epsilon) * min(values):
         check(calls < max_calls, f"balancing exceeded {max_calls} passes")
         previous_max = max(values)
-        chain = min_max_path(instance, allocation, ledger, values)
+        chain = min_max_path(instance, allocation, values)
         check(len(chain) >= 2, "balancing requires distinct min and max shares")
         new_shares, outcome = balance_path(
-            instance, tuple(allocation.shares[i] for i in chain), epsilon, ledger
+            instance, tuple(allocation.shares[i] for i in chain), [values[i] for i in chain], epsilon, ledger
         )
         verify_balance_outcome(outcome, epsilon)
         shares = list(allocation.shares)

@@ -54,7 +54,8 @@ class FairnessReport:
 def fairness_report(instance: Instance, allocation: Allocation) -> FairnessReport:
     """Exact metrics of an allocation; agents sharing a valuation are
     evaluated once.  The envy maxima are compared on integer pairs and each
-    is reduced once."""
+    is reduced once.  ``pseudo_ef`` is the ``pseudo_ratio`` of the first
+    agent's row, defined under identical valuations and n > 1."""
     columns = [eval_share_each(instance, instance.agents, share) for share in allocation.shares]
     matrix = tuple(tuple(column[i] for column in columns) for i in instance.agents)
     additive_n, additive_d = 0, 1  # the largest other - own
@@ -75,28 +76,11 @@ def fairness_report(instance: Instance, allocation: Allocation) -> FairnessRepor
     envy_factor = None if unbounded else from_pair(envy_n, envy_d)
     lowest = min(row[i] for i, row in enumerate(matrix))
     prop = rational(1) / (instance.n * lowest) if lowest else None
-    return FairnessReport(
-        matrix, envy_factor, from_pair(additive_n, additive_d), prop, _pseudo_ef(instance, matrix[0])
-    )
-
-
-def pseudo_ef_factor(instance: Instance, allocation: Allocation) -> Rational | None:
-    """Value ratio after ignoring one minimum-value share.
-
-    Defined only for identical valuations with a positive minimum; a single
-    remaining share reports 1.
-    """
-    mu = instance.agents[0]
-    return _pseudo_ef(instance, (eval_share(instance, mu, s) for s in allocation.shares))
-
-
-def _pseudo_ef(instance: Instance, share_values: Iterable[Rational]) -> Rational | None:
-    """``pseudo_ef_factor`` from the first agent's value of every share: their
-    ``pseudo_ratio`` under identical valuations and n > 1, else None.
-    ``share_values`` is consumed only when the factor is defined."""
     if instance.n == 1 or not instance.identical_valuations():
-        return None
-    return pseudo_ratio(share_values)
+        pseudo_ef = None
+    else:
+        pseudo_ef = pseudo_ratio(matrix[0])
+    return FairnessReport(matrix, envy_factor, from_pair(additive_n, additive_d), prop, pseudo_ef)
 
 
 def pseudo_ratio(values: Iterable[Rational]) -> Rational | None:

@@ -33,22 +33,19 @@ def _is_adaptive(schedule: str) -> bool:
     return schedule == ADAPTIVE_IDENTICAL
 
 
-def threshold(
-    schedule: str, i: int, n: int, allocated_values: list[Rational]
-) -> Rational:
-    """Carving threshold for round ``i`` of ``n - 1``.
+def threshold(schedule: str, i: int, n: int, allocated: Rational) -> Rational:
+    """Carving threshold for round ``i`` of ``n - 1``, after the previous
+    rounds handed out a total value of ``allocated``.
 
-    Fixed: always 1/4.  Adaptive: half of (2i/(2n-1) minus the value already
-    handed out), which stays strictly above 1/(2n-1) while the loop keeps its
+    Fixed: always 1/4.  Adaptive: half of (2i/(2n-1) minus ``allocated``),
+    which stays strictly above 1/(2n-1) while the loop keeps its
     running-sum invariant.
     """
     if not (1 <= i <= n - 1):
         raise ValueError(f"round {i} outside 1..{n - 1}")
-    if len(allocated_values) != i - 1:
-        raise ValueError("allocated_values must list the previous rounds")
     if _is_adaptive(schedule):
         xi = rational(1, 2 * n - 1)
-        return (2 * i * xi - sum(allocated_values, rational(0))) / 2
+        return (2 * i * xi - allocated) / 2
     return rational(1, 4)
 
 
@@ -89,7 +86,7 @@ def iterative_divide(
     remainder = full_cake(instance.graph)
     remaining = list(instance.agents)
     shares: dict[int, Share] = {}
-    allocated_values: list[Rational] = []
+    running = rational(0)  # the value handed out so far (adaptive schedule)
     xi = rational(1, 2 * n - 1)
     # The remainder's value to each agent: 1 for the whole cake, since every
     # valuation sums to 1, and then what the previous round's divide returns.
@@ -97,7 +94,7 @@ def iterative_divide(
     pairs = None
 
     for i in range(1, n):
-        beta = threshold(schedule, i, n, allocated_values)
+        beta = threshold(schedule, i, n, running)
         qualified = [a for a in remaining if worth[a] >= beta]
         if adaptive:
             # Round 1 starts exactly at 1/(2n-1); later rounds stay above it.
@@ -116,8 +113,7 @@ def iterative_divide(
         remaining.remove(recipient)
         if adaptive:
             value = values[recipient][0]
-            allocated_values.append(value)
-            running = sum(allocated_values, rational(0))
+            running += value
             check(
                 xi <= value < (4 - _pow2(-(i - 2))) * xi,
                 f"round {i} share value {value} breaks its window",
@@ -126,8 +122,6 @@ def iterative_divide(
                 (2 * i - 2 + _pow2(-(i - 1))) * xi <= running < 2 * i * xi,
                 f"round {i} running total {running} breaks its window",
             )
-        else:
-            allocated_values.append(rational(0))
 
     last = remaining[0]
     shares[last] = remainder

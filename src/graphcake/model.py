@@ -219,10 +219,10 @@ def contact_nodes(graph: Graph, a: Share, b: Share) -> list[tuple]:
 
 
 def _component_labels(graph: Graph, ivs: Sequence[EdgeInterval]) -> list[int]:
-    """Union-find roots of the interval contact relation.
+    """Union-find roots of the interval contact relation of a canonical share.
 
-    Two intervals touch when they meet at a point of the same edge or when
-    each contains an endpoint position mapping to the same vertex.
+    Canonical same-edge intervals lie strictly apart, so two intervals touch
+    only when each contains an endpoint position mapping to the same vertex.
     """
     parent = list(range(len(ivs)))
 
@@ -236,22 +236,6 @@ def _component_labels(graph: Graph, ivs: Sequence[EdgeInterval]) -> list[int]:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
-
-    by_edge: dict[str, list[int]] = {}
-    for idx, iv in enumerate(ivs):
-        by_edge.setdefault(iv.edge, []).append(idx)
-    for idxs in by_edge.values():
-        if len(idxs) == 1:
-            continue
-        idxs.sort(key=lambda i: (ivs[i].lo, ivs[i].hi))
-        run_end = ivs[idxs[0]].hi
-        run_root = idxs[0]
-        for i in idxs[1:]:
-            if ivs[i].lo <= run_end:
-                union(i, run_root)
-            else:
-                run_root = i
-            run_end = max(run_end, ivs[i].hi)
 
     at_vertex: dict[str, list[int]] = {}
     for idx, iv in enumerate(ivs):
@@ -269,28 +253,31 @@ def _component_labels(graph: Graph, ivs: Sequence[EdgeInterval]) -> list[int]:
 def is_connected(graph: Graph, share: Share) -> bool:
     """True iff the share is topologically connected.
 
-    Two intervals touch when they meet at a point of the same edge or when
-    each contains an endpoint position mapping to the same vertex.  An empty
-    share is trivially connected.
+    An empty share and a lone interval are trivially connected.  Otherwise
+    the share goes through ``canonical_share`` (one linear check when it is
+    canonical already), after which two intervals touch only through a
+    shared vertex.
     """
     ivs = share.intervals
     if len(ivs) <= 1:
         return True
-    labels = _component_labels(graph, ivs)
+    labels = _component_labels(graph, canonical_share(graph, ivs).intervals)
     return all(label == labels[0] for label in labels)
 
 
 def share_components(graph: Graph, share: Share) -> list[Share]:
-    """Maximal connected pieces of a share, in canonical order."""
-    ivs = share.intervals
-    if not ivs:
-        return []
+    """Maximal connected pieces of a share, in canonical order.
+
+    The share goes through ``canonical_share`` first, so each piece is a
+    subsequence of a canonical tuple: canonical as it stands, and listed in
+    the order of its first interval, which is the order of the pieces.
+    """
+    ivs = canonical_share(graph, share.intervals).intervals
     labels = _component_labels(graph, ivs)
     grouped: dict[int, list[EdgeInterval]] = {}
     for label, iv in zip(labels, ivs):
         grouped.setdefault(label, []).append(iv)
-    pieces = [canonical_share(graph, group) for group in grouped.values()]
-    return sorted(pieces, key=lambda s: s.intervals)
+    return [Share(tuple(group)) for group in grouped.values()]
 
 
 def _is_canonical(intervals: Sequence[EdgeInterval]) -> bool:

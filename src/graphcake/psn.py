@@ -270,8 +270,8 @@ def lift_segment(graph: Graph, bijection: EdgeBijection, lo: Rational, hi: Ratio
     ceil(hi) - 1 are visited, and every slot strictly between the two end
     slots lifts to its whole edge.  Each edge fills exactly one slot, so no
     two intervals share an edge: sorted by edge id they are already
-    canonical, and ``canonical_share`` accepts them in one linear check (a
-    hand-built layout that repeats an edge still goes through its merge).
+    canonical, and ``share_components`` canonicalises them in one linear
+    check (a hand-built layout that repeats an edge still gets merged).
     Pieces joined through shared graph vertices count as one; piece values
     sum to the segment's value for every agent because the mapping only
     relabels positions.
@@ -289,8 +289,7 @@ def lift_segment(graph: Graph, bijection: EdgeBijection, lo: Rational, hi: Ratio
         if a < b:
             intervals.append(bijection.slot_interval(slot, a, b))
     intervals.sort(key=lambda iv: iv.edge)
-    whole = canonical_share(graph, intervals)
-    return share_components(graph, whole)
+    return share_components(graph, Share(tuple(intervals)))
 
 
 def psn_exact_check(graph: Graph, bijection: EdgeBijection) -> int:

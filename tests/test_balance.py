@@ -10,7 +10,7 @@ from graphcake.balance import (
     recursive_balance,
     verify_balance_outcome,
 )
-from graphcake.fairness import pseudo_ef_factor
+from graphcake.fairness import fairness_report
 from graphcake.generate import GeneratorSpec, generate
 from graphcake.iterative import identical_four_ef
 from graphcake.model import (
@@ -47,7 +47,7 @@ def test_min_max_path_on_chain():
         Share((EdgeInterval("e3", F(1, 10), F(1)),)),
     ))
     assert share_values(inst, alloc.shares) == [F(1, 2), F(1, 5), F(3, 10)]
-    chain = min_max_path(inst, alloc)
+    chain = min_max_path(inst, alloc, share_values(inst, alloc.shares))
     assert chain == [1, 0]
     assert len(chain) == 2
 
@@ -58,14 +58,14 @@ def test_min_max_path_all_equal_is_single():
         Share((EdgeInterval("e1", F(0), F(1)),)),
         Share((EdgeInterval("e2", F(0), F(1)),)),
     ))
-    chain = min_max_path(inst, alloc)
+    chain = min_max_path(inst, alloc, share_values(inst, alloc.shares))
     assert len(chain) == 1
     assert chain == [0]
 
 
 def test_min_max_path_through_cut_point(fig1):
     alloc = identical_four_ef(fig1)
-    chain = min_max_path(fig1, alloc)
+    chain = min_max_path(fig1, alloc, share_values(fig1, alloc.shares))
     assert len(chain) == 2
     assert share_values(fig1, [alloc.shares[i] for i in chain]) == [F(1, 3), F(2, 3)]
 
@@ -77,7 +77,7 @@ def test_min_max_path_through_cut_point(fig1):
 def test_balance_path_refill_from_maximum():
     inst = single_edge_instance(n=2)
     chain = (seg(0, F(1, 10)), seg(F(1, 10), F(3, 5)))
-    new, outcome = balance_path(inst, chain, F(1, 2))
+    new, outcome = balance_path(inst, chain, share_values(inst, chain), F(1, 2))
     assert outcome.kind == "case3"
     assert share_values(inst, new) == [F(1, 5), F(2, 5)]
     verify_balance_outcome(outcome, F(1, 2))
@@ -86,7 +86,7 @@ def test_balance_path_refill_from_maximum():
 def test_balance_path_absorb_then_recut_maximum():
     inst = single_edge_instance(n=3)
     chain = (seg(0, F(1, 20)), seg(F(1, 20), F(3, 20)), seg(F(3, 20), F(13, 20)))
-    new, outcome = balance_path(inst, chain, F(1, 2))
+    new, outcome = balance_path(inst, chain, share_values(inst, chain), F(1, 2))
     assert outcome.kind == "case2"
     assert outcome.index == 1
     assert share_values(inst, new) == [F(3, 20), F(1, 6), F(1, 3)]
@@ -99,7 +99,7 @@ def test_balance_path_returns_unchanged_when_first_share_fine():
     # anything (values 1/8, 1/4, 1/4 with eps = 1/2 put the bar at 1/10).
     inst = single_edge_instance(n=3)
     chain = (seg(0, F(1, 8)), seg(F(1, 8), F(3, 8)), seg(F(3, 8), F(5, 8)))
-    new, outcome = balance_path(inst, chain, F(1, 2))
+    new, outcome = balance_path(inst, chain, share_values(inst, chain), F(1, 2))
     assert outcome.kind == "noop"
     assert new == chain
 
@@ -108,11 +108,31 @@ def test_balance_path_case1_stops_midway():
     # First share too small, second already comfortable: one re-cut then stop.
     inst = single_edge_instance(n=3)
     chain = (seg(0, F(1, 20)), seg(F(1, 20), F(1, 2)), seg(F(1, 2), F(1)))
-    new, outcome = balance_path(inst, chain, F(1, 2))
+    new, outcome = balance_path(inst, chain, share_values(inst, chain), F(1, 2))
     verify_balance_outcome(outcome, F(1, 2))
     assert outcome.kind in ("case1", "case3")
     total_before = sum(share_values(inst, chain))
     assert sum(share_values(inst, new)) == total_before
+
+
+@pytest.mark.parametrize(
+    "hand_traced",
+    [
+        test_balance_path_refill_from_maximum,
+        test_balance_path_absorb_then_recut_maximum,
+        test_balance_path_returns_unchanged_when_first_share_fine,
+        test_balance_path_case1_stops_midway,
+    ],
+)
+def test_balance_path_values_no_share_itself(monkeypatch, hand_traced):
+    """Each hand-traced pass runs on the values it is handed: the chain's
+    come from the caller and a union's is the sum of its two."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("balance_path valued a share")
+
+    monkeypatch.setattr(balance, "eval_share", refuse)
+    hand_traced()
 
 
 def test_verify_balance_outcome_rejects_an_unknown_kind():
@@ -188,8 +208,8 @@ def test_recursive_balance_respects_call_cap(monkeypatch):
     # A pass that changes nothing runs the loop into its bound 5n²/ε = 800;
     # its "noop" outcome hands back the chain's own values, and the pass
     # check, which rejects a "noop", is switched off.
-    def unchanged(instance, shares, epsilon, ledger):
-        values = tuple(share_values(instance, shares))
+    def unchanged(instance, shares, values, epsilon, ledger):
+        values = tuple(values)
         return shares, BalanceOutcome("noop", None, values[-1], values, values)
 
     monkeypatch.setattr(balance, "balance_path", unchanged)
@@ -247,4 +267,4 @@ def test_pseudo_four_ef_matches_report(fig1):
     alloc = identical_four_ef(fig1)
     vals = share_values(fig1, alloc.shares)
     assert is_pseudo_four_ef(vals)
-    assert pseudo_ef_factor(fig1, alloc) == F(1)
+    assert fairness_report(fig1, alloc).pseudo_ef == F(1)

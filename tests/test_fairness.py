@@ -4,7 +4,6 @@ from graphcake.fairness import (
     brute_force_egalitarian,
     fairness_report,
     prop1_check,
-    pseudo_ef_factor,
 )
 from graphcake.generate import GeneratorSpec, generate
 from graphcake.model import (
@@ -65,7 +64,7 @@ def test_pseudo_ef_examples():
         Share((seg("e1", F(31, 100), F(61, 100)),)),
         Share((seg("e1", F(61, 100), 1),)),
     ))
-    assert pseudo_ef_factor(inst, alloc) == F(13, 10)
+    assert fairness_report(inst, alloc).pseudo_ef == F(13, 10)
 
     with_zero = Allocation((
         Share(()),
@@ -73,20 +72,16 @@ def test_pseudo_ef_examples():
         Share((seg("e1", F(1, 3), F(2, 3)),)),
         Share((seg("e1", F(2, 3), 1),)),
     ))
-    assert pseudo_ef_factor(inst, with_zero) is None
+    assert fairness_report(inst, with_zero).pseudo_ef is None
 
     two = single_edge_instance(n=2)
     uneven = Allocation((Share((seg("e1", 0, F(1, 5)),)), Share((seg("e1", F(1, 5), 1),))))
-    assert pseudo_ef_factor(two, uneven) == 1
-
-    for instance, allocation in ((inst, alloc), (inst, with_zero), (two, uneven)):
-        assert fairness_report(instance, allocation).pseudo_ef == pseudo_ef_factor(instance, allocation)
+    assert fairness_report(two, uneven).pseudo_ef == 1
 
 
 def test_pseudo_ef_undefined_for_non_identical():
     inst = generate(GeneratorSpec("star", m=3, n=2, seed=1))
     alloc = Allocation((Share((seg("e01", 0, 1),)), Share((seg("e02", 0, 1), seg("e03", 0, 1)))))
-    assert pseudo_ef_factor(inst, alloc) is None
     assert fairness_report(inst, alloc).pseudo_ef is None
 
 

@@ -18,27 +18,27 @@ from conftest import F, single_edge_instance
 
 
 def test_threshold_fixed_quarter():
-    assert threshold(FIXED_QUARTER, 1, 5, []) == F(1, 4)
-    assert threshold(FIXED_QUARTER, 4, 5, [F(0)] * 3) == F(1, 4)
+    assert threshold(FIXED_QUARTER, 1, 5, F(0)) == F(1, 4)
+    assert threshold(FIXED_QUARTER, 4, 5, F(0)) == F(1, 4)
 
 
 def test_threshold_adaptive_examples():
-    assert threshold(ADAPTIVE_IDENTICAL, 1, 2, []) == F(1, 3)
-    assert threshold(ADAPTIVE_IDENTICAL, 2, 3, [F(1, 5)]) == F(3, 10)
+    assert threshold(ADAPTIVE_IDENTICAL, 1, 2, F(0)) == F(1, 3)
+    assert threshold(ADAPTIVE_IDENTICAL, 2, 3, F(1, 5)) == F(3, 10)
 
 
 def test_threshold_argument_validation():
     with pytest.raises(ValueError):
-        threshold(FIXED_QUARTER, 0, 3, [])
+        threshold(FIXED_QUARTER, 0, 3, F(0))
     with pytest.raises(ValueError):
-        threshold(FIXED_QUARTER, 2, 3, [])
+        threshold(FIXED_QUARTER, 3, 3, F(0))
 
 
 @pytest.mark.parametrize("schedule", ["bogus", "adaptive", "", None])
 def test_unknown_schedule_rejected(fig1, schedule):
     # Both entry points reach the same check, a one-agent instance included.
     with pytest.raises(ValueError, match="unknown threshold schedule"):
-        threshold(schedule, 1, 3, [])
+        threshold(schedule, 1, 3, F(0))
     with pytest.raises(ValueError, match="unknown threshold schedule"):
         iterative_divide(fig1, schedule)
     single = generate(GeneratorSpec("star", m=3, n=1, seed=1))

@@ -451,7 +451,11 @@ def test_share_components_match_brute_force_on_multigraphs():
             (canonical_share(graph, [ivs[i] for i in sorted(c)]) for c in _brute_force_components(graph, ivs)),
             key=lambda s: s.intervals,
         )
-        assert share_components(graph, Share(tuple(ivs))) == expected
+        share = Share(tuple(ivs))
+        pieces = share_components(graph, share)
+        assert pieces == expected
+        assert is_connected(graph, share) == (len(pieces) <= 1)
+        assert all(canonical_share(graph, p.intervals) == p for p in pieces)
         per_edge = Counter(iv.edge for iv in ivs)
         seen["one interval on an edge"] += 1 in per_edge.values()
         seen["single point"] += any(iv.lo == iv.hi for iv in ivs)
@@ -460,6 +464,34 @@ def test_share_components_match_brute_force_on_multigraphs():
                 seen["overlapping"] += max(x.lo, y.lo) < min(x.hi, y.hi)
                 seen["touching"] += max(x.lo, y.lo) == min(x.hi, y.hi)
     assert min(seen.values()) >= 50 and len(seen) == 4
+
+
+LOOPED = Graph(("a", "b", "c"), (Edge("e", ("a", "b")), Edge("f", ("b", "c")), Edge("loop", ("b", "b"))))
+
+
+@pytest.mark.parametrize(
+    "ivs, pieces",
+    [
+        # Overlapping same-edge intervals: only the merge joins them.
+        (
+            [iv("e", F(1, 4), F(1, 2)), iv("e", F(1, 3), F(3, 4)), iv("f", F(1, 2), 1)],
+            [[iv("e", F(1, 4), F(3, 4))], [iv("f", F(1, 2), 1)]],
+        ),
+        # A self-loop touches itself: positions 0 and 1 are both vertex b.
+        (
+            [iv("loop", 0, F(1, 4)), iv("loop", F(3, 4), 1)],
+            [[iv("loop", 0, F(1, 4)), iv("loop", F(3, 4), 1)]],
+        ),
+        # A single point at vertex b, which f's interval covers.
+        ([iv("e", 1, 1), iv("f", 0, F(1, 2))], [[iv("f", 0, F(1, 2))]]),
+        # A single point at vertex a, which no other interval reaches.
+        ([iv("f", 0, F(1, 2)), iv("e", 0, 0)], [[iv("e", 0, 0)], [iv("f", 0, F(1, 2))]]),
+    ],
+)
+def test_share_components_on_hand_built_cases(ivs, pieces):
+    share = Share(tuple(ivs))
+    assert share_components(LOOPED, share) == [Share(tuple(p)) for p in pieces]
+    assert is_connected(LOOPED, share) == (len(pieces) == 1)
 
 
 # ---------------------------------------------------------------------------

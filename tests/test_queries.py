@@ -105,7 +105,7 @@ DIVIDE_COUNTS = [
     # instance, iterative_divide, identical_four_ef, identical_two_eps(1/10)
     (None, (14, 2), (12, 2), (15, 2)),
     (1, (441, 0), (506, 0), (536, 0)),
-    (2, (456, 5), (539, 9), (728, 9)),
+    (2, (456, 5), (539, 9), (701, 9)),
     (3, (485, 12), (498, 0), (528, 0)),
 ]
 
