@@ -2,16 +2,19 @@
 
 Densities are random small-denominator rationals rescaled so every agent's
 total is exactly 1; the same spec and seed always produce identical bytes.
+Breakpoints have denominators 4, 6, 8 or 12, so an agent's total is summed
+as one integer over their common denominator, 24, and a piece of weight w
+gets density 24 * w / total: the only rationals built are the final ones.
 """
 
 from __future__ import annotations
 
 import random
-
-from .rational import Rational, rational
 from dataclasses import dataclass
+from math import lcm
 
-from .model import Edge, Graph, Instance, StepDensity, ZERO, ONE
+from .model import Edge, Graph, Instance, StepDensity
+from .rational import rational
 
 FAMILIES = ("star", "tree", "random-connected", "fig1")
 
@@ -42,30 +45,33 @@ def fig1_instance() -> Instance:
     return Instance(graph, (1, 2), {1: density, 2: density})
 
 
-def _random_breakpoints(rng: random.Random, pieces: int) -> tuple[Rational, ...]:
-    k = rng.randint(1, pieces)
-    denom = rng.choice((4, 6, 8, 12))
-    interior = sorted(rng.sample(range(1, denom), min(k - 1, denom - 1)))
-    return (ZERO, *(rational(i, denom) for i in interior), ONE)
+DENOMINATORS = (4, 6, 8, 12)
+LCM = lcm(*DENOMINATORS)
+MAX_WEIGHT = 8
+# Every breakpoint, by denominator and numerator.
+_POINTS = {d: tuple(rational(i, d) for i in range(d + 1)) for d in DENOMINATORS}
 
 
 def _random_valuation(rng: random.Random, edge_ids: list[str], pieces: int) -> dict[str, StepDensity]:
-    raw: dict[str, tuple[tuple[Rational, ...], list[int]]] = {}
-    total = rational(0)
+    raw: dict[str, tuple[int, list[int], list[int]]] = {}
+    total = 0  # in units of 1/LCM
     for e in edge_ids:
-        bp = _random_breakpoints(rng, pieces)
-        weights = [rng.randint(0, 8) for _ in range(len(bp) - 1)]
-        raw[e] = (bp, weights)
-        for i, w in enumerate(weights):
-            total += w * (bp[i + 1] - bp[i])
-    if total == 0:
+        k = rng.randint(1, pieces)
+        denom = rng.choice(DENOMINATORS)
+        steps = [0, *sorted(rng.sample(range(1, denom), min(k - 1, denom - 1))), denom]
+        weights = [rng.randint(0, MAX_WEIGHT) for _ in range(len(steps) - 1)]
+        raw[e] = (denom, steps, weights)
+        total += LCM // denom * sum(w * (r - l) for w, l, r in zip(weights, steps, steps[1:]))
+    if not total:
         # Worthless draws get a uniform fallback on the first edge.
-        bp, weights = raw[edge_ids[0]]
+        denom, steps, weights = raw[edge_ids[0]]
         weights[0] = 1
-        total = bp[1] - bp[0]
+        total = LCM // denom * steps[1]
+    # Weight w on a piece is a density of LCM * w / total.
+    scaled = [rational(LCM * w, total) for w in range(MAX_WEIGHT + 1)]
     return {
-        e: StepDensity(bp, tuple(rational(w) / total for w in weights))
-        for e, (bp, weights) in raw.items()
+        e: StepDensity(tuple(map(_POINTS[denom].__getitem__, steps)), tuple(map(scaled.__getitem__, weights)))
+        for e, (denom, steps, weights) in raw.items()
     }
 
 

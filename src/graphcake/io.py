@@ -20,7 +20,7 @@ import json
 import re
 from typing import Any, Callable
 
-from .rational import Rational, rational
+from .rational import Rational, as_pair, rational
 
 from .model import (
     Allocation,
@@ -63,7 +63,9 @@ def _document_parser() -> Callable[[Any], Rational]:
 
 
 def format_rational(value: Rational) -> str:
-    return str(rational(value))
+    """``value`` as ``"p/q"`` in lowest terms, or ``"p"`` for an integer."""
+    numerator, denominator = as_pair(value)
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
 
 
 def _json_id(value: Any, expected: type, what: str) -> Any:
@@ -149,6 +151,16 @@ def _json_key(key: Any) -> str:
 
 
 def instance_to_dict(instance: Instance) -> dict:
+    formatted: dict[int, dict] = {}  # one text per valuation mapping, shared by its agents
+    for valuation in instance.valuations.values():
+        if id(valuation) not in formatted:
+            formatted[id(valuation)] = {
+                edge_id: {
+                    "breakpoints": [format_rational(b) for b in d.breakpoints],
+                    "densities": [format_rational(v) for v in d.values],
+                }
+                for edge_id, d in sorted(valuation.items())
+            }
     return {
         "graph": {
             "vertices": sorted(instance.graph.vertices),
@@ -158,16 +170,7 @@ def instance_to_dict(instance: Instance) -> dict:
             ],
         },
         "agents": [
-            {
-                "id": agent,
-                "valuation": {
-                    edge_id: {
-                        "breakpoints": [format_rational(b) for b in d.breakpoints],
-                        "densities": [format_rational(v) for v in d.values],
-                    }
-                    for edge_id, d in sorted(instance.valuations[agent].items())
-                },
-            }
+            {"id": agent, "valuation": formatted[id(instance.valuations[agent])]}
             for agent in instance.agents
         ],
     }

@@ -15,6 +15,7 @@ edge touches every other share containing the corresponding vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .rational import ONE, Rational, ZERO, as_pair, from_pair, pair_sum, rational, reduced_pair
@@ -370,21 +371,24 @@ class StepDensity:
         points = list(map(as_pair, self.breakpoints))
         if len(points) < 2 or points[0][0] or points[-1][0] != points[-1][1]:
             raise ValueError("breakpoints must run from 0 to 1")
-        for (ln, ld), (rn, rd) in zip(points, points[1:]):
-            if ln * rd >= rn * ld:
-                raise ValueError("breakpoints must strictly increase")
-        weights = list(map(as_pair, self.values))
-        if len(weights) != len(points) - 1:
-            raise ValueError("need one density value per piece")
-        for vn, _ in weights:
-            if vn < 0:
-                raise ValueError("densities must be nonnegative")
+        # One loop checks the order and builds the table; a missing value
+        # reads as 0 until the count check after it.
+        values = self.values
         pieces = []
+        negative = False
         cn, cd = 0, 1
-        for (bn, bd), (rn, rd), (vn, vd) in zip(points, points[1:], weights):
+        for (bn, bd), (rn, rd), value in zip(points, points[1:], chain(values, repeat(0))):
+            if bn * rd >= rn * bd:
+                raise ValueError("breakpoints must strictly increase")
+            vn, vd = as_pair(value)
+            negative = negative or vn < 0
             on, od = reduced_pair(cn * vd * bd - vn * bn * cd, cd * vd * bd)  # o = cum - v * b
             cn, cd = reduced_pair(vn * rn * od + on * vd * rd, vd * rd * od)  # v * r + o
             pieces.append((bn, bd, vn, vd, on, od, cn, cd))
+        if len(values) != len(pieces):
+            raise ValueError("need one density value per piece")
+        if negative:
+            raise ValueError("densities must be nonnegative")
         object.__setattr__(self, "_pieces", tuple(pieces))
 
     @classmethod
@@ -528,7 +532,7 @@ class Instance:
                     raise ValueError(f"agent {agent} must value every edge exactly once")
                 tn, td = 0, 1
                 for density in val.values():
-                    tn, td = pair_sum(tn, td, *as_pair(density.total))
+                    tn, td = pair_sum(tn, td, *density._pieces[-1][6:])
                 if tn != td:
                     raise ValueError(f"agent {agent} valuation sums to {from_pair(tn, td)}, not 1")
                 distinct.append(val)

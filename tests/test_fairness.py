@@ -103,6 +103,14 @@ def test_prop1_bounds():
     assert envy_free.prop_bound_from_ef == 1
     assert envy_free.ok
 
+    # Envy-free, so the additive envy must be 0; proportional for n = 4,
+    # which allows additive envy up to 1/2.
+    only_additive = prop1_check(_Stub(F(1), F(1, 10), F(1)), 4)
+    assert only_additive.additive_bound_from_ef == 0
+    assert only_additive.ef_implies_additive is False
+    assert only_additive.ef_implies_prop and only_additive.prop_implies_additive
+    assert not only_additive.ok
+
 
 def test_prop1_holds_on_solver_outputs():
     from graphcake.iterative import identical_four_ef, iterative_divide

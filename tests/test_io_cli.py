@@ -18,6 +18,7 @@ from graphcake.cli import main
 from graphcake.generate import FAMILIES, GeneratorSpec, fig1_instance, generate
 from graphcake.io import (
     dumps_canonical,
+    instance_to_dict,
     load_allocation,
     load_instance,
     parse_rational,
@@ -281,6 +282,14 @@ def test_io_round_trip_shares_equal_valuations():
     assert not distinct.identical_valuations()
 
 
+def test_instance_to_dict_formats_a_shared_valuation_once():
+    spec = GeneratorSpec("random-connected", m=5, n=3, pieces=3, identical=True, seed=3)
+    agents = instance_to_dict(generate(spec))["agents"]
+    assert all(entry["valuation"] is agents[0]["valuation"] for entry in agents)
+    agents = instance_to_dict(generate(dataclasses.replace(spec, identical=False)))["agents"]
+    assert len({id(entry["valuation"]) for entry in agents}) == 3
+
+
 def _instance_from_texts(document: dict) -> Instance:
     """The instance a document describes, built with ``Fraction(text)`` and
     the model classes only."""
@@ -413,6 +422,36 @@ def test_generate_deterministic_bytes():
     assert save_instance(generate(spec)) == save_instance(generate(spec))
     other = GeneratorSpec("star", m=5, n=3, pieces=3, seed=8)
     assert save_instance(generate(spec)) != save_instance(generate(other))
+
+
+# Every random family, identical and not, pieces 1-4 and n 1-5, then fig1,
+# then a draw whose weights are all 0, so that it takes the fallback.
+PINNED_SPECS = [
+    GeneratorSpec(family, m=1 + k % 6, n=1 + k % 5, pieces=pieces, identical=identical, seed=100 + k)
+    for k, (family, identical, pieces) in enumerate(
+        (family, identical, pieces)
+        for family in ("star", "tree", "random-connected")
+        for identical in (False, True)
+        for pieces in (1, 2, 3, 4)
+    )
+] + [GeneratorSpec("fig1"), GeneratorSpec("random-connected", m=2, n=1, pieces=3, seed=7922)]
+
+
+def test_generated_bytes_are_pinned():
+    """The generator's bytes do not change from one version to the next."""
+    digest = hashlib.sha256()
+    for spec in PINNED_SPECS:
+        digest.update(save_instance(generate(spec)))
+    assert digest.hexdigest() == "252463991d826e51a093d34d6b5013811ec09600ff5c38dea424560a6d06087c"
+
+
+def test_worthless_draw_falls_back_to_the_first_piece():
+    valuation = generate(PINNED_SPECS[-1]).valuations[1]
+    first, *rest = sorted(valuation)
+    assert len(valuation[first].values) == 3 and rest
+    assert valuation[first].values[0] > 0
+    assert not any(valuation[first].values[1:])
+    assert not any(v for e in rest for v in valuation[e].values)
 
 
 def test_generated_families_are_valid():
@@ -881,6 +920,21 @@ def test_cli_verify_rejects_tampered_contract(tmp_path):
     assert any(f.startswith("stored contract does not match") for f in failures)
 
 
+def test_cli_verify_rejects_an_edited_fairness_matrix(pin_instances, tmp_path):
+    """One stored value of one agent for another's share is changed; only
+    the comparison with the recomputed report can tell."""
+    inst_file, alloc_file = pin_instances["graph"], tmp_path / "alloc.json"
+    assert run_cli("solve", "--algorithm", "iterative-divide", "--instance", str(inst_file),
+                   "--output", str(alloc_file)) == 0
+    payload = json.loads(alloc_file.read_text())
+    row = payload["metrics"]["fairness"]["matrix"][0]
+    row[1] = str(parse_rational(row[1]) + Fraction(1, 100))
+    alloc_file.write_text(json.dumps(payload))
+    assert _verify_file(inst_file, alloc_file, tmp_path) == (
+        1, ["stored fairness metrics do not match recomputation"]
+    )
+
+
 def _flip_satisfied(metrics):
     metrics["contract"]["satisfied"] = not metrics["contract"]["satisfied"]
 
@@ -1114,9 +1168,28 @@ _json_values = st.recursive(
 )
 
 
+class _Text(str):
+    pass
+
+
+_SHARED = {"breakpoints": ["0", "1"], "densities": ["1"]}
+
+
 @given(_json_values)
 @example({"b": [], "a": {}, "é\n\"": [float("inf"), -0.0, True, None, "\u2603\t"]})
 @example({10: "x", 2: ("y", [1.5])})
+# Lists and tuples of strings: the leaves of every instance and allocation.
+@example(["0", "1/4", "1"])
+@example(("a", "b"))
+@example({"breakpoints": ["0", "1"], "densities": ("3/2",), "id": "e1"})
+@example([])
+@example(["a", ["b", "c"], "d", []])
+@example([_Text("sub"), "plain"])
+@example(["plain", {"k": _Text("v")}])
+@example(["é", "☃", "\U0001f600", "\ud800", "\n\t\"\\/", "\x00\x1f\x7f"])
+# One dict held twice at one indent and once more at another, as
+# instance_to_dict shares one valuation between agents.
+@example({"a": _SHARED, "b": _SHARED, "c": [_SHARED, {"d": _SHARED}]})
 @settings(max_examples=300, deadline=None)
 def test_dumps_canonical_matches_json_dumps(value):
     assert dumps_canonical(value) == (json.dumps(value, sort_keys=True, indent=2) + "\n").encode("utf-8")

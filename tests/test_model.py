@@ -807,6 +807,30 @@ def test_step_density_validation():
         StepDensity((F(0), F(1, 2), F(1, 2), F(1)), (F(1), F(1), F(1)))
 
 
+RUN = "breakpoints must run from 0 to 1"
+INCREASE = "breakpoints must strictly increase"
+COUNT = "need one density value per piece"
+NEGATIVE = "densities must be nonnegative"
+
+
+@pytest.mark.parametrize("breakpoints, values, message", [
+    ((0,), (), RUN),
+    ((0, F(1, 2)), (1, -1), RUN),
+    ((0, F(1, 2), F(1, 2), 1), (1,), INCREASE),
+    ((0, F(1, 2), F(1, 2), 1), (-1, 1, 1, 1), INCREASE),
+    ((0, F(1, 4), F(3, 4), F(3, 4), 1), (-1, 1, 1, 1), INCREASE),
+    ((0, F(1, 2), 1), (-1,), COUNT),
+    ((0, F(1, 2), 1), (1, 1, -1), COUNT),
+    ((0, F(1, 2), 1), (1, -1), NEGATIVE),
+])
+def test_step_density_checks_its_rules_in_order(breakpoints, values, message):
+    """Input that breaks several rules gets the message of the first: the
+    ends, the order of every breakpoint, the count of values, their signs."""
+    with pytest.raises(ValueError) as caught:
+        StepDensity(breakpoints, values)
+    assert str(caught.value) == message
+
+
 def test_interval_bounds_validation():
     with pytest.raises(ValueError):
         EdgeInterval("e1", F(-1, 2), F(1, 2))

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from graphcake.rational import Rational, as_pair, from_pair, pair_sum, rational
+from graphcake.rational import Rational, _build, as_pair, from_pair, pair_sum, rational
 
 ARITHMETIC = [operator.add, operator.sub, operator.mul, operator.truediv]
 COMPARISONS = [operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge]
@@ -214,6 +214,22 @@ def test_pairs_round_trip_every_accepted_type(value, kind, scale):
         got = from_pair(value.numerator * scale, value.denominator * scale)
         assert type(got) is Rational
         _assert_same(got, value)
+
+
+def test_fraction_internals_that_rational_writes():
+    """``rational._build`` makes values without ``Fraction``'s constructor,
+    by writing its private slots; a CPython whose ``fractions`` module
+    changes them fails here with one message."""
+    message = (
+        "rational._build writes Fraction's _numerator and _denominator slots, "
+        "and this Python's fractions.Fraction no longer keeps its value there"
+    )
+    assert {"_numerator", "_denominator"} <= set(Fraction.__slots__), message
+    assert Rational.__slots__ == (), message
+    for numerator, denominator in ((6, 7), (-3, 1), (0, 1), (10**30 + 1, 3)):
+        built, plain = _build(numerator, denominator), Fraction(numerator, denominator)
+        assert (built.numerator, built.denominator) == (numerator, denominator), message
+        assert built == plain and hash(built) == hash(plain) and str(built) == str(plain), message
 
 
 def test_negation_stays_rational():
