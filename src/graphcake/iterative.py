@@ -50,7 +50,9 @@ def threshold(schedule: str, i: int, n: int, allocated: Rational) -> Rational:
 
 
 def _pow2(exponent: int) -> Rational:
-    return rational(2) ** exponent
+    """2**exponent, built from ints: ``Rational`` inherits ``**`` from
+    ``Fraction``, which would return a plain ``Fraction``."""
+    return rational(1 << exponent, 1) if exponent >= 0 else rational(1, 1 << -exponent)
 
 
 def iterative_divide(

@@ -19,8 +19,7 @@ loop runs on integer ``(numerator, denominator)`` pairs end to end: cut
 positions, interval ends, values and targets are pairs, compared by
 cross-multiplying, and only what a trade stores is reduced.  A segment
 trade's new share stays three fields until something reads
-``Trading.shares``, which builds it as a checked ``Share``; ``own`` holds
-``Rational`` values.
+``Trading.shares``, which builds it as a checked ``Share``.
 """
 
 from __future__ import annotations
@@ -190,11 +189,12 @@ class Trading:
       lo, hi, lo_row, hi_row)``;
     - ``targets``: every agent's own value + eps', a reduced pair; bids
       compare a value pair with a target by cross-multiplying;
-    - ``own``: every agent's own value, a ``Rational``.
+    - ``own_pairs``: every agent's own value, a reduced pair.
 
-    ``shares`` reads every agent's share as a ``Share``.  A segment trade
-    stores the trader's new share as ``(edge id, lo, hi)``; ``shares``
-    builds it, checked by ``EdgeInterval``, when something first reads it.
+    ``shares`` reads every agent's share as a ``Share``, and ``own`` every
+    agent's own value as a ``Rational``.  A segment trade stores the
+    trader's new share as ``(edge id, lo, hi)``; ``shares`` builds it,
+    checked by ``EdgeInterval``, when something first reads it.
 
     A segment trade replaces the free entry it cuts with the remainder, or
     deletes it; every trade returns the trader's held parts to the free
@@ -243,8 +243,8 @@ class Trading:
             for lo, hi in complement_spans(parts, outer.lo, outer.hi):
                 lo, hi = as_pair(lo), as_pair(hi)
                 self.free[edge_id].append(_span(lo, hi, self._row(edge_id, lo), self._row(edge_id, hi)))
-        self.own = [eval_share(instance, a, s, ledger) for a, s in zip(instance.agents, self._shares)]
-        self.targets = [self._plus_eps_prime(*as_pair(v)) for v in self.own]
+        self.own_pairs = [as_pair(eval_share(instance, a, s, ledger)) for a, s in zip(instance.agents, self._shares)]
+        self.targets = [self._plus_eps_prime(*v) for v in self.own_pairs]
 
     @property
     def shares(self) -> list[Share]:
@@ -255,6 +255,11 @@ class Trading:
                 edge_id, lo, hi = share
                 shares[idx] = Share((EdgeInterval(edge_id, from_pair(*lo), from_pair(*hi)),))
         return shares
+
+    @property
+    def own(self) -> list[Rational]:
+        """Every agent's own value, built from its reduced pair."""
+        return [from_pair(*v) for v in self.own_pairs]
 
     def _plus_eps_prime(self, vn: int, vd: int) -> tuple[int, int]:
         en, ed = self._eps_prime
@@ -311,7 +316,7 @@ class Trading:
                 lo, _, _, lo_row, _ = spans.pop(i)
             spans.insert(i, _span(lo, hi, lo_row, hi_row))
         self.held[idx] = held
-        self.own[idx] = from_pair(vn, vd)
+        self.own_pairs[idx] = new_value
         self.targets[idx] = self._plus_eps_prime(vn, vd)
 
     def step(self) -> bool:
@@ -524,12 +529,14 @@ def star_three_eps(
         check(trading.iteration <= iteration_cap, "trading loop exceeded its bound")
         if trace is not None:
             trader = trading.last_trader
+            # A reduced pair with a positive denominator, written as str(Fraction) writes it.
+            vn, vd = trading.own_pairs[trader - 1]
             trace.append(
                 {
                     "iteration": trading.iteration,
                     "phase": "2a" if trading.tags[trader - 1] == "N1" else "2b",
                     "trader": trader,
-                    "value": str(trading.own[trader - 1]),
+                    "value": str(vn) if vd == 1 else f"{vn}/{vd}",
                 }
             )
         if trading.iteration % 64 == 0:

@@ -470,6 +470,17 @@ def test_partition_check_sees_a_sub_edge_the_tree_lost(monkeypatch, solve):
         solve(triangle_instance(n=2))
 
 
+def test_first_share_check_sees_a_cut_that_overshoots(monkeypatch):
+    """A cut that lands where the first share is worth 2*beta breaks the
+    first share's bound."""
+    divide_module = importlib.import_module("graphcake.divide")
+    cut = divide_module.cut
+    monkeypatch.setattr(divide_module, "cut", lambda inst, a, iv, anchor, target: cut(inst, a, iv, anchor, 2 * target))
+    inst = single_edge_instance()
+    with pytest.raises(ContractViolation, match=r"first share worth 1/2 >= 2\*beta to agent 1"):
+        divide(inst, full_cake(inst.graph), (1, 2), F(1, 4), "b")
+
+
 def fresh_pairs(instance, share, agents):
     """Each agent's ``integral_pair`` of every interval of ``share``."""
     return {

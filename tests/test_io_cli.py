@@ -898,6 +898,17 @@ def test_cli_trace_keeps_output_bytes(pin_instances, tmp_path, capsys):
     assert digests[0] == digests[1]
 
 
+def test_cli_trace_lines_pinned(pin_instances, tmp_path, capsys):
+    """The sha256 of star-3eps's ``--trace`` stream, every trade's
+    ``"value"`` string included."""
+    capsys.readouterr()
+    assert run_cli("solve", "--algorithm", "star-3eps", "--epsilon", "1/2", "--trace",
+                   "--instance", str(pin_instances["star"]), "--output", str(tmp_path / "out.json")) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 328
+    assert hashlib.sha256(err.encode()).hexdigest() == "a0679d26384b5b849cacc24597351a166f2ac9051abafdec1ff2df5547a17bb1"
+
+
 def _verify_file(inst_file, alloc_file, tmp_path):
     report = tmp_path / "report.json"
     code = run_cli("verify", "--instance", str(inst_file), "--allocation", str(alloc_file),

@@ -6,6 +6,7 @@ from graphcake.generate import GeneratorSpec, generate
 from graphcake.iterative import (
     ADAPTIVE_IDENTICAL,
     FIXED_QUARTER,
+    _pow2,
     identical_four_ef,
     iterative_divide,
     threshold,
@@ -13,6 +14,7 @@ from graphcake.iterative import (
 from graphcake.divide import divide
 from graphcake.model import Allocation, Share, eval_share, eval_share_each, full_cake, validate_allocation
 from graphcake.queries import QueryLedger
+from graphcake.rational import Rational
 
 from conftest import F, single_edge_instance
 
@@ -25,6 +27,12 @@ def test_threshold_fixed_quarter():
 def test_threshold_adaptive_examples():
     assert threshold(ADAPTIVE_IDENTICAL, 1, 2, F(0)) == F(1, 3)
     assert threshold(ADAPTIVE_IDENTICAL, 2, 3, F(1, 5)) == F(3, 10)
+
+
+@pytest.mark.parametrize("exponent", [-5, -1, 0, 1, 3])
+def test_pow2_is_a_rational(exponent):
+    value = _pow2(exponent)
+    assert type(value) is Rational and value == Fraction(2) ** exponent
 
 
 def test_threshold_argument_validation():

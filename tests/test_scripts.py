@@ -42,3 +42,14 @@ def test_line_census_lists_unreached_lines_and_a_total():
     assert any(line.endswith(": star, flipped = leaf_first(instance)") for line in listed)
     assert not any(line.startswith("src/graphcake/iterative.py:") and "for i in range(1, n):" in line
                    for line in listed)
+
+
+def test_xver_prints_one_digest_per_interpreter():
+    lines = run_script("scripts/xver.py", "--specs", "2", sys.executable, sys.executable)
+    assert len(lines) == 2
+    digests = {re.fullmatch(rf"([0-9a-f]{{64}})  \S+ +22 commands  {re.escape(sys.executable)}", line)[1]
+               for line in lines}
+    assert len(digests) == 1
+    missing = subprocess.run([sys.executable, "scripts/xver.py", "--specs", "1", str(ROOT / "no-such-python")],
+                             cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert missing.returncode == 1 and "no-such-python" in missing.stderr

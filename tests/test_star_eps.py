@@ -207,6 +207,23 @@ def test_finalize_refuses_a_gap_that_borders_no_share():
         finalize(state)
 
 
+def test_finalize_refuses_a_segment_share_worth_over_own_plus_eps_prime():
+    """Agent 2's segment share is worth 17/64 to agent 1, whose own share
+    is worth 1/4: exactly 1/4 + 2 eps', so more than 1/4 + eps'."""
+    inst = _two_edge_star_halves()
+    layout = prepare_layout(inst, F(1, 2))
+    assert layout.eps_prime == F(1, 128)
+    state = Trading(
+        inst,
+        layout,
+        (Share((EdgeInterval("e1", F(0), F(1, 2)),)), Share((EdgeInterval("e2", F(0), F(17, 32)),))),
+        ("N1", "N1"),
+        2,
+    )
+    with pytest.raises(ContractViolation, match="segment share of agent 2 too valuable to agent 1"):
+        finalize(state)
+
+
 def test_finalize_with_no_center_star_left():
     # Agent 3 values e01 at 0 and agent 4 values e02 at 0, so their zero cut
     # targets put both boundaries at the center: no inner sliver is left.
