@@ -220,35 +220,41 @@ def contact_nodes(graph: Graph, a: Share, b: Share) -> list[tuple]:
 
 
 def _component_labels(graph: Graph, ivs: Sequence[EdgeInterval]) -> list[int]:
-    """Union-find roots of the interval contact relation of a canonical share.
+    """Component label of each interval of a canonical share: the smallest
+    index among the intervals joined to it through shared vertices.
 
     Canonical same-edge intervals lie strictly apart, so two intervals touch
-    only when each contains an endpoint position mapping to the same vertex.
+    only when each holds an edge end mapping to the same vertex.  The ends
+    are read as integer pairs: an interval holds its edge's first endpoint
+    when ``lo``'s numerator is 0, and its second when ``hi``'s numerator
+    equals its denominator.  One flat union-find joins each interval to the
+    first interval seen at every vertex it holds.  Each root is the smallest
+    index of its set, so ``parent[i] <= i`` throughout, and one forward pass
+    turns every parent into its root.
     """
+    edge_map = graph._edge_map
     parent = list(range(len(ivs)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    at_vertex: dict[str, list[int]] = {}
-    for idx, iv in enumerate(ivs):
-        u, w = graph.edge(iv.edge).endpoints
-        if iv.lo == ZERO:
-            at_vertex.setdefault(u, []).append(idx)
-        if iv.hi == ONE:
-            at_vertex.setdefault(w, []).append(idx)
-    for idxs in at_vertex.values():
-        for i in idxs[1:]:
-            union(i, idxs[0])
-    return [find(i) for i in range(len(ivs))]
+    first_at: dict[str, int] = {}
+    for i, iv in enumerate(ivs):
+        ln, _ = as_pair(iv.lo)
+        hn, hd = as_pair(iv.hi)
+        if ln and hn != hd:
+            continue
+        u, w = edge_map[iv.edge].endpoints
+        for vertex in (w,) if ln else (u, w) if hn == hd else (u,):
+            j = first_at.setdefault(vertex, i)
+            r = i
+            while parent[j] != j:  # path halving
+                parent[j] = j = parent[parent[j]]
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            if j < r:
+                parent[r] = j
+            elif r < j:
+                parent[j] = r
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]
+    return parent
 
 
 def is_connected(graph: Graph, share: Share) -> bool:

@@ -10,10 +10,7 @@ edges hang as pendant leaves.
 
 from __future__ import annotations
 
-import math
-
-from .rational import Rational, rational
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import ClassVar
 
@@ -32,6 +29,7 @@ from .model import (
     share_components,
     validate_allocation,
 )
+from .rational import Rational, as_pair, from_reduced_pair, rational
 from .solvers import DEFAULT_EPSILON, SOLVERS
 
 EXACT_CHECK_EDGE_CAP = 20
@@ -48,17 +46,30 @@ class EdgeBijection:
     """Layout of all graph edges as consecutive unit slots of a path."""
 
     entries: tuple[OrientedEdge, ...]
+    # The whole edge [0, 1] of each slot, built once and shared by every lift.
+    _whole: tuple[EdgeInterval, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_whole", tuple(EdgeInterval(e.edge, ZERO, ONE) for e in self.entries))
 
     @property
     def m(self) -> int:
         return len(self.entries)
 
-    def slot_interval(self, slot: int, lo: Rational, hi: Rational) -> EdgeInterval:
-        """Edge interval corresponding to path range [slot+lo, slot+hi]."""
+    def _slot_interval(self, slot: int, an: int, ad: int, bn: int, bd: int) -> EdgeInterval:
+        """Edge interval corresponding to path range [slot + an/ad, slot +
+        bn/bd], the pairs in lowest terms with positive denominators.
+
+        A reversed slot maps x = n/d to 1 - x = (d - n)/d, which stays in
+        lowest terms, since gcd(d - n, d) = gcd(n, d); so no value needs a
+        gcd.  The range [0, 1] is the slot's shared whole-edge interval.
+        """
+        if not an and bn == bd:
+            return self._whole[slot]
         entry = self.entries[slot]
         if entry.reversed:
-            return EdgeInterval(entry.edge, ONE - hi, ONE - lo)
-        return EdgeInterval(entry.edge, lo, hi)
+            an, ad, bn, bd = bd - bn, bd, ad - an, ad
+        return EdgeInterval(entry.edge, from_reduced_pair(an, ad), from_reduced_pair(bn, bd))
 
 
 @dataclass(frozen=True)
@@ -267,28 +278,36 @@ def lift_segment(graph: Graph, bijection: EdgeBijection, lo: Rational, hi: Ratio
 
     Only positive-length slot overlaps contribute (a segment endpoint that
     grazes a slot boundary adds no material), so only slots floor(lo) to
-    ceil(hi) - 1 are visited, and every slot strictly between the two end
-    slots lifts to its whole edge.  Each edge fills exactly one slot, so no
-    two intervals share an edge: sorted by edge id they are already
-    canonical, and ``share_components`` canonicalises them in one linear
-    check (a hand-built layout that repeats an edge still gets merged).
-    Pieces joined through shared graph vertices count as one; piece values
-    sum to the segment's value for every agent because the mapping only
-    relabels positions.
+    ceil(hi) - 1 are visited.  The segment's ends are read as integer
+    pairs: lo - floor(lo) and hi - (ceil(hi) - 1) stay in lowest terms,
+    since subtracting an integer from a reduced pair keeps its gcd at 1, so
+    the two end slots build their intervals with no ``Rational``
+    arithmetic, and every slot strictly between them is the layout's shared
+    whole-edge interval.  Each edge fills exactly one slot, so no two
+    intervals share an edge: sorted by edge id they are already canonical,
+    and ``share_components`` canonicalises them in one linear check (a
+    hand-built layout that repeats an edge still gets merged).  Pieces
+    joined through shared graph vertices count as one; piece values sum to
+    the segment's value for every agent because the mapping only relabels
+    positions.
     """
-    if not (0 <= lo <= hi <= bijection.m):
+    ln, ld = as_pair(lo)
+    hn, hd = as_pair(hi)
+    if not (0 <= ln and ln * hd <= hn * ld and hn <= bijection.m * hd):
         raise ValueError("segment outside the path cake")
-    first, last = math.floor(lo), math.ceil(hi) - 1
-    intervals: list[EdgeInterval] = []
-    for slot in range(first, last + 1):
-        if first < slot < last:
-            intervals.append(EdgeInterval(bijection.entries[slot].edge, ZERO, ONE))
-            continue
-        a = lo - slot if slot == first else ZERO
-        b = hi - slot if slot == last else ONE
-        if a < b:
-            intervals.append(bijection.slot_interval(slot, a, b))
-    intervals.sort(key=lambda iv: iv.edge)
+    first, last = ln // ld, -(-hn // hd) - 1
+    an, bn = ln - first * ld, hn - last * hd  # lo - first = an/ld, hi - last = bn/hd
+    if first < last:
+        intervals = [
+            bijection._slot_interval(first, an, ld, 1, 1),
+            *bijection._whole[first + 1:last],
+            bijection._slot_interval(last, 0, 1, bn, hd),
+        ]
+        intervals.sort(key=lambda iv: iv.edge)
+    elif first == last and an * hd < bn * ld:
+        intervals = [bijection._slot_interval(first, an, ld, bn, hd)]
+    else:
+        intervals = []
     return share_components(graph, Share(tuple(intervals)))
 
 

@@ -13,7 +13,9 @@ values are ``Fraction``'s own, so callers may pass Fraction values anywhere.
 run on integer ``(numerator, denominator)`` pairs: it reads its operands'
 pairs, adds and multiplies plain ints without reducing, and reduces once at
 the end, to a pair or to a value, so a sum of k terms is reduced once
-instead of k times (Knuth, TAOCP vol. 2, 4.5.1).
+instead of k times (Knuth, TAOCP vol. 2, 4.5.1).  A kernel whose pairs stay
+in lowest terms by construction builds its values with
+``from_reduced_pair``, with no gcd at all.
 """
 
 from __future__ import annotations
@@ -157,6 +159,11 @@ def _build(numerator, denominator):
     result._numerator = numerator
     result._denominator = denominator
     return result
+
+
+# The public name of ``_build``: for a kernel whose own arithmetic keeps its
+# pairs in lowest terms, so that no gcd is needed.  Unchecked.
+from_reduced_pair = _build
 
 
 # The reductions below are Fraction's own (Knuth, TAOCP vol. 2, 4.5.1),

@@ -494,6 +494,42 @@ def test_share_components_on_hand_built_cases(ivs, pieces):
     assert is_connected(LOOPED, share) == (len(pieces) == 1)
 
 
+def _retyped(x, kind):
+    """``x`` as a ``Fraction``, a ``Rational``, or an ``int`` when it is whole."""
+    if kind == "int" and x.denominator == 1:
+        return int(x)
+    return rational(x) if kind == "Rational" else Fraction(x)
+
+
+def test_share_components_read_int_fraction_and_rational_ends():
+    """The vertex rule reads each end as an integer pair, whatever the end's
+    type: every share gives the same pieces, and the brute-force ones, with
+    its ends all ``Fraction``, all ``Rational``, whole ends as ``int``, or a
+    mix of the three."""
+    rng = random.Random(29)
+    kinds = ("int", "Fraction", "Rational")
+    seen = Counter()
+    for seed in range(300):
+        graph = multigraph(seed)
+        edge_ids = [e.id for e in graph.edges]
+        ivs = []
+        for _ in range(rng.randint(1, 6)):
+            a, b = sorted((F(rng.randint(0, 4), 4), F(rng.randint(0, 4), 4)))
+            ivs.append(EdgeInterval(rng.choice(edge_ids), a, b))
+        expected = sorted(
+            (canonical_share(graph, [ivs[i] for i in sorted(c)]) for c in _brute_force_components(graph, ivs)),
+            key=lambda s: s.intervals,
+        )
+        for mix in [[kind] * len(ivs) for kind in kinds] + [[rng.choice(kinds) for _ in ivs]]:
+            retyped = Share(tuple(
+                EdgeInterval(x.edge, _retyped(x.lo, kind), _retyped(x.hi, kind)) for x, kind in zip(ivs, mix)
+            ))
+            seen.update(type(end).__name__ for x in retyped.intervals for end in (x.lo, x.hi))
+            assert share_components(graph, retyped) == expected
+            assert is_connected(graph, retyped) == (len(expected) <= 1)
+    assert min(seen[name] for name in ("int", "Fraction", "Rational")) >= 100
+
+
 # ---------------------------------------------------------------------------
 # validation and canonical form
 

@@ -1,5 +1,8 @@
 import hashlib
 import itertools
+import random
+from collections import Counter
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -9,7 +12,7 @@ from graphcake.cli import main
 from graphcake.fairness import fairness_report
 from graphcake.generate import GeneratorSpec, generate
 from graphcake.io import save_instance
-from graphcake.model import Edge, Graph, Instance, canonical_share, eval_share, share_components
+from graphcake.model import Edge, EdgeInterval, Graph, Instance, canonical_share, eval_share, share_components
 from graphcake.psn import (
     EdgeBijection,
     OrientedEdge,
@@ -22,6 +25,7 @@ from graphcake.psn import (
     psn_exact_check,
     tree_dfs_bijection,
 )
+from graphcake.rational import Rational, rational
 
 from conftest import F, multigraph, path_instance as make_path_instance, star_instance, uniform_density
 
@@ -153,11 +157,13 @@ def _lift_every_slot(graph, bijection, lo, hi):
     """Reference lift: the preimage of [lo, hi] gathered over every slot of
     the path, then merged and split into components."""
     intervals = []
-    for slot in range(bijection.m):
+    for slot, entry in enumerate(bijection.entries):
         a = max(lo - slot, F(0))
         b = min(hi - slot, F(1))
         if a < b:
-            intervals.append(bijection.slot_interval(slot, a, b))
+            if entry.reversed:
+                a, b = 1 - b, 1 - a
+            intervals.append(EdgeInterval(entry.edge, a, b))
     return share_components(graph, canonical_share(graph, intervals))
 
 
@@ -197,6 +203,49 @@ _EXAMPLE_LAYOUT = tree_dfs_bijection(_EXAMPLE_TREE, "v00")
 def test_lift_matches_the_every_slot_reference(case):
     graph, bijection, lo, hi = case
     assert lift_segment(graph, bijection, lo, hi) == _lift_every_slot(graph, bijection, lo, hi)
+
+
+def test_lifted_endpoints_are_reduced_rationals():
+    """The lift builds its end-slot positions from integer pairs with no gcd,
+    so every end must already be a ``Rational`` in lowest terms, forward
+    slot or reversed, for segment ends given as ``int``, ``Fraction`` or
+    ``Rational``: an unreduced pair would compare unequal to the same value.
+    Each segment also lifts to the reference pieces."""
+    rng = random.Random(29)
+    kinds = {"int": int, "Fraction": F, "Rational": rational}
+    seen = Counter()
+    for seed in range(12):
+        graph = multigraph(seed)
+        ids = [e.id for e in graph.edges]
+        rng.shuffle(ids)
+        flips = [k % 2 == seed % 2 for k in range(len(ids))]
+        bijection = EdgeBijection(tuple(OrientedEdge(e, r) for e, r in zip(ids, flips)))
+        reversed_slot = dict(zip(ids, flips))
+        points = [F(k, 6) for k in range(6 * bijection.m + 1)]
+        for (lo, hi), (name, kind) in itertools.product(itertools.combinations(points, 2), kinds.items()):
+            if name == "int" and (lo.denominator, hi.denominator) != (1, 1):
+                continue
+            pieces = lift_segment(graph, bijection, kind(lo), kind(hi))
+            assert pieces == _lift_every_slot(graph, bijection, lo, hi)
+            for piece in pieces:
+                for interval in piece.intervals:
+                    for end in (interval.lo, interval.hi):
+                        reduced = Fraction(end.numerator, end.denominator)
+                        assert type(end) is Rational
+                        assert end == reduced and hash(end) == hash(reduced)
+                        seen[name, reversed_slot[interval.edge], end.denominator > 1] += 1
+    assert len(seen) == 3 * 2 * 2 - 2  # int ends give no mid-edge positions
+    assert min(seen.values()) >= 20
+
+
+def test_bijection_equality_and_hash_ignore_the_whole_slot_cache():
+    entries = (OrientedEdge("e1", False), OrientedEdge("e2", True))
+    first, second = EdgeBijection(entries), EdgeBijection(entries)
+    assert first._whole == (EdgeInterval("e1", 0, 1), EdgeInterval("e2", 0, 1))
+    object.__setattr__(second, "_whole", ())
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second) == f"EdgeBijection(entries={entries!r})"
+    assert first != EdgeBijection(entries[::-1])
 
 
 @settings(max_examples=40, deadline=None)
