@@ -4,9 +4,10 @@
 Each interpreter given runs one fixed batch in a fresh isolated process
 (``-I``, with only this checkout's ``src`` added to its path): for every
 generator spec below, ``gen``, ``solve`` with every solver, ``psn`` and
-``psn-lift`` with every lift choice, through the command-line front end.
-The batch's digest is the sha256 of every command line, its exit code and
-the bytes it wrote.  A solver that refuses an instance (a star solver on a
+``psn-lift`` with every lift choice, through the command-line front end,
+and ``verify`` on every file that ``solve`` and ``psn-lift`` write.  The
+batch's digest is the sha256 of every command line, its exit code and the
+bytes it wrote.  A solver that refuses an instance (a star solver on a
 non-star, an identical-valuation solver on distinct valuations) exits 2 and
 writes nothing, which the digest records too.
 
@@ -55,6 +56,17 @@ def batch(count):
 
     digest = hashlib.sha256()
     commands = 0
+
+    def run(argv, out):
+        nonlocal commands
+        argv = argv + ["--output", out.name]
+        code = main(argv)
+        payload = out.read_bytes() if out.exists() else b""
+        digest.update(f"{' '.join(argv)} -> {code} {len(payload)}\n".encode())
+        digest.update(payload)
+        commands += 1
+        return payload
+
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
         os.chdir(tmp)
@@ -70,14 +82,11 @@ def batch(count):
                 runs += [(["psn-lift", "--algorithm", name, "--instance", inst.name], Path("out.json"))
                          for name in _lift_choices()]
                 for argv, out in runs:
-                    argv += ["--output", out.name]
-                    code = main(argv)
-                    payload = out.read_bytes() if out.exists() else b""
+                    if run(argv, out) and argv[0] in ("solve", "psn-lift"):
+                        run(["verify", "--instance", inst.name, "--allocation", out.name], Path("verify.json"))
+                        Path("verify.json").unlink(missing_ok=True)
                     if out != inst:
                         out.unlink(missing_ok=True)
-                    digest.update(f"{' '.join(argv)} -> {code} {len(payload)}\n".encode())
-                    digest.update(payload)
-                    commands += 1
         finally:
             os.chdir(cwd)
     return digest.hexdigest(), commands

@@ -25,7 +25,6 @@ from .model import (
     canonical_share,
     check,
     checked_epsilon,
-    contact_nodes,
     eval_share,
     full_cake,
     node_sort_key,
@@ -42,18 +41,23 @@ def min_max_path(instance: Instance, allocation: Allocation, values: list[Ration
     by construction.  Ties on the endpoints go to the smallest index, and
     the breadth-first search expands neighbors in index order.  ``values``
     are the shares' values, which the caller holds; nothing is evaluated.
+
+    The shares must be pairwise disjoint up to points, with no single-point
+    interval, as in a valid allocation of shares worth more than 0.  Then a
+    point lies in two shares exactly when it is an interval end of each, so
+    two shares touch when their ``share_boundary_nodes`` meet.
     """
     start = values.index(min(values))
     goal = values.index(max(values))
     if start == goal:
         return [start]
 
-    graph = instance.graph
-    n = instance.n
+    points = [share_boundary_nodes(instance.graph, share) for share in allocation.shares]
+    n = len(points)
     touch: list[list[int]] = [[] for _ in range(n)]  # ascending by construction
     for i in range(n):
         for j in range(i + 1, n):
-            if contact_nodes(graph, allocation.shares[i], allocation.shares[j]):
+            if not points[i].isdisjoint(points[j]):
                 touch[i].append(j)
                 touch[j].append(i)
 
@@ -88,9 +92,10 @@ def _root_point(graph, share: Share) -> str | PointOnEdge:
 
 
 def _contact_point(graph, a: Share, b: Share) -> str | PointOnEdge:
-    nodes = contact_nodes(graph, a, b)
+    """First common point, vertices first, of two touching chain shares."""
+    nodes = share_boundary_nodes(graph, a) & share_boundary_nodes(graph, b)
     check(bool(nodes), "consecutive chain shares must touch")
-    return _as_root(nodes[0])
+    return _as_root(min(nodes, key=node_sort_key))
 
 
 @dataclass(frozen=True)
@@ -222,6 +227,8 @@ def recursive_balance(
     """
     if not instance.identical_valuations():
         raise ValueError("balancing requires identical valuations")
+    if not validate_allocation(instance, allocation).ok:
+        raise ValueError("balancing requires a valid allocation")
     epsilon = checked_epsilon(epsilon)
     n = instance.n
     max_calls = int(rational(5 * n * n) / epsilon)

@@ -20,7 +20,7 @@ from .io import (
     save_allocation,
     save_instance,
 )
-from .model import ContractViolation, checked_epsilon, share_components, validate_allocation
+from .model import ContractViolation, checked_epsilon, piece_count, validate_allocation
 from .psn import path_solver, psn_allocate, psn_certificate
 from .queries import QueryLedger
 from .solvers import DEFAULT_EPSILON, SOLVERS, Solver, contract
@@ -79,7 +79,7 @@ def _lift_claims(instance, allocation) -> dict:
     return {
         "certificate": cert.as_dict(),
         "pieces": {
-            str(agent): len(share_components(instance.graph, share))
+            str(agent): piece_count(instance.graph, share)
             for agent, share in zip(instance.agents, allocation.shares)
         },
     }

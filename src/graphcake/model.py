@@ -160,20 +160,13 @@ def full_cake(graph: Graph) -> Share:
 # Point/vertex identification and share geometry
 
 
-def vertex_at(graph: Graph, edge_id: str, pos: Rational) -> str | None:
-    """Vertex id if the position is an edge end, else None."""
-    if pos == ZERO:
-        return graph.edge(edge_id).endpoints[0]
-    if pos == ONE:
-        return graph.edge(edge_id).endpoints[1]
-    return None
-
-
 def point_node(graph: Graph, edge_id: str, pos: Rational) -> tuple:
-    """Canonical key of a cake point: vertices unify across incident edges."""
-    v = vertex_at(graph, edge_id, pos)
-    if v is not None:
-        return ("v", v)
+    """Canonical key of a cake point: ``("v", vertex)`` at an edge end, so
+    vertices unify across incident edges, else ``("p", edge, pos)``."""
+    if pos == ZERO:
+        return ("v", graph.edge(edge_id).endpoints[0])
+    if pos == ONE:
+        return ("v", graph.edge(edge_id).endpoints[1])
     return ("p", edge_id, pos)
 
 
@@ -202,21 +195,6 @@ def share_boundary_nodes(graph: Graph, share: Share) -> set[tuple]:
         nodes.add(point_node(graph, iv.edge, iv.lo))
         nodes.add(point_node(graph, iv.edge, iv.hi))
     return nodes
-
-
-def contact_nodes(graph: Graph, a: Share, b: Share) -> list[tuple]:
-    """Points lying in both shares, sorted (vertices first).
-
-    For disjoint shares every common point is an interval boundary of at
-    least one side, so scanning boundary nodes is exhaustive.
-    """
-    candidates = share_boundary_nodes(graph, a) | share_boundary_nodes(graph, b)
-    hits = [
-        node
-        for node in candidates
-        if share_covers_node(graph, a, node) and share_covers_node(graph, b, node)
-    ]
-    return sorted(hits, key=node_sort_key)
 
 
 def _component_labels(graph: Graph, ivs: Sequence[EdgeInterval]) -> list[int]:
@@ -257,34 +235,22 @@ def _component_labels(graph: Graph, ivs: Sequence[EdgeInterval]) -> list[int]:
     return parent
 
 
-def is_connected(graph: Graph, share: Share) -> bool:
-    """True iff the share is topologically connected.
-
-    An empty share and a lone interval are trivially connected.  Otherwise
-    the share goes through ``canonical_share`` (one linear check when it is
+def piece_count(graph: Graph, share: Share) -> int:
+    """Number of maximal connected pieces of a share: 0 when empty, and 1
+    for a lone interval, even on an edge the graph lacks.  Otherwise the
+    share goes through ``canonical_share`` (one linear check when it is
     canonical already), after which two intervals touch only through a
-    shared vertex.
+    shared vertex, and the pieces are the distinct ``_component_labels``.
     """
     ivs = share.intervals
     if len(ivs) <= 1:
-        return True
-    labels = _component_labels(graph, canonical_share(graph, ivs).intervals)
-    return all(label == labels[0] for label in labels)
+        return len(ivs)
+    return len(set(_component_labels(graph, canonical_share(graph, ivs).intervals)))
 
 
-def share_components(graph: Graph, share: Share) -> list[Share]:
-    """Maximal connected pieces of a share, in canonical order.
-
-    The share goes through ``canonical_share`` first, so each piece is a
-    subsequence of a canonical tuple: canonical as it stands, and listed in
-    the order of its first interval, which is the order of the pieces.
-    """
-    ivs = canonical_share(graph, share.intervals).intervals
-    labels = _component_labels(graph, ivs)
-    grouped: dict[int, list[EdgeInterval]] = {}
-    for label, iv in zip(labels, ivs):
-        grouped.setdefault(label, []).append(iv)
-    return [Share(tuple(group)) for group in grouped.values()]
+def is_connected(graph: Graph, share: Share) -> bool:
+    """True iff the share is topologically connected: at most one piece."""
+    return piece_count(graph, share) <= 1
 
 
 def _is_canonical(intervals: Sequence[EdgeInterval]) -> bool:

@@ -23,10 +23,9 @@ from .model import (
     Share,
     ZERO,
     ONE,
-    canonical_share,
     check,
     eval_share,
-    share_components,
+    piece_count,
     validate_allocation,
 )
 from .rational import Rational, as_pair, from_reduced_pair, rational
@@ -43,13 +42,15 @@ class OrientedEdge:
 
 @dataclass(frozen=True)
 class EdgeBijection:
-    """Layout of all graph edges as consecutive unit slots of a path."""
+    """Layout of all graph edges as consecutive unit slots of a path, one slot each."""
 
     entries: tuple[OrientedEdge, ...]
     # The whole edge [0, 1] of each slot, built once and shared by every lift.
     _whole: tuple[EdgeInterval, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len({e.edge for e in self.entries}) != len(self.entries):
+            raise ValueError("an edge bijection lays out each edge once")
         object.__setattr__(self, "_whole", tuple(EdgeInterval(e.edge, ZERO, ONE) for e in self.entries))
 
     @property
@@ -273,8 +274,8 @@ def psn_certificate(graph: Graph) -> tuple[EdgeBijection, PsnCertificate]:
 # Lifting path segments back into the graph
 
 
-def lift_segment(graph: Graph, bijection: EdgeBijection, lo: Rational, hi: Rational) -> list[Share]:
-    """Connected pieces of the preimage of path range [lo, hi].
+def lift_segment(graph: Graph, bijection: EdgeBijection, lo: Rational, hi: Rational) -> Share:
+    """The preimage of path range [lo, hi], as one canonical share.
 
     Only positive-length slot overlaps contribute (a segment endpoint that
     grazes a slot boundary adds no material), so only slots floor(lo) to
@@ -283,13 +284,11 @@ def lift_segment(graph: Graph, bijection: EdgeBijection, lo: Rational, hi: Ratio
     since subtracting an integer from a reduced pair keeps its gcd at 1, so
     the two end slots build their intervals with no ``Rational``
     arithmetic, and every slot strictly between them is the layout's shared
-    whole-edge interval.  Each edge fills exactly one slot, so no two
-    intervals share an edge: sorted by edge id they are already canonical,
-    and ``share_components`` canonicalises them in one linear check (a
-    hand-built layout that repeats an edge still gets merged).  Pieces
-    joined through shared graph vertices count as one; piece values sum to
-    the segment's value for every agent because the mapping only relabels
-    positions.
+    whole-edge interval.  Each edge fills exactly one slot (``EdgeBijection``
+    refuses a repeated edge) and every interval has positive length, so the
+    intervals, sorted by edge id, are canonical as they stand.  The share's
+    value equals the segment's for every agent because the mapping only
+    relabels positions; ``piece_count`` counts its connected pieces.
     """
     ln, ld = as_pair(lo)
     hn, hd = as_pair(hi)
@@ -308,11 +307,12 @@ def lift_segment(graph: Graph, bijection: EdgeBijection, lo: Rational, hi: Ratio
         intervals = [bijection._slot_interval(first, an, ld, bn, hd)]
     else:
         intervals = []
-    return share_components(graph, Share(tuple(intervals)))
+    return Share(tuple(intervals))
 
 
 def psn_exact_check(graph: Graph, bijection: EdgeBijection) -> int:
-    """Exact path similarity number of a layout by segment enumeration.
+    """Exact path similarity number of a layout by segment enumeration: the
+    largest ``piece_count`` of a segment's lift.
 
     Piece counts only change when a segment endpoint crosses a slot
     boundary, so endpoints ranging over all boundaries plus one interior
@@ -326,7 +326,7 @@ def psn_exact_check(graph: Graph, bijection: EdgeBijection) -> int:
         points.append(rational(slot))
         points.append(rational(slot) + rational(1, 2))
     points.append(rational(m))
-    return max(len(lift_segment(graph, bijection, a, b)) for a, b in combinations(points, 2))
+    return max(piece_count(graph, lift_segment(graph, bijection, a, b)) for a, b in combinations(points, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +381,10 @@ def psn_allocate(
 ) -> tuple[Allocation, PsnCertificate, tuple[int, ...]]:
     """Solve on the flattened cake and lift the (connected) path shares back.
 
-    Values are preserved by the layout, so the path solver's fairness
-    guarantee transfers verbatim; each agent ends with at most
-    certificate-bound many connected pieces.
+    Each agent's share is the lift of its path share's range.  Values are
+    preserved by the layout, so the path solver's fairness guarantee
+    transfers verbatim; each share's ``piece_count``, returned per agent, is
+    checked against the certificate's bound.
     """
     solver = SOLVERS[path_solver(instance, algorithm)]
     bijection, cert = psn_certificate(instance.graph)
@@ -397,17 +398,13 @@ def psn_allocate(
             lifted.append(Share.empty())
             pieces.append(0)
             continue
-        lo, hi = _share_to_path_range(share)
-        parts = lift_segment(instance.graph, bijection, lo, hi)
-        check(len(parts) <= cert.bound, "lift produced more pieces than certified")
-        merged = canonical_share(instance.graph, [iv for p in parts for iv in p.intervals])
-        flat_value = eval_share(flat, agent, share)
-        check(
-            eval_share(instance, agent, merged) == flat_value,
-            "lifting must preserve values exactly",
-        )
-        lifted.append(merged)
-        pieces.append(len(parts))
+        lift = lift_segment(instance.graph, bijection, *_share_to_path_range(share))
+        count = piece_count(instance.graph, lift)
+        check(count <= cert.bound, "lift produced more pieces than certified")
+        same_value = eval_share(instance, agent, lift) == eval_share(flat, agent, share)
+        check(same_value, "lifting must preserve values exactly")
+        lifted.append(lift)
+        pieces.append(count)
     result = Allocation(tuple(lifted))
     report = validate_allocation(instance, result)
     check(report.disjoint_ok and report.complete_ok, f"lift broke the partition: {report}")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from graphcake.generate import fig1_instance
-from graphcake.model import Edge, Graph, Instance, StepDensity
+from graphcake.model import Edge, Graph, Instance, Share, StepDensity, _component_labels, canonical_share
 
 # Tier-1 draws the same examples on every run and keeps no example database,
 # so that a commit passes or fails alike each time.  The profile is loaded
@@ -94,6 +94,17 @@ def _mirrored(instance, edge_ids):
         for a, val in instance.valuations.items()
     }
     return Instance(Graph(graph.vertices, edges), instance.agents, valuations)
+
+
+def share_components(graph, share):
+    """Maximal connected pieces of a share, in canonical order: its
+    canonical intervals grouped by their ``_component_labels`` label, each
+    group a subsequence of the canonical tuple."""
+    ivs = canonical_share(graph, share.intervals).intervals
+    grouped = {}
+    for label, x in zip(_component_labels(graph, ivs), ivs):
+        grouped.setdefault(label, []).append(x)
+    return [Share(tuple(group)) for group in grouped.values()]
 
 
 def density_value_oracle(density, lo, hi, refine=8):

@@ -17,13 +17,17 @@ from graphcake.model import (
     Allocation,
     ContractViolation,
     EdgeInterval,
+    Instance,
     Share,
     eval_share,
     full_cake,
+    node_sort_key,
+    share_boundary_nodes,
+    share_covers_node,
     validate_allocation,
 )
 
-from conftest import F, path_instance, single_edge_instance
+from conftest import F, multigraph, path_instance, single_edge_instance, uniform_density
 
 
 def seg(lo, hi):
@@ -68,6 +72,71 @@ def test_min_max_path_through_cut_point(fig1):
     chain = min_max_path(fig1, alloc, share_values(fig1, alloc.shares))
     assert len(chain) == 2
     assert share_values(fig1, [alloc.shares[i] for i in chain]) == [F(1, 3), F(2, 3)]
+
+
+def contact_nodes(graph, a, b):
+    """Reference contact rule: the interval ends of either share that both
+    shares cover, sorted vertices first."""
+    candidates = share_boundary_nodes(graph, a) | share_boundary_nodes(graph, b)
+    hits = [node for node in candidates if share_covers_node(graph, a, node) and share_covers_node(graph, b, node)]
+    return sorted(hits, key=node_sort_key)
+
+
+def _seeded_allocations():
+    """``identical_four_ef`` allocations on uniform multigraphs (self-loops
+    and parallel edges) and on identical generator graphs."""
+    for seed in range(60):
+        graph = multigraph(seed)
+        val = {e.id: uniform_density(F(1, len(graph.edges))) for e in graph.edges}
+        agents = tuple(range(1, 2 + seed % 4))
+        instance = Instance(graph, agents, dict.fromkeys(agents, val))
+        yield instance, identical_four_ef(instance)
+    for seed in range(40):
+        family = ("random-connected", "tree")[seed % 2]
+        instance = generate(GeneratorSpec(family, m=2 + seed % 12, n=2 + seed % 6, pieces=1 + seed % 3,
+                                          identical=True, seed=seed))
+        yield instance, identical_four_ef(instance)
+
+
+def test_contacts_match_the_coverage_reference():
+    """Two shares touch, in ``min_max_path`` and ``_contact_point``, exactly
+    when the coverage rule finds a common point, and ``_contact_point``
+    names its first one.  Every pair of start and goal shares gives the
+    breadth-first chain over the reference's contact graph."""
+    seen = set()
+    for instance, alloc in _seeded_allocations():
+        graph, shares, n = instance.graph, alloc.shares, instance.n
+        touch = [[j for j in range(n) if j != i and contact_nodes(graph, shares[i], shares[j])] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                reference = contact_nodes(graph, shares[i], shares[j])
+                if reference:
+                    assert balance._contact_point(graph, shares[i], shares[j]) == balance._as_root(reference[0])
+                    seen.add(reference[0][0])
+                else:
+                    with pytest.raises(ContractViolation, match="consecutive chain shares must touch"):
+                        balance._contact_point(graph, shares[i], shares[j])
+                    seen.add("apart")
+        for start in range(n):
+            for goal in range(n):
+                if start == goal:
+                    continue
+                values = [F(1)] * n
+                values[start], values[goal] = F(0), F(2)
+                prev, frontier = {start: start}, [start]
+                while frontier:
+                    nxt = []
+                    for i in frontier:
+                        for j in touch[i]:
+                            if j not in prev:
+                                prev[j] = i
+                                nxt.append(j)
+                    frontier = nxt
+                chain = [goal]
+                while chain[-1] != start:
+                    chain.append(prev[chain[-1]])
+                assert min_max_path(instance, alloc, values) == chain[::-1]
+    assert seen == {"v", "p", "apart"}
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +292,23 @@ def test_recursive_balance_respects_call_cap(monkeypatch):
         Share((EdgeInterval("e7", F(0), F(1)), EdgeInterval("e8", F(0), F(1)))),
     ))
     with pytest.raises(ContractViolation, match="balancing exceeded 800 passes"):
+        recursive_balance(inst, alloc, F(1, 10))
+
+
+def test_recursive_balance_refuses_an_invalid_allocation_before_any_pass(monkeypatch):
+    def no_pass(*args):
+        raise AssertionError("a balancing pass ran")
+
+    monkeypatch.setattr(balance, "min_max_path", no_pass)
+    inst = path_instance(4, n=2)
+    # Values 7/8 and 3/16, far apart, but the shares overlap on e4.
+    alloc = Allocation((
+        Share((EdgeInterval("e1", F(0), F(1)), EdgeInterval("e2", F(0), F(1)),
+               EdgeInterval("e3", F(0), F(1)), EdgeInterval("e4", F(0), F(1, 2)))),
+        Share((EdgeInterval("e4", F(1, 4), F(1)),)),
+    ))
+    assert validate_allocation(inst, alloc).overlaps
+    with pytest.raises(ValueError, match="balancing requires a valid allocation"):
         recursive_balance(inst, alloc, F(1, 10))
 
 

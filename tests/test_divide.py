@@ -30,11 +30,16 @@ from graphcake.model import (
     node_sort_key,
     point_node,
     share_covers_node,
-    vertex_at,
 )
 from graphcake.generate import GeneratorSpec, generate
 
 from conftest import F, single_edge_instance, star_instance, triangle_instance, uniform_density
+
+
+def vertex_at(graph, edge_id, pos):
+    """Vertex id if the position is an edge end, else None."""
+    node = point_node(graph, edge_id, pos)
+    return node[1] if node[0] == "v" else None
 
 
 def values(instance, share, agents=None):

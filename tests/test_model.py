@@ -20,8 +20,8 @@ from graphcake.model import (
     cut,
     eval_share,
     is_connected,
+    piece_count,
     point_node,
-    share_components,
     share_covers_node,
     uncovered_share,
     validate_allocation,
@@ -32,7 +32,7 @@ from graphcake.generate import GeneratorSpec, generate
 from graphcake.model import Allocation
 from graphcake.rational import ONE, ZERO, Rational, as_pair, rational
 
-from conftest import F, density_value_oracle, multigraph, star_instance
+from conftest import F, density_value_oracle, multigraph, share_components, star_instance
 
 
 def iv(edge, lo, hi):
@@ -454,6 +454,7 @@ def test_share_components_match_brute_force_on_multigraphs():
         share = Share(tuple(ivs))
         pieces = share_components(graph, share)
         assert pieces == expected
+        assert piece_count(graph, share) == len(pieces)
         assert is_connected(graph, share) == (len(pieces) <= 1)
         assert all(canonical_share(graph, p.intervals) == p for p in pieces)
         per_edge = Counter(iv.edge for iv in ivs)
@@ -491,6 +492,7 @@ LOOPED = Graph(("a", "b", "c"), (Edge("e", ("a", "b")), Edge("f", ("b", "c")), E
 def test_share_components_on_hand_built_cases(ivs, pieces):
     share = Share(tuple(ivs))
     assert share_components(LOOPED, share) == [Share(tuple(p)) for p in pieces]
+    assert piece_count(LOOPED, share) == len(pieces)
     assert is_connected(LOOPED, share) == (len(pieces) == 1)
 
 
@@ -526,6 +528,7 @@ def test_share_components_read_int_fraction_and_rational_ends():
             ))
             seen.update(type(end).__name__ for x in retyped.intervals for end in (x.lo, x.hi))
             assert share_components(graph, retyped) == expected
+            assert piece_count(graph, retyped) == len(expected)
             assert is_connected(graph, retyped) == (len(expected) <= 1)
     assert min(seen[name] for name in ("int", "Fraction", "Rational")) >= 100
 
@@ -904,3 +907,5 @@ def test_instance_requires_every_valuation():
 
 def test_empty_share_has_no_components(fig1):
     assert share_components(fig1.graph, Share.empty()) == []
+    assert piece_count(fig1.graph, Share.empty()) == 0
+    assert is_connected(fig1.graph, Share.empty())

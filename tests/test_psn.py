@@ -12,7 +12,7 @@ from graphcake.cli import main
 from graphcake.fairness import fairness_report
 from graphcake.generate import GeneratorSpec, generate
 from graphcake.io import save_instance
-from graphcake.model import Edge, EdgeInterval, Graph, Instance, canonical_share, eval_share, share_components
+from graphcake.model import Edge, EdgeInterval, Graph, Instance, canonical_share, eval_share, piece_count
 from graphcake.psn import (
     EdgeBijection,
     OrientedEdge,
@@ -27,7 +27,7 @@ from graphcake.psn import (
 )
 from graphcake.rational import Rational, rational
 
-from conftest import F, multigraph, path_instance as make_path_instance, star_instance, uniform_density
+from conftest import F, multigraph, path_instance as make_path_instance, share_components, star_instance, uniform_density
 
 
 def star_graph(m):
@@ -111,15 +111,13 @@ def test_fig5_exact_psn_at_most_four_with_witness():
     exact = psn_exact_check(tree, bijection)
     assert exact <= 4
     # The witness segment spans from inside e03 to inside e14.
-    pieces = lift_segment(tree, bijection, F(2) + F(1, 2), F(13) + F(1, 2))
-    assert len(pieces) == 4
+    assert piece_count(tree, lift_segment(tree, bijection, F(2) + F(1, 2), F(13) + F(1, 2))) == 4
     assert exact == 4
 
 
 def test_lift_single_slot_segment(fig1):
     bijection = tree_dfs_bijection(fig1.graph, "c")
-    pieces = lift_segment(fig1.graph, bijection, F(1, 4), F(3, 4))
-    assert len(pieces) == 1
+    assert piece_count(fig1.graph, lift_segment(fig1.graph, bijection, F(1, 4), F(3, 4))) == 1
 
 
 def test_lift_rejects_a_segment_outside_the_path(fig1):
@@ -134,28 +132,26 @@ def test_lift_star_segment_two_pieces():
     bijection = tree_dfs_bijection(g, "c")
     # From inside the second slot to inside the sixth: the leaf-side tail of
     # edge 2 is isolated; everything else meets at the center.
-    pieces = lift_segment(g, bijection, F(1) + F(1, 3), F(5) + F(1, 2))
-    assert len(pieces) == 2
+    assert piece_count(g, lift_segment(g, bijection, F(1) + F(1, 3), F(5) + F(1, 2))) == 2
 
 
 def test_lift_preserves_values(fig1):
     bijection, _ = psn_certificate(fig1.graph)
     flat = path_instance(fig1, bijection)
     lo, hi = F(1, 3), F(5, 2)
-    pieces = lift_segment(fig1.graph, bijection, lo, hi)
+    lift = lift_segment(fig1.graph, bijection, lo, hi)
     for agent in fig1.agents:
         flat_val = sum(
             flat.density(agent, f"s{j:03d}").integral(max(lo - j, F(0)), min(hi - j, F(1)))
             for j in range(bijection.m)
             if max(lo - j, F(0)) < min(hi - j, F(1))
         )
-        lifted_val = sum(eval_share(fig1, agent, p) for p in pieces)
-        assert lifted_val == flat_val
+        assert eval_share(fig1, agent, lift) == flat_val
 
 
 def _lift_every_slot(graph, bijection, lo, hi):
     """Reference lift: the preimage of [lo, hi] gathered over every slot of
-    the path, then merged and split into components."""
+    the path, then merged into one canonical share."""
     intervals = []
     for slot, entry in enumerate(bijection.entries):
         a = max(lo - slot, F(0))
@@ -164,7 +160,7 @@ def _lift_every_slot(graph, bijection, lo, hi):
             if entry.reversed:
                 a, b = 1 - b, 1 - a
             intervals.append(EdgeInterval(entry.edge, a, b))
-    return share_components(graph, canonical_share(graph, intervals))
+    return canonical_share(graph, intervals)
 
 
 @st.composite
@@ -202,7 +198,10 @@ _EXAMPLE_LAYOUT = tree_dfs_bijection(_EXAMPLE_TREE, "v00")
 @given(case=_segments())
 def test_lift_matches_the_every_slot_reference(case):
     graph, bijection, lo, hi = case
-    assert lift_segment(graph, bijection, lo, hi) == _lift_every_slot(graph, bijection, lo, hi)
+    reference = _lift_every_slot(graph, bijection, lo, hi)
+    lift = lift_segment(graph, bijection, lo, hi)
+    assert lift == reference
+    assert piece_count(graph, lift) == len(share_components(graph, reference))
 
 
 def test_lifted_endpoints_are_reduced_rationals():
@@ -210,7 +209,7 @@ def test_lifted_endpoints_are_reduced_rationals():
     so every end must already be a ``Rational`` in lowest terms, forward
     slot or reversed, for segment ends given as ``int``, ``Fraction`` or
     ``Rational``: an unreduced pair would compare unequal to the same value.
-    Each segment also lifts to the reference pieces."""
+    Each segment also lifts to the reference share."""
     rng = random.Random(29)
     kinds = {"int": int, "Fraction": F, "Rational": rational}
     seen = Counter()
@@ -225,15 +224,14 @@ def test_lifted_endpoints_are_reduced_rationals():
         for (lo, hi), (name, kind) in itertools.product(itertools.combinations(points, 2), kinds.items()):
             if name == "int" and (lo.denominator, hi.denominator) != (1, 1):
                 continue
-            pieces = lift_segment(graph, bijection, kind(lo), kind(hi))
-            assert pieces == _lift_every_slot(graph, bijection, lo, hi)
-            for piece in pieces:
-                for interval in piece.intervals:
-                    for end in (interval.lo, interval.hi):
-                        reduced = Fraction(end.numerator, end.denominator)
-                        assert type(end) is Rational
-                        assert end == reduced and hash(end) == hash(reduced)
-                        seen[name, reversed_slot[interval.edge], end.denominator > 1] += 1
+            lift = lift_segment(graph, bijection, kind(lo), kind(hi))
+            assert lift == _lift_every_slot(graph, bijection, lo, hi)
+            for interval in lift.intervals:
+                for end in (interval.lo, interval.hi):
+                    reduced = Fraction(end.numerator, end.denominator)
+                    assert type(end) is Rational
+                    assert end == reduced and hash(end) == hash(reduced)
+                    seen[name, reversed_slot[interval.edge], end.denominator > 1] += 1
     assert len(seen) == 3 * 2 * 2 - 2  # int ends give no mid-edge positions
     assert min(seen.values()) >= 20
 
@@ -248,13 +246,19 @@ def test_bijection_equality_and_hash_ignore_the_whole_slot_cache():
     assert first != EdgeBijection(entries[::-1])
 
 
+def test_bijection_refuses_a_repeated_edge():
+    with pytest.raises(ValueError, match="an edge bijection lays out each edge once"):
+        EdgeBijection((OrientedEdge("e1", False), OrientedEdge("e2", True), OrientedEdge("e1", True)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(layout=_layouts())
 def test_exact_psn_is_the_reference_lifts_largest_piece_count(layout):
     graph, bijection = layout
     points = [F(k, 2) for k in range(2 * bijection.m + 1)]
     assert psn_exact_check(graph, bijection) == max(
-        len(_lift_every_slot(graph, bijection, a, b)) for a, b in itertools.combinations(points, 2)
+        len(share_components(graph, _lift_every_slot(graph, bijection, a, b)))
+        for a, b in itertools.combinations(points, 2)
     )
 
 

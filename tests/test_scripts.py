@@ -47,7 +47,7 @@ def test_line_census_lists_unreached_lines_and_a_total():
 def test_xver_prints_one_digest_per_interpreter():
     lines = run_script("scripts/xver.py", "--specs", "2", sys.executable, sys.executable)
     assert len(lines) == 2
-    digests = {re.fullmatch(rf"([0-9a-f]{{64}})  \S+ +22 commands  {re.escape(sys.executable)}", line)[1]
+    digests = {re.fullmatch(rf"([0-9a-f]{{64}})  \S+ +29 commands  {re.escape(sys.executable)}", line)[1]
                for line in lines}
     assert len(digests) == 1
     missing = subprocess.run([sys.executable, "scripts/xver.py", "--specs", "1", str(ROOT / "no-such-python")],
