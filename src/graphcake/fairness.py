@@ -12,7 +12,6 @@ from .model import (
     Allocation,
     EdgeInterval,
     Instance,
-    Share,
     ZERO,
     ONE,
     canonical_share,
@@ -153,11 +152,16 @@ def brute_force_egalitarian(instance: Instance) -> Rational:
     """Best achievable min(agent-1 value of piece 1, agent-2 value of piece 2)
     over all connected two-way partitions of the cake.
 
-    Enumerates every partition structure (whole-edge assignments plus one
-    boundary cut per split edge, and the one-interval-inside-one-edge
-    family), then optimizes cut positions exactly: all but one cut can sit on
-    a density breakpoint at some optimum, and the last coordinate is solved
-    in closed form on each density piece.
+    Enumerates every partition shape: a list of cut edges and a map from
+    cut positions to the two shares, None where the positions are
+    infeasible.  A split shape gives each edge whole to one share or cuts it
+    once, either side to share 1; an inner shape gives one share the
+    interval [a, b] inside one edge (a > b is infeasible) and the rest of
+    the cake to the other.  All but one cut can sit on a density breakpoint
+    at some optimum, so each cut in turn is free while the others run over
+    their breakpoint grids.  The free cut is tried at every breakpoint and,
+    on each piece with both ends feasible, at the exact crossing of the two
+    agents' values, which are linear there.
     """
     if instance.n != 2:
         raise ValueError("oracle supports exactly two agents")
@@ -166,136 +170,76 @@ def brute_force_egalitarian(instance: Instance) -> Rational:
     graph = instance.graph
     edge_ids = sorted(e.id for e in graph.edges)
     a1, a2 = instance.agents
+    grid = {e: _breakpoint_grid(instance, e) for e in edge_ids}
 
-    base_grid = {e: _breakpoint_grid(instance, e) for e in edge_ids}
+    def split_shape(owners, lower):
+        """Whole edges to their owner's share; cut edge k's [0, pos] to
+        share ``lower[k]`` and [pos, 1] to the other."""
+        cut_edges = [e for e, o in zip(edge_ids, owners) if o is None]
+        whole = [[EdgeInterval(e, ZERO, ONE) for e, o in zip(edge_ids, owners) if o == k] for k in (0, 1)]
+
+        def build(positions):
+            shares = (list(whole[0]), list(whole[1]))
+            for e, pos, low in zip(cut_edges, positions, lower):
+                shares[low].append(EdgeInterval(e, ZERO, pos))
+                shares[1 - low].append(EdgeInterval(e, pos, ONE))
+            return shares
+
+        return cut_edges, build
+
+    def inner_shape(edge_id, holder):
+        """Share ``holder`` is [a, b] on one edge; the other share is the rest."""
+        rest = [EdgeInterval(e, ZERO, ONE) for e in edge_ids if e != edge_id]
+
+        def build(positions):
+            a, b = positions
+            if a > b:
+                return None
+            piece = [EdgeInterval(edge_id, a, b)]
+            others = rest + [EdgeInterval(edge_id, ZERO, a), EdgeInterval(edge_id, b, ONE)]
+            return (piece, others) if holder == 0 else (others, piece)
+
+        return [edge_id, edge_id], build
+
+    shapes = [
+        split_shape(owners, lower)
+        for owners in product((0, 1, None), repeat=len(edge_ids))
+        for lower in product((0, 1), repeat=owners.count(None))
+    ] + [inner_shape(e, holder) for e in edge_ids for holder in (0, 1)]
 
     best = ZERO
 
-    def value(agent: int, intervals: list[EdgeInterval]) -> Rational:
-        return eval_share(instance, agent, Share(tuple(intervals)))
-
-    def consider(share1: list[EdgeInterval], share2: list[EdgeInterval]) -> None:
+    def score(shares) -> tuple[Rational, Rational]:
+        """Keep the candidate's min value if both shares are connected, and
+        return agent 1's value of share 1 and agent 2's of share 2."""
         nonlocal best
-        s1 = canonical_share(graph, share1)
-        s2 = canonical_share(graph, share2)
-        if not is_connected(graph, s1) or not is_connected(graph, s2):
-            return
-        score = min(eval_share(instance, a1, s1), eval_share(instance, a2, s2))
-        if score > best:
-            best = score
+        s1, s2 = (canonical_share(graph, s) for s in shares)
+        values = eval_share(instance, a1, s1), eval_share(instance, a2, s2)
+        if is_connected(graph, s1) and is_connected(graph, s2):
+            best = max(best, min(values))
+        return values
 
-    def shares_for(assignment: dict[str, str], cuts: dict[str, tuple[Rational, bool]]):
-        share1: list[EdgeInterval] = []
-        share2: list[EdgeInterval] = []
-        for e in edge_ids:
-            kind = assignment[e]
-            if kind == "one":
-                share1.append(EdgeInterval(e, ZERO, ONE))
-            elif kind == "two":
-                share2.append(EdgeInterval(e, ZERO, ONE))
-            else:
-                pos, lo_side_to_one = cuts[e]
-                lo_part = EdgeInterval(e, ZERO, pos)
-                hi_part = EdgeInterval(e, pos, ONE)
-                if lo_side_to_one:
-                    share1.append(lo_part)
-                    share2.append(hi_part)
-                else:
-                    share2.append(lo_part)
-                    share1.append(hi_part)
-        return share1, share2
+    for cut_edges, build in shapes:
+        if not cut_edges:
+            score(build(()))
+        for free, edge_id in enumerate(cut_edges):
+            points = grid[edge_id]
+            for fixed in product(*(grid[e] for k, e in enumerate(cut_edges) if k != free)):
 
-    def optimize_last_cut(assignment, cuts, free_edge: str, lo_side_to_one: bool) -> None:
-        """Solve the balance equation for one cut exactly on each piece."""
-        d1 = instance.density(a1, free_edge)
-        d2 = instance.density(a2, free_edge)
-        pieces = sorted(set(d1.breakpoints) | set(d2.breakpoints))
-        for lo, hi in zip(pieces, pieces[1:]):
-            # f(t) = value1(share1), g(t) = value2(share2), both linear on the piece.
-            for t in (lo, hi):
-                cuts[free_edge] = (t, lo_side_to_one)
-                consider(*shares_for(assignment, cuts))
-            s1_lo, s2_lo = shares_for(assignment, {**cuts, free_edge: (lo, lo_side_to_one)})
-            s1_hi, s2_hi = shares_for(assignment, {**cuts, free_edge: (hi, lo_side_to_one)})
-            f_lo, f_hi = value(a1, s1_lo), value(a1, s1_hi)
-            g_lo, g_hi = value(a2, s2_lo), value(a2, s2_hi)
-            df, dg = f_hi - f_lo, g_hi - g_lo
-            if df == dg:
-                continue
-            t = lo + (g_lo - f_lo) * (hi - lo) / (df - dg)
-            if lo <= t <= hi:
-                cuts[free_edge] = (t, lo_side_to_one)
-                consider(*shares_for(assignment, cuts))
+                def at(t):
+                    return build(fixed[:free] + (t,) + fixed[free:])
 
-    for kinds in product(("one", "two", "split"), repeat=len(edge_ids)):
-        assignment = dict(zip(edge_ids, kinds))
-        split_edges = [e for e in edge_ids if assignment[e] == "split"]
-        if not split_edges:
-            consider(*shares_for(assignment, {}))
-            continue
-        for orientation in product((True, False), repeat=len(split_edges)):
-            orient = dict(zip(split_edges, orientation))
-            for free_edge in split_edges:
-                others = [e for e in split_edges if e != free_edge]
-                for combo in product(*[base_grid[e] for e in others]):
-                    cuts = {e: (pos, orient[e]) for e, pos in zip(others, combo)}
-                    optimize_last_cut(assignment, cuts, free_edge, orient[free_edge])
-
-    # One share strictly inside a single edge, the rest to the other agent.
-    # Both interval ends are cut variables; fix one on the grid and solve the
-    # other exactly, mirroring the split-edge treatment.
-    for e in edge_ids:
-        grid_e = base_grid[e]
-        others = [EdgeInterval(x, ZERO, ONE) for x in edge_ids if x != e]
-        pieces = _breakpoint_grid(instance, e)
-
-        def consider_inner(a_pos: Rational, b_pos: Rational, inner_first: bool) -> None:
-            if not (ZERO <= a_pos <= b_pos <= ONE):
-                return
-            piece = [EdgeInterval(e, a_pos, b_pos)]
-            rest = others + [EdgeInterval(e, ZERO, a_pos), EdgeInterval(e, b_pos, ONE)]
-            if inner_first:
-                consider(piece, rest)
-            else:
-                consider(rest, piece)
-
-        for inner_first in (True, False):
-            inner, outer = (a1, a2) if inner_first else (a2, a1)
-            d_in = instance.density(inner, e)
-            d_out = instance.density(outer, e)
-            out_rest = sum(
-                (instance.density(outer, x).total for x in edge_ids if x != e), ZERO
-            )
-            for fixed, free_is_hi in [(g, True) for g in grid_e] + [(g, False) for g in grid_e]:
-                for lo, hi in zip(pieces, pieces[1:]):
-                    for t in (lo, hi):
-                        if free_is_hi:
-                            consider_inner(fixed, t, inner_first)
-                        else:
-                            consider_inner(t, fixed, inner_first)
-
-                    def f(t: Rational) -> Rational:
-                        a_pos, b_pos = (fixed, t) if free_is_hi else (t, fixed)
-                        if a_pos > b_pos:
-                            return None
-                        return d_in.integral(a_pos, b_pos)
-
-                    def g(t: Rational) -> Rational:
-                        a_pos, b_pos = (fixed, t) if free_is_hi else (t, fixed)
-                        if a_pos > b_pos:
-                            return None
-                        return out_rest + d_out.total - d_out.integral(a_pos, b_pos)
-
-                    f_lo, f_hi, g_lo, g_hi = f(lo), f(hi), g(lo), g(hi)
-                    if None in (f_lo, f_hi, g_lo, g_hi):
+                ends = []
+                for t in points:
+                    shares = at(t)
+                    ends.append(None if shares is None else score(shares))
+                for lo, hi, end_lo, end_hi in zip(points, points[1:], ends, ends[1:]):
+                    if end_lo is None or end_hi is None:
                         continue
+                    (f_lo, g_lo), (f_hi, g_hi) = end_lo, end_hi
                     df, dg = f_hi - f_lo, g_hi - g_lo
-                    if df == dg:
-                        continue
-                    t = lo + (g_lo - f_lo) * (hi - lo) / (df - dg)
-                    if lo <= t <= hi:
-                        if free_is_hi:
-                            consider_inner(fixed, t, inner_first)
-                        else:
-                            consider_inner(t, fixed, inner_first)
+                    if df != dg:
+                        t = lo + (g_lo - f_lo) * (hi - lo) / (df - dg)
+                        if lo <= t <= hi:
+                            score(at(t))
     return best

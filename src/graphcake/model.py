@@ -327,9 +327,9 @@ class StepDensity:
     position, through one search that cross-multiplies against the left
     breakpoints; the whole edge [0, 1] is the last piece's integral, with no
     arithmetic at all.  ``cut_pair`` finds a Cut's piece by value, against
-    the integrals up to each right end.  ``integral`` and ``cut_position``
-    are their ``Rational`` entry points, and ``eval_share`` sums the pairs of
-    a whole share before its one reduction.
+    the integrals up to each right end.  ``cut_position`` is its
+    ``Rational`` entry point, and ``eval_share`` sums the ``integral_pair``
+    pairs of a whole share before its one reduction.
     """
 
     breakpoints: tuple[Rational, ...]
@@ -415,9 +415,6 @@ class StepDensity:
         high_n, high_d = vn * hn * od + on * vd * hd, vd * hd * od
         _, _, vn, vd, on, od, _, _ = pieces[i]
         return pair_sum(high_n, high_d, -(vn * ln * od + on * vd * ld), vd * ld * od)
-
-    def integral(self, lo: Rational, hi: Rational) -> Rational:
-        return from_pair(*self.integral_pair(lo, hi))
 
     def cut_position(self, lo: Rational, hi: Rational, anchor: str, target: Rational) -> Rational:
         """First position (scanning from the anchor end of [lo, hi]) where the

@@ -274,7 +274,7 @@ def psn_certificate(graph: Graph) -> tuple[EdgeBijection, PsnCertificate]:
 # Lifting path segments back into the graph
 
 
-def lift_segment(graph: Graph, bijection: EdgeBijection, lo: Rational, hi: Rational) -> Share:
+def lift_segment(bijection: EdgeBijection, lo: Rational, hi: Rational) -> Share:
     """The preimage of path range [lo, hi], as one canonical share.
 
     Only positive-length slot overlaps contribute (a segment endpoint that
@@ -326,7 +326,7 @@ def psn_exact_check(graph: Graph, bijection: EdgeBijection) -> int:
         points.append(rational(slot))
         points.append(rational(slot) + rational(1, 2))
     points.append(rational(m))
-    return max(piece_count(graph, lift_segment(graph, bijection, a, b)) for a, b in combinations(points, 2))
+    return max(piece_count(graph, lift_segment(bijection, a, b)) for a, b in combinations(points, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +398,7 @@ def psn_allocate(
             lifted.append(Share.empty())
             pieces.append(0)
             continue
-        lift = lift_segment(instance.graph, bijection, *_share_to_path_range(share))
+        lift = lift_segment(bijection, *_share_to_path_range(share))
         count = piece_count(instance.graph, lift)
         check(count <= cert.bound, "lift produced more pieces than certified")
         same_value = eval_share(instance, agent, lift) == eval_share(flat, agent, share)

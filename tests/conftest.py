@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from graphcake.generate import fig1_instance
 from graphcake.model import Edge, Graph, Instance, Share, StepDensity, _component_labels, canonical_share
+from graphcake.rational import from_pair
 
 # Tier-1 draws the same examples on every run and keeps no example database,
 # so that a commit passes or fails alike each time.  The profile is loaded
@@ -105,6 +106,11 @@ def share_components(graph, share):
     for label, x in zip(_component_labels(graph, ivs), ivs):
         grouped.setdefault(label, []).append(x)
     return [Share(tuple(group)) for group in grouped.values()]
+
+
+def integral(density, lo, hi):
+    """The density's integral over [lo, hi], reduced to one ``Rational``."""
+    return from_pair(*density.integral_pair(lo, hi))
 
 
 def density_value_oracle(density, lo, hi, refine=8):

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from graphcake.fairness import (
@@ -17,7 +20,7 @@ from graphcake.model import (
     eval_share,
 )
 
-from conftest import F, single_edge_instance, star_instance, uniform_density
+from conftest import F, multigraph, single_edge_instance, star_instance, uniform_density
 
 
 def seg(edge, lo, hi):
@@ -179,6 +182,52 @@ def test_oracle_triangle_uses_inner_interval():
     }
     inst = Instance(graph, (1, 2), {1: heavy, 2: heavy})
     assert brute_force_egalitarian(inst) == F(1, 2)
+
+
+def _two_piece_valuation(rng, graph):
+    """Each edge gets one breakpoint and two random weights, scaled so the
+    whole cake is worth 1."""
+    raw = {}
+    for e in graph.edges:
+        b = rng.choice((F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)))
+        raw[e.id] = (b, rng.randint(0, 4), rng.randint(1, 4))
+    total = sum(w1 * b + w2 * (1 - b) for b, w1, w2 in raw.values())
+    return {e: StepDensity((F(0), b, F(1)), (w1 / total, w2 / total)) for e, (b, w1, w2) in raw.items()}
+
+
+def _oracle_batch():
+    """Two-agent generator instances with m = 1-3, identical and not, then
+    the multigraphs of at most 3 edges among seeds 0-59 (self-loops and
+    parallel edges) with non-identical two-piece densities."""
+    for family in ("star", "tree", "random-connected"):
+        for m in (1, 2, 3):
+            for identical in (False, True):
+                for seed in range(4):
+                    yield generate(GeneratorSpec(family, m=m, n=2, identical=identical, seed=seed))
+    for seed in range(60):
+        graph = multigraph(seed)
+        if len(graph.edges) <= 3:
+            rng = random.Random(seed)
+            yield Instance(graph, (1, 2), {a: _two_piece_valuation(rng, graph) for a in (1, 2)})
+
+
+# sha256 over the oracle's answers on ``_oracle_batch``, one per line.
+ORACLE_BATCH_SHA256 = "17ee1e312b5eb29a616ad912d6ff53d6a9d0180b725913bd2a2e7e2ed8a863d8"
+
+
+def test_oracle_answers_pinned_and_met_by_the_solvers():
+    from graphcake.iterative import identical_four_ef, iterative_divide
+
+    answers = []
+    for inst in _oracle_batch():
+        best = brute_force_egalitarian(inst)
+        answers.append(str(best))
+        solvers = [iterative_divide] + ([identical_four_ef] if inst.identical_valuations() else [])
+        for solve in solvers:
+            s1, s2 = solve(inst).shares
+            assert best >= min(eval_share(inst, 1, s1), eval_share(inst, 2, s2))
+    assert len(answers) == 81
+    assert hashlib.sha256("\n".join(answers).encode()).hexdigest() == ORACLE_BATCH_SHA256
 
 
 def test_oracle_rejects_big_instances():

@@ -32,7 +32,7 @@ from graphcake.generate import GeneratorSpec, generate
 from graphcake.model import Allocation
 from graphcake.rational import ONE, ZERO, Rational, as_pair, rational
 
-from conftest import F, density_value_oracle, multigraph, share_components, star_instance
+from conftest import F, density_value_oracle, integral, multigraph, share_components, star_instance
 
 
 def iv(edge, lo, hi):
@@ -119,14 +119,14 @@ COPRIME = 10**9 + 7  # a prime denominator for positions between breakpoints
 @settings(max_examples=120, deadline=None)
 def test_cut_eval_round_trip(density, a, b, num):
     lo, hi = F(min(a, b), 16), F(max(a, b), 16)
-    total = density.integral(lo, hi)
+    total = integral(density, lo, hi)
     target = total * F(num, 12)
     for anchor in ("lo", "hi"):
         pos = density.cut_position(lo, hi, anchor, target)
         if anchor == "lo":
-            assert density.integral(lo, pos) == target
+            assert integral(density, lo, pos) == target
         else:
-            assert density.integral(pos, hi) == target
+            assert integral(density, pos, hi) == target
         if target > 0:
             an, ad = density.prefix_at(*as_pair(lo if anchor == "lo" else hi))
             assert density.cut_pair(an, ad, anchor == "lo", *as_pair(target)) == as_pair(pos)
@@ -150,7 +150,7 @@ def test_cut_monotone_in_target(density, p, q):
 @settings(max_examples=100, deadline=None)
 def test_eval_additive_over_disjoint_pieces(density, a, b, c):
     x, y, z = sorted([F(a, 16), F(b, 16), F(c, 16)])
-    assert density.integral(x, y) + density.integral(y, z) == density.integral(x, z)
+    assert integral(density, x, y) + integral(density, y, z) == integral(density, x, z)
 
 
 @given(densities(), st.integers(0, 16), st.integers(0, 16))
@@ -160,7 +160,7 @@ def test_eval_additive_over_disjoint_pieces(density, a, b, c):
 @settings(max_examples=80, deadline=None)
 def test_eval_matches_independent_quadrature(density, a, b):
     lo, hi = F(min(a, b), 16), F(max(a, b), 16)
-    assert density.integral(lo, hi) == density_value_oracle(density, lo, hi)
+    assert integral(density, lo, hi) == density_value_oracle(density, lo, hi)
 
 
 @given(densities(), st.integers(0, 16), st.integers(0, 16))
@@ -170,7 +170,7 @@ def test_eval_matches_independent_quadrature(density, a, b):
 def test_mirrored_density_reads_the_edge_backwards(density, a, b):
     lo, hi = F(min(a, b), 16), F(max(a, b), 16)
     mirrored = density.mirrored()
-    assert mirrored.integral(1 - hi, 1 - lo) == density.integral(lo, hi)
+    assert integral(mirrored, 1 - hi, 1 - lo) == integral(density, lo, hi)
     assert mirrored.mirrored() == density
 
 
@@ -226,7 +226,7 @@ def test_integral_pairs_and_eval_share_match_a_fraction_sum(drawn, spans):
         want = _fraction_integral(bp, vals, lo, hi)
         n, d = density.integral_pair(lo, hi)
         assert d > 0 and Fraction(n, d) == want
-        got = density.integral(lo, hi)
+        got = integral(density, lo, hi)
         assert type(got) is Rational and got == want
     total = density.total
     if not total:
@@ -317,7 +317,7 @@ def test_pair_position_kernels_match_fraction_arithmetic(drawn, point, i, j, num
         want = _fraction_integral(bp, vals, 0, x)
         got = density.prefix_at(x.numerator, x.denominator)
         assert _is_reduced(got) and got == (want.numerator, want.denominator)
-        prefix = density.integral(0, x)
+        prefix = integral(density, 0, x)
         assert type(prefix) is Rational and prefix == want
     lo, hi = sorted((xs[i % len(xs)], xs[j % len(xs)]))
     target = _fraction_integral(bp, vals, lo, hi) * Fraction(num, 12)
@@ -338,7 +338,7 @@ def test_prefix_and_cut_pair_fixed_branches():
     assert PLATEAU.prefix_at(1, 2) == (1, 2)
     assert PLATEAU.prefix_at(7, 8) == (3, 4)
     assert PLATEAU.prefix_at(1, 1) == (1, 1)  # the last breakpoint: the total
-    assert PLATEAU.integral(ZERO, F(7, 8)) == F(3, 4)
+    assert integral(PLATEAU, ZERO, F(7, 8)) == F(3, 4)
     # On a breakpoint, the piece that starts there answers.
     assert PLATEAU.prefix_at(1, 4) == PLATEAU.prefix_at(3, 4) == (1, 2)
     assert PLATEAU.prefix_at(2, 8) == (1, 2)  # an unreduced position pair

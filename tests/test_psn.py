@@ -27,7 +27,7 @@ from graphcake.psn import (
 )
 from graphcake.rational import Rational, rational
 
-from conftest import F, multigraph, path_instance as make_path_instance, share_components, star_instance, uniform_density
+from conftest import F, integral, multigraph, path_instance as make_path_instance, share_components, star_instance, uniform_density
 
 
 def star_graph(m):
@@ -111,20 +111,20 @@ def test_fig5_exact_psn_at_most_four_with_witness():
     exact = psn_exact_check(tree, bijection)
     assert exact <= 4
     # The witness segment spans from inside e03 to inside e14.
-    assert piece_count(tree, lift_segment(tree, bijection, F(2) + F(1, 2), F(13) + F(1, 2))) == 4
+    assert piece_count(tree, lift_segment(bijection, F(2) + F(1, 2), F(13) + F(1, 2))) == 4
     assert exact == 4
 
 
 def test_lift_single_slot_segment(fig1):
     bijection = tree_dfs_bijection(fig1.graph, "c")
-    assert piece_count(fig1.graph, lift_segment(fig1.graph, bijection, F(1, 4), F(3, 4))) == 1
+    assert piece_count(fig1.graph, lift_segment(bijection, F(1, 4), F(3, 4))) == 1
 
 
 def test_lift_rejects_a_segment_outside_the_path(fig1):
     bijection = tree_dfs_bijection(fig1.graph, "c")
     for lo, hi in ((F(-1, 2), F(1)), (F(1), F(7, 2)), (F(2), F(1))):
         with pytest.raises(ValueError, match="segment outside the path cake"):
-            lift_segment(fig1.graph, bijection, lo, hi)
+            lift_segment(bijection, lo, hi)
 
 
 def test_lift_star_segment_two_pieces():
@@ -132,17 +132,17 @@ def test_lift_star_segment_two_pieces():
     bijection = tree_dfs_bijection(g, "c")
     # From inside the second slot to inside the sixth: the leaf-side tail of
     # edge 2 is isolated; everything else meets at the center.
-    assert piece_count(g, lift_segment(g, bijection, F(1) + F(1, 3), F(5) + F(1, 2))) == 2
+    assert piece_count(g, lift_segment(bijection, F(1) + F(1, 3), F(5) + F(1, 2))) == 2
 
 
 def test_lift_preserves_values(fig1):
     bijection, _ = psn_certificate(fig1.graph)
     flat = path_instance(fig1, bijection)
     lo, hi = F(1, 3), F(5, 2)
-    lift = lift_segment(fig1.graph, bijection, lo, hi)
+    lift = lift_segment(bijection, lo, hi)
     for agent in fig1.agents:
         flat_val = sum(
-            flat.density(agent, f"s{j:03d}").integral(max(lo - j, F(0)), min(hi - j, F(1)))
+            integral(flat.density(agent, f"s{j:03d}"), max(lo - j, F(0)), min(hi - j, F(1)))
             for j in range(bijection.m)
             if max(lo - j, F(0)) < min(hi - j, F(1))
         )
@@ -199,7 +199,7 @@ _EXAMPLE_LAYOUT = tree_dfs_bijection(_EXAMPLE_TREE, "v00")
 def test_lift_matches_the_every_slot_reference(case):
     graph, bijection, lo, hi = case
     reference = _lift_every_slot(graph, bijection, lo, hi)
-    lift = lift_segment(graph, bijection, lo, hi)
+    lift = lift_segment(bijection, lo, hi)
     assert lift == reference
     assert piece_count(graph, lift) == len(share_components(graph, reference))
 
@@ -224,7 +224,7 @@ def test_lifted_endpoints_are_reduced_rationals():
         for (lo, hi), (name, kind) in itertools.product(itertools.combinations(points, 2), kinds.items()):
             if name == "int" and (lo.denominator, hi.denominator) != (1, 1):
                 continue
-            lift = lift_segment(graph, bijection, kind(lo), kind(hi))
+            lift = lift_segment(bijection, kind(lo), kind(hi))
             assert lift == _lift_every_slot(graph, bijection, lo, hi)
             for interval in lift.intervals:
                 for end in (interval.lo, interval.hi):

@@ -27,7 +27,7 @@ from graphcake.star_eps import (
     star_three_eps,
 )
 
-from conftest import F, _mirrored, path_instance, star_instance, uniform_density
+from conftest import F, _mirrored, integral, path_instance, star_instance, uniform_density
 
 
 def test_find_star_center(fig1):
@@ -443,11 +443,11 @@ def test_trading_rows_are_reduced_pairs_and_the_leaf_row_is_free(seed):
         assert memo[(0, 1)] == ((0, 1),) * inst.n
         for (xn, xd), row in memo.items():
             for agent, (n, d) in zip(inst.agents, row):
-                want = inst.density(agent, edge_id).integral(F(0), F(xn, xd))
+                want = integral(inst.density(agent, edge_id), F(0), F(xn, xd))
                 assert (n, d) == (want.numerator, want.denominator)
         for lo, hi, values, _, _ in state.free[edge_id]:
             for agent, (n, d) in zip(inst.agents, values):
-                assert d > 0 and F(n, d) == inst.density(agent, edge_id).integral(F(*lo), F(*hi))
+                assert d > 0 and F(n, d) == integral(inst.density(agent, edge_id), F(*lo), F(*hi))
 
 
 @pytest.mark.parametrize("seed", ["fig1", 3, 7, 10])
