@@ -43,7 +43,7 @@ from .model import (
     Share,
     canonical_share,
     check,
-    cut,
+    solver_cut as cut,
     eval_share,
     eval_share_each,
     node_sort_key,

@@ -597,6 +597,23 @@ def cut(
     return PointOnEdge(interval.edge, pos)
 
 
+def solver_cut(
+    instance: Instance,
+    agent: int,
+    interval: EdgeInterval,
+    anchor: str,
+    target: Rational,
+    ledger=None,
+) -> PointOnEdge:
+    """``cut`` for a solver, whose own guarantee makes ``target`` fit the
+    interval: a target that does not fit is a bug, so it raises
+    ``ContractViolation`` where ``cut`` raises ``ValueError``."""
+    try:
+        return cut(instance, agent, interval, anchor, target, ledger)
+    except ValueError as exc:
+        raise ContractViolation(f"Cut for agent {agent} on {interval.edge}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Allocation validation
 

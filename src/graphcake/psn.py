@@ -314,18 +314,25 @@ def psn_exact_check(graph: Graph, bijection: EdgeBijection) -> int:
     """Exact path similarity number of a layout by segment enumeration: the
     largest ``piece_count`` of a segment's lift.
 
-    Piece counts only change when a segment endpoint crosses a slot
-    boundary, so endpoints ranging over all boundaries plus one interior
-    point per slot cover every case.  Limited to small graphs.
+    Piece counts only change when a segment end crosses a slot boundary, so
+    ends ranging over the 2m + 1 half-slot points 0, 1/2, 1, ..., m cover
+    every case.  Only the m + 2 points 0, m and the slot midpoints k + 1/2
+    need to be ends, by this lemma: moving an end that lies on an inner
+    boundary k (0 < k < m) half a slot outward, to k + 1/2 for a right end
+    or k - 1/2 for a left end, never lowers the count.  The move adds one
+    half-edge of positive length in a slot the segment did not reach, so no
+    other interval of the share lies on that edge, and the half-edge
+    touches exactly one vertex.  It either joins the one piece that holds
+    that vertex or becomes a piece of its own: no two pieces merge, and
+    none is lost.  Moving every inner-boundary end outward so maps each
+    half-slot segment to a kept segment with at least its count, so the
+    maximum over the C(m + 2, 2) kept segments is the maximum over all
+    C(2m + 1, 2).
     """
     m = bijection.m
     if m > EXACT_CHECK_EDGE_CAP:
         raise ValueError(f"exact check capped at {EXACT_CHECK_EDGE_CAP} edges")
-    points: list[Rational] = []
-    for slot in range(m):
-        points.append(rational(slot))
-        points.append(rational(slot) + rational(1, 2))
-    points.append(rational(m))
+    points = [rational(0), *(rational(2 * slot + 1, 2) for slot in range(m)), rational(m)]
     return max(piece_count(graph, lift_segment(bijection, a, b)) for a, b in combinations(points, 2))
 
 

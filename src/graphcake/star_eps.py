@@ -41,7 +41,7 @@ from .model import (
     check,
     checked_epsilon,
     complement_spans,
-    cut,
+    solver_cut as cut,
     eval_share,
     full_cake,
     uncovered_share,

@@ -21,7 +21,7 @@ from .model import (
     ONE,
     canonical_share,
     check,
-    cut,
+    solver_cut as cut,
     eval_share,
     full_cake,
     uncovered_share,

@@ -1355,6 +1355,35 @@ def test_cli_solve_reports_a_solver_bug_with_exit_1(tmp_path, capsys, monkeypatc
     assert out.exists() == output
 
 
+@pytest.mark.parametrize("family, seed, algorithm", [
+    ("tree", 1, "iterative-divide"),         # the Cut in divide._divide
+    ("star", 3, "star-identical-2ef"),       # the Cut in star_identical._peel
+])
+def test_cli_solve_reports_a_cut_that_overshoots_as_a_bug(tmp_path, capsys, monkeypatch, family, seed, algorithm):
+    """With a kernel fault (a whole-edge integral returning the last piece's
+    density), a solver asks for a Cut worth more than its interval.  That is
+    a program fault, not bad input: exit 1 with the internal-contract line,
+    and no output file."""
+    inst_file, out = tmp_path / "inst.json", tmp_path / "out.json"
+    run_cli("gen", "--family", family, "--edges", "5", "--agents", "3", "--seed", str(seed),
+            "--identical", "--output", str(inst_file))
+    integral_pair = StepDensity.integral_pair
+
+    def faulty(density, lo, hi):
+        if lo == 0 and hi == 1:
+            return density._pieces[-1][2:4]
+        return integral_pair(density, lo, hi)
+
+    monkeypatch.setattr(StepDensity, "integral_pair", faulty)
+    capsys.readouterr()
+    code, err = _exit_and_stderr(capsys, "solve", "--algorithm", algorithm,
+                                 "--instance", str(inst_file), "--output", str(out))
+    assert code == 1
+    assert err.startswith("internal contract violated (bug): Cut for agent ") and err.count("\n") == 1
+    assert err.endswith(": cut target exceeds interval value\n")
+    assert not out.exists()
+
+
 def test_cli_psn_lift_reports_a_broken_bound_with_exit_1(tmp_path, capsys, monkeypatch):
     """A path solver that breaks its bound: psn-lift still writes the lifted
     allocation, claiming the contract unsatisfied, and exits 1 with one

@@ -251,9 +251,66 @@ def test_bijection_refuses_a_repeated_edge():
         EdgeBijection((OrientedEdge("e1", False), OrientedEdge("e2", True), OrientedEdge("e1", True)))
 
 
+def _lemma_layouts():
+    """``multigraph(seed)`` for seeds 0-59, each in a seeded random slot order
+    and orientation, and the certificate layouts of seeded generator trees
+    and random-connected graphs with m <= 12 (one-slot layouts included)."""
+    layouts = []
+    for seed in range(60):
+        graph = multigraph(seed)
+        rng = random.Random(seed)
+        ids = [e.id for e in graph.edges]
+        rng.shuffle(ids)
+        layouts.append((graph, EdgeBijection(tuple(OrientedEdge(e, rng.random() < 0.5) for e in ids))))
+    for family in ("tree", "random-connected"):
+        for m in range(1, 13):
+            for seed in range(2):
+                graph = generate(GeneratorSpec(family, m=m, n=1, seed=seed)).graph
+                layouts.append((graph, psn_certificate(graph)[0]))
+    return layouts
+
+
+LEMMA_LAYOUTS = _lemma_layouts()
+
+
+def test_moving_an_inner_boundary_end_outward_never_lowers_the_count():
+    """``psn_exact_check``'s lemma, on every half-slot segment: an end on an
+    inner slot boundary k, moved half a slot outward to a midpoint, lifts to
+    at least as many pieces.  Some moves raise it, so the check is not
+    vacuous."""
+    half = F(1, 2)
+    moves = raised = 0
+    for graph, bijection in LEMMA_LAYOUTS:
+        m = bijection.m
+        points = [F(k, 2) for k in range(2 * m + 1)]
+        count = {(a, b): piece_count(graph, lift_segment(bijection, a, b))
+                 for a, b in itertools.combinations(points, 2)}
+        for (a, b), pieces in count.items():
+            for moved, inner in (((a - half, b), 0 < a < m and a.denominator == 1),
+                                 ((a, b + half), 0 < b < m and b.denominator == 1)):
+                if inner:
+                    assert count[moved] >= pieces, (graph, bijection, a, b, moved)
+                    moves += 1
+                    raised += count[moved] > pieces
+    assert moves > 7000 and raised > 2000
+
+
+def _with_examples(layouts):
+    """Hypothesis ``example`` decorators, one per fixed layout."""
+    def add(test):
+        for layout in layouts:
+            test = example(layout=layout)(test)
+        return test
+    return add
+
+
 @settings(max_examples=40, deadline=None)
+@_with_examples(LEMMA_LAYOUTS)
 @given(layout=_layouts())
 def test_exact_psn_is_the_reference_lifts_largest_piece_count(layout):
+    """The pruned enumeration of ``psn_exact_check`` against every half-slot
+    segment lifted by the reference, on drawn layouts and on every lemma
+    layout."""
     graph, bijection = layout
     points = [F(k, 2) for k in range(2 * bijection.m + 1)]
     assert psn_exact_check(graph, bijection) == max(

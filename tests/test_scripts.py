@@ -1,6 +1,7 @@
 """The maintenance scripts run end to end on small inputs, so a change to the
 solver table or the psn API that breaks them fails the suite."""
 
+import json
 import re
 import subprocess
 import sys
@@ -53,3 +54,21 @@ def test_xver_prints_one_digest_per_interpreter():
     missing = subprocess.run([sys.executable, "scripts/xver.py", "--specs", "1", str(ROOT / "no-such-python")],
                              cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert missing.returncode == 1 and "no-such-python" in missing.stderr
+
+
+def test_workcount_prints_the_same_counts_twice():
+    args = ("scripts/workcount.py", "--workload", "psn-layout", "--seed", "1", "--smoke")
+    first = run_script(*args)
+    assert run_script(*args) == first
+    calls = json.loads("\n".join(first))["calls"]
+    assert calls["psn.lift_segment"] > 0 and calls["model.piece_count"] > calls["psn.lift_segment"]
+    assert calls["star_eps.Trading.step"] == 0
+
+
+def test_workcount_audits_integral_repeats_per_solver():
+    lines = run_script("scripts/workcount.py", "--workload", "graph-carve", "--seed", "1", "--smoke", "--repeats")
+    audit = json.loads("\n".join(lines))["integral_pair_repeats"]
+    assert sorted(audit) == ["identical-2eps", "identical-4ef", "iterative-divide", "star-identical-2ef"]
+    for row in audit.values():
+        assert 0 <= row["repeats"] <= row["calls"]
+        assert sum(row["repeat_callers"].values()) == row["repeats"]
