@@ -69,6 +69,10 @@ COUNTED = (
     "psn.lift_segment",
     "model.piece_count",
     "model._component_labels",
+    # psn layouts and the exact check
+    "psn.min_diameter_spanning_tree",
+    "psn.psn_certificate",
+    "psn.psn_exact_check",
     # valuation, loading and star-3eps trading
     "model.eval_share",
     "io._document_parser.<locals>.parse",

@@ -11,7 +11,6 @@ edges hang as pendant leaves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import ClassVar
 
 from .model import (
@@ -28,7 +27,7 @@ from .model import (
     piece_count,
     validate_allocation,
 )
-from .rational import Rational, as_pair, from_reduced_pair, rational
+from .rational import Rational, as_pair, from_reduced_pair
 from .solvers import DEFAULT_EPSILON, SOLVERS
 
 EXACT_CHECK_EDGE_CAP = 20
@@ -310,9 +309,15 @@ def lift_segment(bijection: EdgeBijection, lo: Rational, hi: Rational) -> Share:
     return Share(tuple(intervals))
 
 
+def _root(parent: dict[str, str], vertex: str) -> str:
+    while parent[vertex] != vertex:  # path halving
+        parent[vertex] = vertex = parent[parent[vertex]]
+    return vertex
+
+
 def psn_exact_check(graph: Graph, bijection: EdgeBijection) -> int:
-    """Exact path similarity number of a layout by segment enumeration: the
-    largest ``piece_count`` of a segment's lift.
+    """Exact path similarity number of a layout: the largest number of
+    connected pieces that one path segment lifts to, by an O(m^2) sweep.
 
     Piece counts only change when a segment end crosses a slot boundary, so
     ends ranging over the 2m + 1 half-slot points 0, 1/2, 1, ..., m cover
@@ -328,12 +333,45 @@ def psn_exact_check(graph: Graph, bijection: EdgeBijection) -> int:
     half-slot segment to a kept segment with at least its count, so the
     maximum over the C(m + 2, 2) kept segments is the maximum over all
     C(2m + 1, 2).
+
+    The sweep rests on the same fact: a half-edge touches one vertex, and a
+    whole slot joins its two ends.  Each slot is read as its (left, right)
+    vertex pair.  From each start, 0 or a midpoint j + 1/2 (whose segment
+    first holds slot j's right vertex), the slots to its right are added one
+    at a time to a union-find keyed by vertex, with a running count of its
+    components.  Before slot k is added, the segment ending at k + 1/2 has
+    that many pieces if slot k's left vertex is already held, and one more
+    otherwise; after the last slot, the segment ending at m has exactly that
+    many.  Refuses a layout that does not lay out exactly the graph's edges.
     """
     m = bijection.m
     if m > EXACT_CHECK_EDGE_CAP:
         raise ValueError(f"exact check capped at {EXACT_CHECK_EDGE_CAP} edges")
-    points = [rational(0), *(rational(2 * slot + 1, 2) for slot in range(m)), rational(m)]
-    return max(piece_count(graph, lift_segment(bijection, a, b)) for a, b in combinations(points, 2))
+    if sorted(entry.edge for entry in bijection.entries) != sorted(e.id for e in graph.edges):
+        raise ValueError("the layout does not lay out exactly the graph's edges")
+    slots = []
+    for entry in bijection.entries:
+        u, w = graph.edge(entry.edge).endpoints
+        slots.append((w, u) if entry.reversed else (u, w))
+    best = 0
+    for start in range(-1, m):  # -1 starts at 0, j at j + 1/2
+        if start < 0:
+            parent, pieces = {}, 0
+        else:
+            held = slots[start][1]
+            parent, pieces = {held: held}, 1
+        for left, right in slots[start + 1:]:
+            best = max(best, pieces if left in parent else pieces + 1)
+            for vertex in (left, right):
+                if vertex not in parent:
+                    parent[vertex] = vertex
+                    pieces += 1
+            a, b = _root(parent, left), _root(parent, right)
+            if a != b:
+                parent[b] = a
+                pieces -= 1
+        best = max(best, pieces)
+    return best
 
 
 # ---------------------------------------------------------------------------

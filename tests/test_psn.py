@@ -304,13 +304,29 @@ def _with_examples(layouts):
     return add
 
 
+def _sweep_layouts():
+    """Certificate layouts of a 14-edge tree, a 14-edge random-connected
+    graph and a 20-edge tree (the exact check's cap), a one-slot self-loop,
+    and two parallel edges laid out the same way and opposite ways."""
+    layouts = []
+    for family, m in (("tree", 14), ("random-connected", 14), ("tree", 20)):
+        graph = generate(GeneratorSpec(family, m=m, n=1, seed=0)).graph
+        layouts.append((graph, psn_certificate(graph)[0]))
+    loop = Graph(("a",), (Edge("e1", ("a", "a")),))
+    layouts.append((loop, EdgeBijection((OrientedEdge("e1", False),))))
+    parallel = Graph(("a", "b"), (Edge("e1", ("a", "b")), Edge("e2", ("a", "b"))))
+    for flip in (False, True):
+        layouts.append((parallel, EdgeBijection((OrientedEdge("e1", False), OrientedEdge("e2", flip)))))
+    return layouts
+
+
 @settings(max_examples=40, deadline=None)
-@_with_examples(LEMMA_LAYOUTS)
+@_with_examples(LEMMA_LAYOUTS + _sweep_layouts())
 @given(layout=_layouts())
 def test_exact_psn_is_the_reference_lifts_largest_piece_count(layout):
-    """The pruned enumeration of ``psn_exact_check`` against every half-slot
-    segment lifted by the reference, on drawn layouts and on every lemma
-    layout."""
+    """The sweep of ``psn_exact_check`` against every half-slot segment
+    lifted by the reference, on drawn layouts, on every lemma layout and on
+    the sweep's edge cases."""
     graph, bijection = layout
     points = [F(k, 2) for k in range(2 * bijection.m + 1)]
     assert psn_exact_check(graph, bijection) == max(
@@ -507,6 +523,19 @@ def test_psn_allocate_rejects_a_non_path_solver(fig1):
     for algorithm in ("star-3eps", "no-such-solver"):
         with pytest.raises(ValueError, match=f"unknown path solver '{algorithm}'"):
             psn_allocate(fig1, algorithm=algorithm)
+
+
+def test_exact_check_refuses_a_layout_of_other_edges():
+    """A layout of only some of the graph's edges, of a foreign edge alone,
+    or of a real edge and a foreign one has no path similarity number."""
+    graph = make_path_instance(2).graph
+    for entries in (
+        (OrientedEdge("e1", False),),
+        (OrientedEdge("e9", False),),
+        (OrientedEdge("e1", False), OrientedEdge("e9", True)),
+    ):
+        with pytest.raises(ValueError, match="does not lay out exactly the graph's edges"):
+            psn_exact_check(graph, EdgeBijection(entries))
 
 
 def test_exact_check_enforces_size_cap():
