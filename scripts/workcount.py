@@ -14,7 +14,7 @@ task's solver runs alone (``psn_allocate`` for psn tasks, labelled
 ``psn-lift``), and every ``StepDensity.integral_pair`` call on part of an
 edge is keyed by its density object and its ``lo`` and ``hi`` pairs.  A
 key already seen in the same solve is a repeat, tagged with the function
-that made the call.  Whole-edge integrals are left out: they are a table
+that made the call and the line it made it from.  Whole-edge integrals are left out: they are a table
 lookup.
 
 Needs CPython 3.11 or later (``co_qualname``); stdlib only.
@@ -69,8 +69,12 @@ COUNTED = (
     "psn.lift_segment",
     "model.piece_count",
     "model._component_labels",
+    # graph walks and union-find
+    "model.bfs",
+    "model.find",
     # psn layouts and the exact check
     "psn.min_diameter_spanning_tree",
+    "psn._layout",
     "psn.psn_certificate",
     "psn.psn_exact_check",
     # valuation, loading and star-3eps trading
@@ -143,7 +147,8 @@ def integral_repeats(tasks) -> dict[str, dict]:
         row["calls"] += 1
         if key in seen:
             row["repeats"] += 1
-            row["repeat_callers"][name_of(frame.f_back.f_code)] += 1
+            caller = frame.f_back
+            row["repeat_callers"][f"{name_of(caller.f_code)}:{caller.f_lineno}"] += 1
         else:
             seen.add(key)
 

@@ -22,6 +22,7 @@ from .model import (
     Instance,
     PointOnEdge,
     Share,
+    bfs,
     canonical_share,
     check,
     checked_epsilon,
@@ -54,23 +55,15 @@ def min_max_path(instance: Instance, allocation: Allocation, values: list[Ration
 
     points = [share_boundary_nodes(instance.graph, share) for share in allocation.shares]
     n = len(points)
-    touch: list[list[int]] = [[] for _ in range(n)]  # ascending by construction
+    # touch[i] holds (j, i) for each share j touching share i, ascending by
+    # construction, so the search's edge map is each share's predecessor.
+    touch: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if not points[i].isdisjoint(points[j]):
-                touch[i].append(j)
-                touch[j].append(i)
-
-    prev: dict[int, int] = {start: start}
-    frontier = [start]
-    while frontier and goal not in prev:
-        nxt = []
-        for i in frontier:
-            for j in touch[i]:
-                if j not in prev:
-                    prev[j] = i
-                    nxt.append(j)
-        frontier = nxt
+                touch[i].append((j, i))
+                touch[j].append((i, j))
+    _, prev = bfs(touch, [start])
     check(goal in prev, "share contact graph is disconnected")
 
     chain = [goal]

@@ -46,6 +46,7 @@ from .model import (
     solver_cut as cut,
     eval_share,
     eval_share_each,
+    find,
     node_sort_key,
     point_node,
 )
@@ -131,14 +132,8 @@ def decycle(instance: Instance, subcake: Share, root) -> SubcakeTree:
     node_sort_keys = [node_sort_key(key) for key in keys]
 
     joined = list(range(len(keys)))
-
-    def find(node: int) -> int:
-        while joined[node] != node:
-            joined[node] = node = joined[joined[node]]
-        return node
-
     for s in reversed(range(len(intervals))):
-        a, b = find(lo[s]), find(hi[s])
+        a, b = find(joined, lo[s]), find(joined, hi[s])
         if a != b:
             joined[a] = b
             continue

@@ -70,24 +70,9 @@ class Graph:
                     raise ValueError(f"edge {e.id!r} references unknown vertex {v!r}")
             edge_map[e.id] = e
         object.__setattr__(self, "_edge_map", edge_map)
-        if not self._is_vertex_connected():
+        depth, _ = bfs(adjacency(self.vertices, self.edges), self.vertices[:1])
+        if len(depth) != len(self.vertices):
             raise ValueError("graph is not connected")
-
-    def _is_vertex_connected(self) -> bool:
-        adjacency: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            u, w = e.endpoints
-            adjacency[u].add(w)
-            adjacency[w].add(u)
-        start = self.vertices[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
 
     def edge(self, edge_id: str) -> Edge:
         try:
@@ -97,6 +82,47 @@ class Graph:
 
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.edges)
+
+
+def adjacency(vertices, edges) -> dict[str, list[tuple[str, str]]]:
+    """``(neighbor, edge id)`` pairs of each vertex over ``edges``, sorted;
+    a self-loop lists its vertex twice."""
+    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in vertices}
+    for e in edges:
+        u, w = e.endpoints
+        adj[u].append((w, e.id))
+        adj[w].append((u, e.id))
+    for lst in adj.values():
+        lst.sort()
+    return adj
+
+
+def bfs(adj, sources) -> tuple[dict, dict]:
+    """Breadth-first search over ``adj``, which maps each node to its
+    ``(neighbor, edge)`` pairs: the hop distance of each reached node from
+    the nearest source, and the edge it was first reached by (sources and
+    pairs taken in order)."""
+    depth = {s: 0 for s in sources}
+    parent_edge = {}
+    frontier = list(sources)
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for other, edge in adj[node]:
+                if other not in depth:
+                    depth[other] = depth[node] + 1
+                    parent_edge[other] = edge
+                    nxt.append(other)
+        frontier = nxt
+    return depth, parent_edge
+
+
+def find(parent, node):
+    """Root of ``node`` in a union-find forest held as a list or dict of
+    parents, halving the path on the way."""
+    while parent[node] != node:
+        parent[node] = node = parent[parent[node]]
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +246,8 @@ def _component_labels(graph: Graph, ivs: Sequence[EdgeInterval]) -> list[int]:
             continue
         u, w = edge_map[iv.edge].endpoints
         for vertex in (w,) if ln else (u, w) if hn == hd else (u,):
-            j = first_at.setdefault(vertex, i)
-            r = i
-            while parent[j] != j:  # path halving
-                parent[j] = j = parent[parent[j]]
-            while parent[r] != r:
-                parent[r] = r = parent[parent[r]]
+            j = find(parent, first_at.setdefault(vertex, i))
+            r = find(parent, i)
             if j < r:
                 parent[r] = j
             elif r < j:

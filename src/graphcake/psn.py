@@ -22,8 +22,11 @@ from .model import (
     Share,
     ZERO,
     ONE,
+    adjacency,
+    bfs,
     check,
     eval_share,
+    find,
     piece_count,
     validate_allocation,
 )
@@ -103,74 +106,59 @@ def graph_is_acyclic(graph: Graph) -> bool:
     return len(graph.edges) == len(graph.vertices) - 1
 
 
-def _tree_adjacency(vertices, edges) -> dict[str, list[tuple[str, str]]]:
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in vertices}
-    for e in edges:
-        u, w = e.endpoints
-        adj[u].append((w, e.id))
-        adj[w].append((u, e.id))
-    for lst in adj.values():
-        lst.sort()
-    return adj
-
-
-def _preorder(adj, root: str):
-    """Depth-first preorder from ``root`` over a tree adjacency, children in
-    list order: (vertex, edge id it was reached by, depth) after the root."""
-    seen = {root}
-    stack = [(root, iter(adj[root]))]
-    while stack:
-        for child, edge_id in stack[-1][1]:
-            if child not in seen:
-                seen.add(child)
-                yield child, edge_id, len(stack)
-                stack.append((child, iter(adj[child])))
-                break
-        else:
-            stack.pop()
-
-
 def _layout(graph: Graph, tree_edges, root: str) -> tuple[EdgeBijection, int]:
     """Depth-first layout of a spanning tree with every non-tree edge hung as
-    a pendant leaf, and the height of that tree.
+    a pendant leaf, and the height of that tree, from one walk.
+    ``psn_certificate`` roots it at the center vertex, or the smaller end of
+    the center edge, where the spanning tree's height is ceil(d/2).
 
-    A pendant attaches at the endpoint discovered earlier by the tree's
-    preorder (the first endpoint on a tie, so always for a self-loop).  Each
-    edge's endpoint farther from the root lands on the right end of its
-    slot, so any slot prefix touching the left end reaches back toward the
-    root side; a pendant's far end is the endpoint it does not attach at.
+    Each vertex's children, tree neighbors and pendant leaves alike, go in
+    (name, edge id) order.  A leaf is named ``pendant <edge id>``, primed
+    until no vertex or earlier leaf has its name, in edge-id order, so the
+    names are part of the layout's bytes.  When the walk discovers a
+    vertex, the vertex claims every pendant whose other endpoint is still
+    undiscovered, and a self-loop's own vertex claims it: a pendant hangs
+    at the endpoint discovered first.  Each slot's endpoint farther from
+    the root lands on its right end, so any slot prefix touching the left
+    end reaches back toward the root side; a pendant's far end is the
+    endpoint it does not hang at.
     """
-    adj = _tree_adjacency(graph.vertices, [graph.edge(e) for e in tree_edges])
-    discovery = {root: 0}
-    for order, (vertex, _, _) in enumerate(_preorder(adj, root), start=1):
-        discovery[vertex] = order
+    tree = adjacency(graph.vertices, [graph.edge(e) for e in tree_edges])
     tree_set = set(tree_edges)
     names = set(graph.vertices)
-    pendant_reversed: dict[str, bool] = {}
+    pendants: dict[str, list[tuple[str, str, str]]] = {v: [] for v in graph.vertices}
     for e in sorted(graph.edges, key=lambda e: e.id):
         if e.id in tree_set:
             continue
-        u, w = e.endpoints
-        at_second = discovery[w] < discovery[u]
-        # The leaf name is the sort key that places the pendant among its
-        # attach vertex's children, so it is part of the layout's bytes.
         leaf = f"pendant {e.id}"
         while leaf in names:
             leaf += "'"
         names.add(leaf)
-        adj[w if at_second else u].append((leaf, e.id))
-        adj[leaf] = []
-        pendant_reversed[e.id] = at_second
-    for lst in adj.values():
-        lst.sort()
+        u, w = e.endpoints
+        pendants[u].append((leaf, e.id, w))
+        if w != u:
+            pendants[w].append((leaf, e.id, u))
+    seen: set[str] = set()
+
+    def children(vertex: str):
+        kids = [kid for kid in tree[vertex] if kid[0] not in seen]
+        kids += [(leaf, edge_id) for leaf, edge_id, other in pendants[vertex] if other not in seen]
+        seen.add(vertex)
+        return iter(sorted(kids))
+
     entries: list[OrientedEdge] = []
     height = 0
-    for vertex, edge_id, depth in _preorder(adj, root):
-        if edge_id in pendant_reversed:
-            entries.append(OrientedEdge(edge_id, reversed=pendant_reversed[edge_id]))
+    stack = [(root, children(root))]
+    while stack:
+        vertex, kids = stack[-1]
+        for child, edge_id in kids:
+            entries.append(OrientedEdge(edge_id, reversed=graph.edge(edge_id).endpoints[0] != vertex))
+            height = max(height, len(stack))
+            if child in tree:
+                stack.append((child, children(child)))
+                break
         else:
-            entries.append(OrientedEdge(edge_id, reversed=graph.edge(edge_id).endpoints[0] == vertex))
-        height = max(height, depth)
+            stack.pop()
     check(len(entries) == len(graph.edges), "depth-first layout missed edges")
     return EdgeBijection(tuple(entries)), height
 
@@ -184,43 +172,8 @@ def tree_dfs_bijection(graph: Graph, root: str) -> EdgeBijection:
     return _layout(graph, [e.id for e in graph.edges], root)[0]
 
 
-def _bfs(adj, sources) -> tuple[dict[str, int], dict[str, str]]:
-    """Hop distance of each reached vertex from the nearest source, and the
-    edge it was first reached by (sources and adjacency taken in order)."""
-    depth = {s: 0 for s in sources}
-    parent_edge: dict[str, str] = {}
-    frontier = list(sources)
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for other, edge_id in adj[node]:
-                if other not in depth:
-                    depth[other] = depth[node] + 1
-                    parent_edge[other] = edge_id
-                    nxt.append(other)
-        frontier = nxt
-    return depth, parent_edge
-
-
-def _eccentricities(vertices, edges) -> dict[str, int]:
-    adj = _tree_adjacency(vertices, edges)
-    out = {}
-    for v in vertices:
-        depth, _ = _bfs(adj, [v])
-        check(len(depth) == len(set(vertices)), "tree edges do not span the vertices")
-        out[v] = max(depth.values())
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Minimum-diameter spanning trees (unit edge lengths)
-
-
-def _spanning_tree_stats(vertices, tree_edges) -> tuple[int, str, int]:
-    ecc = _eccentricities(vertices, tree_edges)
-    diameter = max(ecc.values())
-    root = min(v for v, e in ecc.items() if e == min(ecc.values()))
-    return diameter, root, ecc[root]
 
 
 def min_diameter_spanning_tree(graph: Graph) -> tuple[tuple[str, ...], str, int, int]:
@@ -232,28 +185,36 @@ def min_diameter_spanning_tree(graph: Graph) -> tuple[tuple[str, ...], str, int,
     radius (Hassin & Tamir, IPL 1995).  Radii are doubled to stay integral:
     2 ecc(v) at vertex v, 1 + 2 max_x min(d(u, x), d(w, x)) at the midpoint
     of edge (u, w).  Ties go to a vertex before an edge, then to the smaller
-    id.  The root is a tree vertex of minimum eccentricity (smallest id), so
-    the rooted height is ceil(diameter/2) at most.  O(V E) time.
+    id.  O(V E) time.
+
+    The root is the center vertex, or the smaller end of the center edge,
+    and its height h in the tree is ceil(d/2) for the tree's diameter d:
+    one tree search from the root gives h, and a second, from a vertex
+    farthest from the root, gives d (two sweeps find a tree's diameter).  A
+    tree has one center when d is even and two adjacent centers when d is
+    odd, so the checks d == 2 radius and 2h == d + [center is an edge] make
+    the root the tree's smallest-id center.
     """
     vertices = tuple(sorted(graph.vertices))
     candidates = [e for e in graph.edges if e.endpoints[0] != e.endpoints[1]]
-    adj = _tree_adjacency(vertices, candidates)
-    dist = {v: _bfs(adj, [v])[0] for v in vertices}
+    adj = adjacency(vertices, candidates)
+    dist = {v: bfs(adj, [v])[0] for v in vertices}
     centers = [(2 * max(dist[v].values()), 0, v) for v in vertices]
     for e in candidates:
         du, dw = dist[e.endpoints[0]], dist[e.endpoints[1]]
         centers.append((1 + 2 * max(min(du[x], dw[x]) for x in vertices), 1, e.id))
     doubled_radius, kind, center = min(centers)
-    if kind == 0:
-        _, parent_edge = _bfs(adj, [center])
-        tree_edges = set(parent_edge.values())
-    else:
-        _, parent_edge = _bfs(adj, sorted(graph.edge(center).endpoints))
-        tree_edges = set(parent_edge.values()) | {center}
-    tree_ids = tuple(sorted(tree_edges))
-    d, root, h = _spanning_tree_stats(vertices, [graph.edge(e) for e in tree_ids])
+    sources = sorted(graph.edge(center).endpoints) if kind else [center]
+    _, parent_edge = bfs(adj, sources)
+    tree_ids = tuple(sorted(set(parent_edge.values()) | ({center} if kind else set())))
+    tree = adjacency(vertices, [graph.edge(e) for e in tree_ids])
+    root = sources[0]
+    depth, _ = bfs(tree, [root])
+    check(len(depth) == len(vertices), "tree edges do not span the vertices")
+    h = max(depth.values())
+    d = max(bfs(tree, [max(depth, key=depth.get)])[0].values())
     check(d == doubled_radius, f"tree diameter {d} differs from the doubled radius {doubled_radius}")
-    check(2 * h <= d + 1, f"rooted height {h} above ceil({d}/2)")
+    check(2 * h == d + kind, f"rooted height {h} is not ceil({d}/2) at the center")
     return tree_ids, root, d, h
 
 
@@ -309,12 +270,6 @@ def lift_segment(bijection: EdgeBijection, lo: Rational, hi: Rational) -> Share:
     return Share(tuple(intervals))
 
 
-def _root(parent: dict[str, str], vertex: str) -> str:
-    while parent[vertex] != vertex:  # path halving
-        parent[vertex] = vertex = parent[parent[vertex]]
-    return vertex
-
-
 def psn_exact_check(graph: Graph, bijection: EdgeBijection) -> int:
     """Exact path similarity number of a layout: the largest number of
     connected pieces that one path segment lifts to, by an O(m^2) sweep.
@@ -366,7 +321,7 @@ def psn_exact_check(graph: Graph, bijection: EdgeBijection) -> int:
                 if vertex not in parent:
                     parent[vertex] = vertex
                     pieces += 1
-            a, b = _root(parent, left), _root(parent, right)
+            a, b = find(parent, left), find(parent, right)
             if a != b:
                 parent[b] = a
                 pieces -= 1

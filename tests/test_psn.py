@@ -463,8 +463,15 @@ def test_spanning_tree_diameter_is_twice_the_absolute_radius():
         for m in range(1, 41)
     ]
     for graph in graphs:
-        _, _, d, _ = min_diameter_spanning_tree(graph)
+        tree_edges, root, d, h = min_diameter_spanning_tree(graph)
         assert d == _doubled_absolute_radius(graph)
+        # The root and height read off the center are the tree's own: its
+        # smallest-id center, that center's eccentricity and the diameter.
+        tree = nx.Graph([graph.edge(e).endpoints for e in tree_edges])
+        tree.add_nodes_from(graph.vertices)
+        assert root == min(nx.center(tree))
+        assert h == nx.eccentricity(tree, root)
+        assert d == nx.diameter(tree)
 
 
 # ---------------------------------------------------------------------------
