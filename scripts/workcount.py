@@ -62,6 +62,7 @@ COUNTED = (
     "rational.Rational.__gt__",
     "rational.Rational.__ge__",
     # share geometry and the divide kernel
+    "model.EdgeInterval.__post_init__",
     "model.canonical_share",
     "model._is_canonical",
     "divide.decycle",
@@ -74,6 +75,7 @@ COUNTED = (
     "model.find",
     # psn layouts and the exact check
     "psn.min_diameter_spanning_tree",
+    "psn.min_diameter_spanning_tree.<locals>.<genexpr>",  # one midpoint-radius step
     "psn._layout",
     "psn.psn_certificate",
     "psn.psn_exact_check",

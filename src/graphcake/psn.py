@@ -10,7 +10,8 @@ edges hang as pendant leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 from .model import (
@@ -47,17 +48,22 @@ class EdgeBijection:
     """Layout of all graph edges as consecutive unit slots of a path, one slot each."""
 
     entries: tuple[OrientedEdge, ...]
-    # The whole edge [0, 1] of each slot, built once and shared by every lift.
-    _whole: tuple[EdgeInterval, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len({e.edge for e in self.entries}) != len(self.entries):
             raise ValueError("an edge bijection lays out each edge once")
-        object.__setattr__(self, "_whole", tuple(EdgeInterval(e.edge, ZERO, ONE) for e in self.entries))
 
     @property
     def m(self) -> int:
         return len(self.entries)
+
+    @cached_property
+    def _whole(self) -> tuple[EdgeInterval, ...]:
+        """The whole edge [0, 1] of each slot, built by the first lift and
+        shared by every later one; a layout that is only certified or
+        exact-checked never builds it.  Not a field, so equality, hash and
+        repr ignore it."""
+        return tuple(EdgeInterval(e.edge, ZERO, ONE) for e in self.entries)
 
     def _slot_interval(self, slot: int, an: int, ad: int, bn: int, bd: int) -> EdgeInterval:
         """Edge interval corresponding to path range [slot + an/ad, slot +
@@ -77,6 +83,17 @@ class EdgeBijection:
 
 @dataclass(frozen=True)
 class PsnCertificate:
+    """The piece-count bound of a layout and the spanning tree behind it.
+
+    ``bound`` is the most connected pieces any path segment lifts to;
+    ``construction`` names how it was reached; ``root`` is the walk's root,
+    the spanning tree's smallest-id center; ``diameter`` is the tree's
+    diameter d; ``tree_edges`` are its edge ids, sorted.  ``height`` is
+    the layout's height with the pendant leaves of non-tree edges counted,
+    so it can exceed ceil(d/2) by one: a one-vertex self-loop has diameter
+    0 and height 1.
+    """
+
     bound: int
     construction: str            # "tree-dfs" | "min-diameter-spanning-tree"
     root: str
@@ -185,7 +202,16 @@ def min_diameter_spanning_tree(graph: Graph) -> tuple[tuple[str, ...], str, int,
     radius (Hassin & Tamir, IPL 1995).  Radii are doubled to stay integral:
     2 ecc(v) at vertex v, 1 + 2 max_x min(d(u, x), d(w, x)) at the midpoint
     of edge (u, w).  Ties go to a vertex before an edge, then to the smaller
-    id.  O(V E) time.
+    id.
+
+    Only an edge whose two ends are both center vertices, of eccentricity
+    the radius R, can win, so only those edges are scanned.  For adjacent
+    u != w and any x, |d(u, x) - d(w, x)| <= 1, so M = max_x min(d(u, x),
+    d(w, x)) >= max(ecc u, ecc w) - 1, and the edge's 1 + 2M is below the
+    best vertex's 2R only if M = R - 1, which needs ecc u = ecc w = R.
+    Skipping the other edges leaves the minimum and its tie rules as they
+    were.  The cost is V tree searches, plus one O(V) midpoint scan per
+    center edge, O(V E) at most.
 
     The root is the center vertex, or the smaller end of the center edge,
     and its height h in the tree is ceil(d/2) for the tree's diameter d:
@@ -199,10 +225,14 @@ def min_diameter_spanning_tree(graph: Graph) -> tuple[tuple[str, ...], str, int,
     candidates = [e for e in graph.edges if e.endpoints[0] != e.endpoints[1]]
     adj = adjacency(vertices, candidates)
     dist = {v: bfs(adj, [v])[0] for v in vertices}
-    centers = [(2 * max(dist[v].values()), 0, v) for v in vertices]
+    ecc = {v: max(dist[v].values()) for v in vertices}
+    radius = min(ecc.values())
+    centers = [(2 * ecc[v], 0, v) for v in vertices]
     for e in candidates:
-        du, dw = dist[e.endpoints[0]], dist[e.endpoints[1]]
-        centers.append((1 + 2 * max(min(du[x], dw[x]) for x in vertices), 1, e.id))
+        u, w = e.endpoints
+        if ecc[u] == ecc[w] == radius:
+            du, dw = dist[u], dist[w]
+            centers.append((1 + 2 * max(min(du[x], dw[x]) for x in vertices), 1, e.id))
     doubled_radius, kind, center = min(centers)
     sources = sorted(graph.edge(center).endpoints) if kind else [center]
     _, parent_edge = bfs(adj, sources)
@@ -293,32 +323,33 @@ def psn_exact_check(graph: Graph, bijection: EdgeBijection) -> int:
     whole slot joins its two ends.  Each slot is read as its (left, right)
     vertex pair.  From each start, 0 or a midpoint j + 1/2 (whose segment
     first holds slot j's right vertex), the slots to its right are added one
-    at a time to a union-find keyed by vertex, with a running count of its
-    components.  Before slot k is added, the segment ending at k + 1/2 has
-    that many pieces if slot k's left vertex is already held, and one more
-    otherwise; after the last slot, the segment ending at m has exactly that
-    many.  Refuses a layout that does not lay out exactly the graph's edges.
+    at a time to a union-find over vertex numbers, a list of parents with
+    -1 for a vertex not yet held, with a running count of its components.
+    Before slot k is added, the segment ending at k + 1/2 has that many
+    pieces if slot k's left vertex is already held, and one more otherwise;
+    after the last slot, the segment ending at m has exactly that many.  Refuses a layout that does not lay out exactly the graph's edges.
     """
     m = bijection.m
     if m > EXACT_CHECK_EDGE_CAP:
         raise ValueError(f"exact check capped at {EXACT_CHECK_EDGE_CAP} edges")
     if sorted(entry.edge for entry in bijection.entries) != sorted(e.id for e in graph.edges):
         raise ValueError("the layout does not lay out exactly the graph's edges")
+    number = {v: k for k, v in enumerate(graph.vertices)}
     slots = []
     for entry in bijection.entries:
         u, w = graph.edge(entry.edge).endpoints
+        u, w = number[u], number[w]
         slots.append((w, u) if entry.reversed else (u, w))
     best = 0
     for start in range(-1, m):  # -1 starts at 0, j at j + 1/2
-        if start < 0:
-            parent, pieces = {}, 0
-        else:
+        parent, pieces = [-1] * len(number), 0
+        if start >= 0:
             held = slots[start][1]
-            parent, pieces = {held: held}, 1
+            parent[held], pieces = held, 1
         for left, right in slots[start + 1:]:
-            best = max(best, pieces if left in parent else pieces + 1)
+            best = max(best, pieces if parent[left] >= 0 else pieces + 1)
             for vertex in (left, right):
-                if vertex not in parent:
+                if parent[vertex] < 0:
                     parent[vertex] = vertex
                     pieces += 1
             a, b = find(parent, left), find(parent, right)

@@ -12,10 +12,21 @@ from graphcake.cli import main
 from graphcake.fairness import fairness_report
 from graphcake.generate import GeneratorSpec, generate
 from graphcake.io import save_instance
-from graphcake.model import Edge, EdgeInterval, Graph, Instance, canonical_share, eval_share, piece_count
+from graphcake.model import (
+    Edge,
+    EdgeInterval,
+    Graph,
+    Instance,
+    adjacency,
+    bfs,
+    canonical_share,
+    eval_share,
+    piece_count,
+)
 from graphcake.psn import (
     EdgeBijection,
     OrientedEdge,
+    _layout,
     graph_is_acyclic,
     lift_segment,
     min_diameter_spanning_tree,
@@ -80,6 +91,35 @@ def test_fig5_layout_order_matches_depth_first():
     tree = fig5_tree()
     bijection = tree_dfs_bijection(tree, "v00")
     assert [e.edge for e in bijection.entries] == [f"e{k:02d}" for k in range(1, 16)]
+
+
+def test_pendants_hang_at_the_endpoint_discovered_first_far_end_right():
+    """Pendant rules on a triangle (e3), a self-loop (e4) and two edges
+    parallel to tree edges (e6, e7), with tree e1, e2, e5 rooted at a.  The
+    walk discovers b before c and c before d, so e3 hangs at b, e6 at c and
+    e7 at a; the self-loop hangs at its own vertex d.  Each slot's far end
+    lies right: reversed exactly when the edge lists the far end first."""
+    graph = Graph(("a", "b", "c", "d"), (
+        Edge("e1", ("a", "b")),
+        Edge("e2", ("a", "c")),
+        Edge("e3", ("c", "b")),
+        Edge("e4", ("d", "d")),
+        Edge("e5", ("c", "d")),
+        Edge("e6", ("d", "c")),
+        Edge("e7", ("a", "b")),
+    ))
+    bijection, height = _layout(graph, ("e1", "e2", "e5"), "a")
+    slots = {entry.edge: (slot, entry.reversed) for slot, entry in enumerate(bijection.entries)}
+    assert slots == {
+        "e1": (0, False),
+        "e3": (1, True),   # pendant at b, far end c listed first
+        "e2": (2, False),
+        "e5": (3, False),
+        "e4": (4, False),  # self-loop at d
+        "e6": (5, True),   # pendant at c, far end d listed first
+        "e7": (6, False),  # pendant at the root a
+    }
+    assert height == 3
 
 
 def test_dfs_layout_rejects_cycles():
@@ -244,6 +284,22 @@ def test_bijection_equality_and_hash_ignore_the_whole_slot_cache():
     assert first == second and hash(first) == hash(second)
     assert repr(first) == repr(second) == f"EdgeBijection(entries={entries!r})"
     assert first != EdgeBijection(entries[::-1])
+
+
+def test_whole_slot_intervals_are_built_on_the_first_lift_and_shared():
+    """Certifying and exact-checking a layout builds no whole-slot interval;
+    the first lift builds them, and later lifts reuse the same objects."""
+    graph = generate(GeneratorSpec("random-connected", m=8, n=1, seed=3)).graph
+    bijection, _ = psn_certificate(graph)
+    psn_exact_check(graph, bijection)
+    assert "_whole" not in bijection.__dict__
+    first = lift_segment(bijection, F(1, 2), F(4))
+    whole = bijection.__dict__["_whole"]
+    second = lift_segment(bijection, F(2), F(15, 2))
+    assert bijection._whole is whole and len(whole) == bijection.m
+    for lift in (first, second):
+        shared = [iv for iv in lift.intervals if iv in whole]
+        assert shared and all(any(iv is w for w in whole) for iv in shared)
 
 
 def test_bijection_refuses_a_repeated_edge():
@@ -456,12 +512,13 @@ def test_spanning_tree_diameter_is_minimal_against_networkx():
         assert d == best
 
 
+def _random_connected_radius_graphs():
+    return [generate(GeneratorSpec("random-connected", m=m, n=1, seed=500 + m)).graph for m in range(1, 41)]
+
+
 def test_spanning_tree_diameter_is_twice_the_absolute_radius():
     graphs = _mdst_oracle_graphs() + [square_graph(), complete_graph(4), complete_graph(8)]
-    graphs += [
-        generate(GeneratorSpec("random-connected", m=m, n=1, seed=500 + m)).graph
-        for m in range(1, 41)
-    ]
+    graphs += _random_connected_radius_graphs()
     for graph in graphs:
         tree_edges, root, d, h = min_diameter_spanning_tree(graph)
         assert d == _doubled_absolute_radius(graph)
@@ -472,6 +529,44 @@ def test_spanning_tree_diameter_is_twice_the_absolute_radius():
         assert root == min(nx.center(tree))
         assert h == nx.eccentricity(tree, root)
         assert d == nx.diameter(tree)
+
+
+def _mdst_every_edge(graph):
+    """Reference for ``min_diameter_spanning_tree``: the midpoint radius of
+    every non-loop edge is scanned, not only of edges between two center
+    vertices."""
+    vertices = tuple(sorted(graph.vertices))
+    candidates = [e for e in graph.edges if e.endpoints[0] != e.endpoints[1]]
+    adj = adjacency(vertices, candidates)
+    dist = {v: bfs(adj, [v])[0] for v in vertices}
+    centers = [(2 * max(dist[v].values()), 0, v) for v in vertices]
+    for e in candidates:
+        du, dw = dist[e.endpoints[0]], dist[e.endpoints[1]]
+        centers.append((1 + 2 * max(min(du[x], dw[x]) for x in vertices), 1, e.id))
+    doubled_radius, kind, center = min(centers)
+    sources = sorted(graph.edge(center).endpoints) if kind else [center]
+    _, parent_edge = bfs(adj, sources)
+    tree_ids = tuple(sorted(set(parent_edge.values()) | ({center} if kind else set())))
+    tree = adjacency(vertices, [graph.edge(e) for e in tree_ids])
+    depth, _ = bfs(tree, [sources[0]])
+    d = max(bfs(tree, [max(depth, key=depth.get)])[0].values())
+    return tree_ids, sources[0], d, max(depth.values())
+
+
+def test_center_edge_scan_matches_the_every_edge_scan():
+    """Scanning only edges between two center vertices picks the same
+    center, so the same tree, root, diameter and height, on multigraphs with
+    self-loops and parallel edges, on the square (every edge joins two
+    centers), on K4 and K8, and on seeded random-connected graphs."""
+    graphs = [multigraph(seed) for seed in range(60)]
+    graphs += [square_graph(), complete_graph(4), complete_graph(8)]
+    graphs += _random_connected_radius_graphs()
+    edge_centers = 0
+    for graph in graphs:
+        expected = _mdst_every_edge(graph)
+        assert min_diameter_spanning_tree(graph) == expected, graph
+        edge_centers += expected[3] * 2 > expected[2]
+    assert edge_centers > 10
 
 
 # ---------------------------------------------------------------------------
